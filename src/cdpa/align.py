@@ -2,15 +2,15 @@
 
 Maximizing the summed squared cosines of the principal angles over row
 permutations of the padded second basis is a quadratic assignment
-problem.  A doubly stochastic projected fixed-point heuristic solves it
-approximately; an exhaustive oracle is available for small problems.
+problem.  A Frank-Wolfe assignment ascent solves it approximately; an
+exhaustive oracle is available for small problems.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -23,20 +23,15 @@ from .errors import BadDimensions, InputError, TooLarge
 class MatchProblem:
     """Projector-derived matrices of the row-matching objective.
 
-    ``m1`` and ``m2`` are the basis projectors, ``m*_plus`` their
-    entrywise shift to nonnegativity by the joint minimum, and the
-    off-diagonal/diagonal split feeds the assignment-form objective.
+    ``m1`` and ``m2`` are the basis projectors; ``diag1`` and ``diag2``
+    are their diagonals after both are shifted to nonnegativity by their
+    joint minimum entry, and seed one start of the matcher.
     """
 
     m1: np.ndarray
     m2: np.ndarray
-    m1_plus: np.ndarray
-    m2_plus: np.ndarray
-    offdiag1: np.ndarray
-    offdiag2: np.ndarray
     diag1: np.ndarray
     diag2: np.ndarray
-    shift: float
     q1: np.ndarray
     q2a: np.ndarray
 
@@ -47,17 +42,36 @@ class MatchProblem:
 
 @dataclass(frozen=True)
 class PermutationPlan:
-    """A row alignment with its exactly evaluated trace objective."""
+    """A row alignment with its exactly evaluated trace objective.
+
+    ``iterations`` is the number of assignment-ascent steps summed over
+    all starts, and ``converged`` is true when every start's ascent
+    stopped at a fixed point before the step bound.  Plans not found by
+    the ascent report ``0`` and ``True``.
+    """
 
     perm: np.ndarray
     objective: float
     method: str
+    iterations: int = 0
+    converged: bool = True
 
     def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.intp)
-        if not np.array_equal(np.sort(perm), np.arange(perm.shape[0])):
-            raise InputError("permutation is not a bijection on row indices")
-        object.__setattr__(self, "perm", perm)
+        try:
+            perm = np.asarray(self.perm)
+        except ValueError:
+            raise InputError("permutation indices must be a flat list") from None
+        # a bijection on 0..p-1 compared in the input's own dtype also
+        # rejects non-integral indices instead of truncating them
+        if (
+            perm.ndim != 1
+            or perm.dtype.kind not in "iuf"
+            or not np.array_equal(np.sort(perm), np.arange(perm.shape[0]))
+        ):
+            raise InputError(
+                "permutation is not a bijection on integer row indices"
+            )
+        object.__setattr__(self, "perm", perm.astype(np.intp))
 
     def to_json(self) -> str:
         return json.dumps([int(i) for i in self.perm])
@@ -68,9 +82,7 @@ class PermutationPlan:
             idx = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"permutation file is not valid JSON: {exc}") from None
-        return PermutationPlan(
-            perm=np.asarray(idx, dtype=np.intp), objective=float("nan"), method=method
-        )
+        return PermutationPlan(perm=idx, objective=float("nan"), method=method)
 
 
 @dataclass(frozen=True)
@@ -84,21 +96,18 @@ class SignChoice:
 
 @dataclass(frozen=True)
 class DspfpConfig:
-    """Tuning knobs of the doubly stochastic projected fixed-point solver.
+    """Tuning knobs of the assignment-ascent row matcher.
 
-    ``lams`` is a continuation ladder for the step scale (soft to sharp);
-    small problems (``p <= small_p``) additionally run seeded random
-    starts and a 3-cycle polish after the pairwise-swap polish.
+    ``max_iter`` bounds the ascent steps taken from each start, and
+    ``polish`` applies pairwise swaps to each start's result.  Small
+    problems (``p <= small_p``) add ``seeded_inits`` random starts drawn
+    from ``init_seed``.
     """
 
-    lams: tuple[float, ...] = (4.0, 1.0, 0.25, 0.0625)
-    alpha: float = 0.5
-    tol: float = 1e-6
     max_iter: int = 120
-    proj_sweeps: int = 30
     polish: bool = True
     small_p: int = 12
-    seeded_inits: int = 6
+    seeded_inits: int = 12
     init_seed: int = 12345
 
 
@@ -122,59 +131,44 @@ def zero_pad(b2: MixingChannel, p1: int) -> MixingChannel:
 
 
 def build_match_problem(q1: np.ndarray, q2a: np.ndarray) -> MatchProblem:
-    """Shifted projector matrices and their diagonal split."""
+    """Projector matrices and their shifted diagonals."""
     if q1.shape != q2a.shape:
         raise InputError(f"basis shapes differ: {q1.shape} vs {q2a.shape}")
     m1 = q1 @ q1.T
     m2 = q2a @ q2a.T
-    shift = float(min(m1.min(), m2.min()))
-    m1p = m1 - shift
-    m2p = m2 - shift
-    d1 = np.diag(m1p).copy()
-    d2 = np.diag(m2p).copy()
+    shift = min(m1.min(), m2.min())
     return MatchProblem(
         m1=m1,
         m2=m2,
-        m1_plus=m1p,
-        m2_plus=m2p,
-        offdiag1=m1p - np.diag(d1),
-        offdiag2=m2p - np.diag(d2),
-        diag1=d1,
-        diag2=d2,
-        shift=shift,
+        diag1=np.diag(m1) - shift,
+        diag2=np.diag(m2) - shift,
         q1=q1,
         q2a=q2a,
     )
 
 
-def _project_doubly_stochastic(m: np.ndarray, sweeps: int) -> np.ndarray:
-    """Alternating row/column-sum correction with nonnegativity clipping."""
-    p = m.shape[0]
-    x = m.copy()
-    for _ in range(sweeps):
-        x += (1.0 + x.sum() / p - x.sum(1, keepdims=True) - x.sum(0, keepdims=True)) / p
-        np.maximum(x, 0.0, out=x)
-        if (
-            np.abs(x.sum(1) - 1.0).max() < 1e-9
-            and np.abs(x.sum(0) - 1.0).max() < 1e-9
-        ):
-            break
-    return x
+def _assign(score: np.ndarray) -> np.ndarray:
+    """The permutation maximizing ``sum_i score[i, perm[i]]``."""
+    _, cols = linear_sum_assignment(-score)  # rows come back as 0..p-1
+    return cols.astype(np.intp)
 
 
-def _quadratic_step(x, q1, q2a, d1, d2, shift):
-    """offdiag(M1+) @ X @ offdiag(M2+) using the rank-r projector structure."""
-    t = q1 @ (q1.T @ x)
-    t -= shift * x.sum(0)[None, :]
-    t -= d1[:, None] * x
-    out = (t @ q2a) @ q2a.T
-    out -= shift * t.sum(1)[:, None]
-    out -= t * d2[None, :]
-    return out
+def _ascend(q1, q2a, perm, max_iter):
+    """Frank-Wolfe ascent from ``perm``: one linear assignment per step.
 
-
-def _perm_objective_m(m1: np.ndarray, m2: np.ndarray, perm: np.ndarray) -> float:
-    return float(np.sum(m1 * m2[np.ix_(perm, perm)]))
+    Returns the final permutation, the steps taken and whether the
+    ascent stopped because the objective no longer rose.
+    """
+    core = q1.T @ q2a[perm]
+    obj = float(np.sum(core**2))
+    for step in range(1, max_iter + 1):
+        cand = _assign(q1 @ core @ q2a.T)
+        cand_core = q1.T @ q2a[cand]
+        cand_obj = float(np.sum(cand_core**2))
+        if cand_obj <= obj + 1e-12:
+            return perm, step, True
+        perm, core, obj = cand, cand_core, cand_obj
+    return perm, max_iter, False
 
 
 def _swap_deltas(m1: np.ndarray, p2g: np.ndarray) -> np.ndarray:
@@ -204,75 +198,52 @@ def _two_opt(m1, m2, perm, max_swaps=None):
     return perm
 
 
-def _three_cycle_polish(m1, m2, perm, rounds=6):
-    p = perm.shape[0]
-    perm = perm.copy()
-    cur = _perm_objective_m(m1, m2, perm)
-    for _ in range(rounds):
-        best_gain = 0.0
-        best_perm = None
-        for i, j, k in combinations(range(p), 3):
-            for rot in ((j, k, i), (k, i, j)):
-                cand = perm.copy()
-                cand[[i, j, k]] = perm[list(rot)]
-                gain = _perm_objective_m(m1, m2, cand) - cur
-                if gain > best_gain + 1e-12:
-                    best_gain, best_perm = gain, cand
-        if best_perm is None:
-            break
-        perm = _two_opt(m1, m2, best_perm)
-        cur = _perm_objective_m(m1, m2, perm)
-    return perm
-
-
 def dspfp_match(problem: MatchProblem, cfg: DspfpConfig | None = None) -> PermutationPlan:
-    """Approximate the optimal row alignment.
+    """Approximate the optimal row alignment by assignment ascent.
 
-    Runs the projected fixed-point iteration from several deterministic
-    starts through the continuation ladder, discretizes each final iterate
-    with a linear assignment, polishes with local swaps, and returns the
-    best permutation found, never worse than the identity alignment.
+    The objective ``f(P) = ||q1.T @ P @ q2a||_F^2`` is convex in P, so a
+    Frank-Wolfe step over the doubly stochastic matrices always goes the
+    full length to the vertex that maximizes the linearization: the
+    permutation solving a linear assignment on the rank-r gradient
+    ``q1 @ q1.T @ P @ q2a @ q2a.T``.  Each start X0 is first mapped to a
+    permutation by one such assignment, then ascends one assignment per
+    step until the objective stops rising or ``max_iter`` steps are
+    taken.  Each start's result is polished by pairwise swaps, and the
+    best permutation is returned, never worse than the identity.
     """
     cfg = cfg or DspfpConfig()
     p = problem.p
     q1, q2a = problem.q1, problem.q2a
-    d1, d2 = problem.diag1, problem.diag2
-    k_lin = np.outer(d1, d2)
-    inits = [
+    # for orthonormal bases the start m1 @ m2 has the identity's gradient,
+    # so it would only repeat the identity start
+    starts = [
         np.full((p, p), 1.0 / p),
-        _project_doubly_stochastic(k_lin.copy(), cfg.proj_sweeps),
+        np.outer(problem.diag1, problem.diag2),
         np.eye(p),
-        _project_doubly_stochastic(problem.m1 @ problem.m2, cfg.proj_sweeps),
     ]
     if p <= cfg.small_p:
         rng = np.random.default_rng(cfg.init_seed)
-        for _ in range(cfg.seeded_inits):
-            inits.append(_project_doubly_stochastic(rng.random((p, p)), cfg.proj_sweeps))
+        starts += [rng.random((p, p)) for _ in range(cfg.seeded_inits)]
     best_perm = identity_permutation(p)
     best_obj = match_objective(q1, q2a, best_perm)
-    for x0 in inits:
-        x = x0
-        for lam in cfg.lams:
-            for _ in range(cfg.max_iter):
-                step = (_quadratic_step(x, q1, q2a, d1, d2, problem.shift) + k_lin) / (
-                    2.0 * lam
-                )
-                y = _project_doubly_stochastic(x + step, cfg.proj_sweeps)
-                x_new = (1.0 - cfg.alpha) * x + cfg.alpha * y
-                if np.max(np.abs(x_new - x)) < cfg.tol:
-                    x = x_new
-                    break
-                x = x_new
-        rows, cols = linear_sum_assignment(-x)
-        perm = cols[np.argsort(rows)].astype(np.intp)
+    iterations, converged = 0, True
+    for x0 in starts:
+        perm = _assign(q1 @ (q1.T @ x0 @ q2a) @ q2a.T)
+        perm, steps, stopped = _ascend(q1, q2a, perm, cfg.max_iter)
+        iterations += steps
+        converged &= stopped
         if cfg.polish:
             perm = _two_opt(problem.m1, problem.m2, perm)
-            if p <= cfg.small_p:
-                perm = _three_cycle_polish(problem.m1, problem.m2, perm)
         obj = match_objective(q1, q2a, perm)
         if obj > best_obj + 1e-12:
             best_perm, best_obj = perm, obj
-    return PermutationPlan(perm=best_perm, objective=best_obj, method="dspfp")
+    return PermutationPlan(
+        perm=best_perm,
+        objective=best_obj,
+        method="dspfp",
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 _PERM_CACHE: dict[int, np.ndarray] = {}

@@ -194,6 +194,8 @@ def cmd_decompose(args) -> int:
             "method": result.permutation.method,
             "objective": result.permutation.objective,
             "indices": [int(i) for i in result.permutation.perm],
+            "iterations": result.permutation.iterations,
+            "converged": result.permutation.converged,
         },
         "sign": result.sign,
         "explained_variance": result.patterns.explained,
@@ -327,6 +329,8 @@ def cmd_match(args) -> int:
             "method": plan.method,
             "objective": plan.objective,
             "indices": [int(i) for i in plan.perm],
+            "iterations": plan.iterations,
+            "converged": plan.converged,
         }
     )
     return 0

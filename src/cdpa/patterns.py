@@ -598,12 +598,12 @@ def _resolve_permutation(
             perm=identity_permutation(pmax), objective=0.0, method="identity"
         )
     if not isinstance(config.perm, str):
-        perm = np.asarray(config.perm, dtype=np.intp)
-        if perm.shape != (pmax,):
+        plan = PermutationPlan(perm=config.perm, objective=0.0, method="provided")
+        if plan.perm.shape != (pmax,):
             raise InputError(
-                f"provided permutation has length {perm.shape[0]}, expected {pmax}"
+                f"provided permutation has length {plan.perm.shape[0]}, expected {pmax}"
             )
-        return PermutationPlan(perm=perm, objective=0.0, method="provided")
+        return plan
     system = canonical_system(cov1, cov2, x1, x2, r12)
     c0 = common_factor_scores(system, common_factor_coefficients(system.correlations))
     _, chan1 = source_decomposition(x1, system, c0, 1)

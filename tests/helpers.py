@@ -1,6 +1,7 @@
 """Shared test utilities: exact-moment constructions and tied-block rotations."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -8,6 +9,7 @@ from cdpa import (
     CanonicalSystem,
     ChannelSubspacePair,
     ObservedMatrix,
+    build_match_problem,
     signal_covariance,
     soft_threshold_denoise,
 )
@@ -92,6 +94,30 @@ def rotate_pair(pair: ChannelSubspacePair, start: int, stop: int, rng):
     r12 = pair.cosines.shape[0]
     g = block_rotation(rng, r12, start, stop)
     return replace(pair, v_b1=pair.v_b1 @ g, v_b2=pair.v_b2 @ g)
+
+
+def dense_match_problem(q1, q2a):
+    """``build_match_problem`` plus the dense matrices of the objective chain.
+
+    ``shift`` is the joint minimum entry of the two projectors, ``m*_plus``
+    the projectors shifted by it to nonnegativity, and ``offdiag*`` their
+    off-diagonal parts; the shifted diagonals come from the library.
+    """
+    prob = build_match_problem(q1, q2a)
+    shift = float(min(prob.m1.min(), prob.m2.min()))
+    m1_plus = prob.m1 - shift
+    m2_plus = prob.m2 - shift
+    return SimpleNamespace(
+        m1=prob.m1,
+        m2=prob.m2,
+        m1_plus=m1_plus,
+        m2_plus=m2_plus,
+        offdiag1=m1_plus - np.diag(prob.diag1),
+        offdiag2=m2_plus - np.diag(prob.diag2),
+        diag1=prob.diag1,
+        diag2=prob.diag2,
+        shift=shift,
+    )
 
 
 def rel_err(a, b):

@@ -33,6 +33,7 @@ from cdpa.align import _all_permutations
 from cdpa.simulate import EIGENVALUES, TOTAL_VARIANCE, planted_correlations
 
 from helpers import (
+    dense_match_problem,
     estimates_from,
     exact_signal_pair,
     rel_err,
@@ -163,7 +164,7 @@ def test_criterion_4_graph_matching():
         r12 = 2 + trial % 2
         q1 = random_orthonormal(rng, p, r12)
         q2 = random_orthonormal(rng, p, r12)
-        prob = build_match_problem(q1, q2)
+        prob = dense_match_problem(q1, q2)
         perms = _all_permutations(p)
         gathered = prob.m2[perms[:, :, None], perms[:, None, :]]
         trace_obj = np.einsum("ij,nij->n", prob.m1, gathered)

@@ -18,7 +18,9 @@ from cdpa import (
     zero_pad,
 )
 from cdpa._linalg import random_orthonormal
-from cdpa.align import _all_permutations
+from cdpa.align import DspfpConfig, _all_permutations
+
+from helpers import dense_match_problem
 
 
 # --------------------------------------------------------------- zero_pad
@@ -63,7 +65,7 @@ def test_match_problem_shift_is_joint_minimum():
     rng = np.random.default_rng(2)
     q1 = random_orthonormal(rng, 7, 2)
     q2 = random_orthonormal(rng, 7, 2)
-    prob = build_match_problem(q1, q2)
+    prob = dense_match_problem(q1, q2)
     assert prob.shift == min(prob.m1.min(), prob.m2.min())
     assert prob.m1_plus.min() >= 0.0
     assert prob.m2_plus.min() >= 0.0
@@ -77,7 +79,7 @@ def _objectives_over_all_perms(q1, q2a):
     p = q1.shape[0]
     m1 = q1 @ q1.T
     m2 = q2a @ q2a.T
-    prob = build_match_problem(q1, q2a)
+    prob = dense_match_problem(q1, q2a)
     perms = _all_permutations(p)
     gathered = m2[perms[:, :, None], perms[:, None, :]]
     trace_obj = np.einsum("ij,nij->n", m1, gathered)
@@ -155,6 +157,42 @@ def test_dspfp_deterministic():
     b = dspfp_match(build_match_problem(q1, q2))
     np.testing.assert_array_equal(a.perm, b.perm)
     assert a.objective == b.objective
+
+
+def test_dspfp_large_p_planted_recovery():
+    # p = 100 is above small_p: deterministic starts only
+    rng = np.random.default_rng(31)
+    for trial in range(5):
+        q1 = random_orthonormal(rng, 100, 5)
+        scramble = rng.permutation(100)
+        plan = dspfp_match(build_match_problem(q1, q1[scramble]))
+        assert abs(plan.objective - 5.0) <= 1e-8
+
+
+def test_dspfp_large_p_never_below_identity_and_deterministic():
+    rng = np.random.default_rng(32)
+    for trial in range(3):
+        q1 = random_orthonormal(rng, 100, 5)
+        q2 = random_orthonormal(rng, 100, 5)
+        a = dspfp_match(build_match_problem(q1, q2))
+        b = dspfp_match(build_match_problem(q1, q2))
+        assert a.objective >= match_objective(q1, q2, np.arange(100)) - 1e-12
+        np.testing.assert_array_equal(a.perm, b.perm)
+        assert a.objective == b.objective
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+
+def test_dspfp_reports_convergence():
+    rng = np.random.default_rng(33)
+    q1 = random_orthonormal(rng, 100, 5)
+    q2 = random_orthonormal(rng, 100, 5)
+    prob = build_match_problem(q1, q2)
+    full = dspfp_match(prob)
+    assert full.converged
+    assert full.iterations >= 3  # at least one step per deterministic start
+    cut = dspfp_match(prob, DspfpConfig(max_iter=1))
+    assert not cut.converged
+    assert cut.iterations == 3
 
 
 # ------------------------------------------------------------- exhaustive
@@ -277,3 +315,38 @@ def test_permutation_plan_rejects_non_bijection():
 
     with pytest.raises(InputError):
         PermutationPlan(perm=np.array([0, 0, 2]), objective=0.0, method="provided")
+
+
+def test_permutation_plan_rejects_non_integer_indices():
+    from cdpa import InputError, PermutationPlan
+
+    with pytest.raises(InputError):
+        PermutationPlan.from_json("[0.9, 1.2, 2.7]")
+    with pytest.raises(InputError):
+        PermutationPlan(perm=np.array([0.9, 1.2, 2.7]), objective=0.0, method="provided")
+    for bad in ("[[0, 1], [2]]", '["0", "1"]', "[true, false]"):
+        with pytest.raises(InputError):
+            PermutationPlan.from_json(bad)
+    # integral floats name the same rows as their integers
+    plan = PermutationPlan(perm=np.array([1.0, 0.0]), objective=0.0, method="provided")
+    assert plan.perm.dtype == np.intp
+
+
+def test_estimate_rejects_non_integer_permutation():
+    from cdpa import InputError
+
+    y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=30.0, p1=20, n=60, seed=3))
+    perm = np.arange(20) + 0.5
+    with pytest.raises(InputError):
+        estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 5, 5), perm=perm, sign="plus"))
+
+
+def test_provided_and_exhaustive_plans_report_no_iterations():
+    from cdpa import PermutationPlan
+
+    plan = PermutationPlan.from_json("[1, 0]")
+    assert (plan.iterations, plan.converged) == (0, True)
+    rng = np.random.default_rng(34)
+    q = random_orthonormal(rng, 6, 2)
+    best = exhaustive_match(q, q.copy())
+    assert (best.iterations, best.converged) == (0, True)

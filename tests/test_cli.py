@@ -159,6 +159,8 @@ def test_decompose_provided_permutation(bench_files, tmp_path, capsys):
     manifest = json.loads(out)
     assert manifest["permutation"]["method"] == "provided"
     assert sorted(manifest["permutation"]["indices"]) == list(range(60))
+    assert manifest["permutation"]["iterations"] == 0
+    assert manifest["permutation"]["converged"] is True
 
 
 def test_decompose_requires_rank_mode(bench_files, tmp_path, capsys):
@@ -242,6 +244,8 @@ def test_match_planted_channels(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["objective"] - 3.0) < 1e-8
+    assert payload["converged"] is True
+    assert payload["iterations"] >= 3
     saved = json.loads(out_file.read_text())
     assert sorted(saved) == list(range(8))
 
