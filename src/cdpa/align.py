@@ -57,21 +57,7 @@ class PermutationPlan:
     converged: bool = True
 
     def __post_init__(self):
-        try:
-            perm = np.asarray(self.perm)
-        except ValueError:
-            raise InputError("permutation indices must be a flat list") from None
-        # a bijection on 0..p-1 compared in the input's own dtype also
-        # rejects non-integral indices instead of truncating them
-        if (
-            perm.ndim != 1
-            or perm.dtype.kind not in "iuf"
-            or not np.array_equal(np.sort(perm), np.arange(perm.shape[0]))
-        ):
-            raise InputError(
-                "permutation is not a bijection on integer row indices"
-            )
-        object.__setattr__(self, "perm", perm.astype(np.intp))
+        object.__setattr__(self, "perm", as_permutation(self.perm))
 
     def to_json(self) -> str:
         return json.dumps([int(i) for i in self.perm])
@@ -115,9 +101,32 @@ def identity_permutation(p: int) -> np.ndarray:
     return np.arange(p, dtype=np.intp)
 
 
+def as_permutation(perm, p: int | None = None) -> np.ndarray:
+    """``perm`` as an index array, checked to be a bijection on ``0..p-1``.
+
+    ``p`` defaults to the length of ``perm``.  The check compares in the
+    input's own dtype, so non-integral indices raise ``InputError``
+    instead of being truncated, as do boolean, non-numeric and nested
+    ones.
+    """
+    try:
+        arr = np.asarray(perm)
+    except ValueError:
+        raise InputError("permutation indices must be a flat list") from None
+    if p is None and arr.ndim == 1:
+        p = arr.shape[0]
+    if (
+        arr.shape != (p,)
+        or arr.dtype.kind not in "iuf"
+        or not np.array_equal(np.sort(arr), np.arange(p))
+    ):
+        raise InputError("permutation is not a bijection on integer row indices")
+    return arr.astype(np.intp)
+
+
 def match_objective(q1: np.ndarray, q2a: np.ndarray, perm) -> float:
     """Exact trace objective ``||q1.T @ q2a[perm]||_F^2`` for one alignment."""
-    return float(np.sum((q1.T @ q2a[np.asarray(perm, dtype=np.intp)]) ** 2))
+    return float(np.sum((q1.T @ q2a[as_permutation(perm, q2a.shape[0])]) ** 2))
 
 
 def zero_pad(b2: MixingChannel, p1: int) -> MixingChannel:

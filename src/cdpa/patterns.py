@@ -21,6 +21,7 @@ from .align import (
     DspfpConfig,
     PermutationPlan,
     SignChoice,
+    as_permutation,
     build_match_problem,
     choose_sign,
     dspfp_match,
@@ -77,12 +78,20 @@ class DualWeight:
 class PatternDecomposition:
     """Common/distinctive pattern split of the aligned signal estimates.
 
-    All matrices live in the padded row space.  Exact identities:
-    ``c_scaled[k] = scale_k * c``, ``aligned_x[k] = c_scaled[k] + delta[k]``,
-    and ``delta[k] = h[k] + aligned_d[k]``.
+    All matrices live in the padded row space.  The common pattern is
+    kept both dense and as its rank-r12 factors ``c_factors = (loadings,
+    scores)``: the pmax x r12 loadings ``c_b @ s`` and the r12 x n
+    common factor scores ``c0``, with ``c == loadings @ scores`` bitwise
+    (both have zero width when r12 is 0).  ``scales`` holds the square
+    roots of the two signal-covariance traces.  Exact identities:
+    ``c_scaled[k] = scales[k] * c``,
+    ``aligned_x[k] = c_scaled[k] + delta[k]``, and
+    ``delta[k] = h[k] + aligned_d[k]``.
     """
 
     c: np.ndarray
+    c_factors: tuple[np.ndarray, np.ndarray]
+    scales: tuple[float, float]
     c_scaled: tuple[np.ndarray, np.ndarray]
     h: tuple[np.ndarray, np.ndarray]
     delta: tuple[np.ndarray, np.ndarray]
@@ -183,7 +192,11 @@ def dual_weights(
 def common_pattern(
     basis: ChannelPatternBasis, weights: DualWeight, c0: CommonFactorSet
 ) -> np.ndarray:
-    """Common-pattern matrix: shared basis times consensus weights times scores."""
+    """Common-pattern matrix: shared basis times consensus weights times scores.
+
+    The product runs left to right, ``(c_b @ s) @ c0``, the same product
+    of the loadings and scores that ``assemble_patterns`` evaluates.
+    """
     return basis.c_b @ weights.s @ c0.c0
 
 
@@ -195,16 +208,20 @@ def explained_variance(c: np.ndarray, n: int) -> float:
 def pattern_decomposition(
     xhat_pair: tuple[SignalEstimate, SignalEstimate],
     source_pair: tuple[SourceDecomposition, SourceDecomposition],
-    c: np.ndarray,
+    c_factors: tuple[np.ndarray, np.ndarray],
     traces: tuple[float, float],
     permutation: PermutationPlan,
     r12_zero: bool = False,
 ) -> PatternDecomposition:
     """Assemble the rescaled common patterns and distinctive remainders.
 
-    The smaller dataset is zero-padded to the common row dimension and
-    the permutation is applied to dataset 2's rows before the split.
+    The common pattern is the product of its factors ``(loadings,
+    scores)``.  The smaller dataset is zero-padded to the common row
+    dimension and the permutation is applied to dataset 2's rows before
+    the split.
     """
+    loadings, scores = c_factors
+    c = loadings @ scores
     pmax = max(xhat_pair[0].p, xhat_pair[1].p)
     n = xhat_pair[0].n
     aligned_x = []
@@ -225,6 +242,8 @@ def pattern_decomposition(
     delta = tuple(h[k] + aligned_d[k] for k in range(2))
     return PatternDecomposition(
         c=c,
+        c_factors=c_factors,
+        scales=scales,
         c_scaled=c_scaled,
         h=h,
         delta=delta,
@@ -265,7 +284,7 @@ def population_cdpa(
     perm = (
         identity_permutation(pmax)
         if permutation is None
-        else np.asarray(permutation, dtype=np.intp)
+        else as_permutation(permutation, pmax)
     )
     pair = principal_angles(q1, q2, perm)
     basis = channel_common_basis(pair)
@@ -356,14 +375,14 @@ def _trivial_patterns(
     pmax = max(x1.p, x2.p)
     n = x1.n
     zeros = np.zeros((pmax, n))
-    src = (
-        SourceDecomposition(c=np.zeros_like(x1.xhat), d=x1.xhat),
-        SourceDecomposition(c=np.zeros_like(x2.xhat), d=x2.xhat),
-    )
     ax1 = pad_rows(x1.xhat, pmax)
     ax2 = pad_rows(x2.xhat, pmax)[perm.perm]
     return PatternDecomposition(
         c=zeros,
+        c_factors=(np.zeros((pmax, 0)), np.zeros((0, n))),
+        scales=tuple(
+            float(np.sqrt(np.sum(x.soft_singular_values**2 / n))) for x in (x1, x2)
+        ),
         c_scaled=(zeros, zeros),
         h=(np.zeros_like(ax1), np.zeros_like(ax2)),
         delta=(ax1, ax2),
@@ -406,8 +425,8 @@ def assemble_patterns(
         traces,
         shared_first_basis=shared_first_basis,
     )
-    c = common_pattern(basis, weights, c0)
-    patterns = pattern_decomposition((x1, x2), (src1, src2), c, traces, perm)
+    c_factors = (basis.c_b @ weights.s, c0.c0)
+    patterns = pattern_decomposition((x1, x2), (src1, src2), c_factors, traces, perm)
     return patterns, (src1, src2), (chan1, chan2), pair
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import clip_correlations, fix_signs
+from .align import as_permutation
 from .dcca import MixingChannel, common_factor_coefficients
 from .errors import ChannelRankDeficient, InputError
 
@@ -68,7 +69,7 @@ def principal_angles(
     """
     if q1.shape != q2a.shape:
         raise InputError(f"basis shapes differ: {q1.shape} vs {q2a.shape}")
-    perm = _as_permutation(permutation, q1.shape[0])
+    perm = as_permutation(permutation, q1.shape[0])
     q2p = q2a[perm]
     theta_b = q1.T @ q2p
     u1, svals, v2t = np.linalg.svd(theta_b)
@@ -94,10 +95,3 @@ def channel_common_basis(pair: ChannelSubspacePair) -> ChannelPatternBasis:
     coeff = 2.0 * common_factor_coefficients(pair.cosines)  # 1 - tan(theta/2)
     c_b = coeff * (pair.v_b1 + pair.v_b2) / 2.0
     return ChannelPatternBasis(c_b=c_b, d_b1=pair.v_b1 - c_b, d_b2=pair.v_b2 - c_b)
-
-
-def _as_permutation(perm, p: int) -> np.ndarray:
-    perm = np.asarray(perm, dtype=np.intp)
-    if perm.shape != (p,) or not np.array_equal(np.sort(perm), np.arange(p)):
-        raise InputError("permutation is not a bijection on row indices")
-    return perm

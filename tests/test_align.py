@@ -350,3 +350,14 @@ def test_provided_and_exhaustive_plans_report_no_iterations():
     q = random_orthonormal(rng, 6, 2)
     best = exhaustive_match(q, q.copy())
     assert (best.iterations, best.converged) == (0, True)
+
+
+def test_match_objective_rejects_non_integer_permutation():
+    from cdpa import InputError
+
+    rng = np.random.default_rng(35)
+    q1, q2 = random_orthonormal(rng, 6, 2), random_orthonormal(rng, 6, 2)
+    with pytest.raises(InputError):
+        match_objective(q1, q2, [0.9, 1.2, 2.7, 3.5, 4.1, 5.9])
+    with pytest.raises(InputError):
+        match_objective(q1, q2, [0, 1, 2])

@@ -145,6 +145,16 @@ def _planted_factors(theta, p, seed=5):
     return complete(q1), EIGENVALUES, complete(q2), EIGENVALUES, np.diag(rho)
 
 
+def test_population_rejects_non_integer_permutation():
+    from cdpa import InputError
+
+    with pytest.raises(InputError):
+        population_cdpa(
+            *_planted_factors(theta=30.0, p=6),
+            permutation=[0.9, 1.2, 2.7, 3.5, 4.1, 5.9],
+        )
+
+
 # ----------------------------------------------------------- common_pattern
 
 
@@ -179,6 +189,26 @@ def test_population_explained_at_fifteen_degrees():
 
 
 # ------------------------------------------------------ pattern_decomposition
+
+
+def test_patterns_keep_common_factors():
+    shared_ranks = set()
+    for setup, noise, seed in ((1, 1.0, 19), (2, 1.0, 20), (2, 64.0, 4)):
+        cfg = SimulationConfig(
+            setup=setup, theta_deg=75.0, p1=60, n=60, noise_var=noise, seed=seed
+        )
+        y1, y2, _ = generate_setup(cfg)
+        fit = estimate_cdpa(y1, y2, CdpaConfig(perm="identity", center=False))
+        pat = fit.patterns
+        loadings, scores = pat.c_factors
+        r12 = fit.ranks.r12
+        shared_ranks.add(r12)
+        assert loadings.shape == (max(y1.p, y2.p), r12)
+        assert scores.shape == (r12, 60)
+        assert np.array_equal(pat.c, loadings @ scores)
+        for k in range(2):
+            assert np.array_equal(pat.c_scaled[k], pat.scales[k] * pat.c)
+    assert 0 in shared_ranks and len(shared_ranks) > 1
 
 
 def test_patterns_identical_datasets_no_distinctive():

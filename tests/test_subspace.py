@@ -187,3 +187,12 @@ def test_tied_cosine_block_rotation_preserves_projector():
     b0 = channel_common_basis(pair)
     b1 = channel_common_basis(rotated)
     np.testing.assert_allclose(b0.c_b @ b0.c_b.T, b1.c_b @ b1.c_b.T, atol=1e-8)
+
+
+def test_principal_angles_rejects_non_integer_permutation():
+    from cdpa import InputError
+
+    rng = np.random.default_rng(10)
+    q1, q2 = _planted_bases(rng, 6, [10.0, 40.0])
+    with pytest.raises(InputError):
+        principal_angles(q1, q2, [0.9, 1.2, 2.7, 3.5, 4.1, 5.9])
