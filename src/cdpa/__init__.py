@@ -26,6 +26,7 @@ from .dcca import (
     canonical_system,
     common_factor_coefficients,
     common_factor_scores,
+    mixing_channel,
     source_decomposition,
 )
 from .denoise import (
@@ -37,9 +38,11 @@ from .denoise import (
     center_rows,
     compute_diagnostics,
     correlation_screen,
+    denoise_at_rank,
     ed_select_rank,
     mdl_select_r12,
     noise_trace,
+    select_ranks,
     signal_covariance,
     soft_threshold_denoise,
 )

@@ -32,15 +32,7 @@ from .align import (
     exhaustive_match,
 )
 from .dcca import MixingChannel
-from .denoise import (
-    ObservedMatrix,
-    RankProfile,
-    center_rows,
-    correlation_screen,
-    ed_select_rank,
-    mdl_select_r12,
-    soft_threshold_denoise,
-)
+from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
 from .errors import BadConfig, InputError, NumericalError
 from .matrixio import read_matrix, write_matrix_binary
 from .patterns import CdpaConfig, bootstrap_ci, estimate_cdpa
@@ -96,19 +88,8 @@ def _perm_argument(value: str):
 def cmd_ranks(args) -> int:
     y1 = _load(args.y1, not args.no_center)
     y2 = _load(args.y2, not args.no_center)
-    if y1.n != y2.n:
-        raise InputError(f"sample counts differ: {y1.n} vs {y2.n}")
-    r1 = ed_select_rank(y1)
-    r2 = ed_select_rank(y2)
-    screen = False
-    r12 = 0
-    if min(r1, r2) >= 1:
-        x1 = soft_threshold_denoise(y1, r1)
-        x2 = soft_threshold_denoise(y2, r2)
-        screen = correlation_screen(x1, x2, args.alpha)
-        if screen:
-            r12 = mdl_select_r12(y1, y2, r1, r2)
-    _emit({"r1": r1, "r2": r2, "r12": r12, "screen": screen})
+    ranks, _, _, screen = select_ranks(y1, y2, args.alpha)
+    _emit({"r1": ranks.r1, "r2": ranks.r2, "r12": ranks.r12, "screen": screen})
     return 0
 
 

@@ -141,20 +141,24 @@ def common_factor_scores(
     return CommonFactorSet(c0=c0, coefficients=np.asarray(coefficients))
 
 
-def source_decomposition(
-    xhat: SignalEstimate, system: CanonicalSystem, c0: CommonFactorSet, k: int
-) -> tuple[SourceDecomposition, MixingChannel]:
-    """Split one signal estimate into common and distinctive sources.
-
-    The mixing channel is ``b_k = xhat @ z_k[:r12].T / n``; the common
-    source is ``b_k @ c0`` and the distinctive source is the remainder,
-    so additivity is exact by construction.
-    """
+def mixing_channel(
+    xhat: SignalEstimate, system: CanonicalSystem, k: int
+) -> MixingChannel:
+    """Mixing channel ``b_k = xhat @ z_k[:r12].T / n`` of dataset ``k``."""
     if k not in (1, 2):
         raise InputError(f"dataset index must be 1 or 2, got {k}")
     z = system.z1 if k == 1 else system.z2
-    n = system.n
-    b = xhat.xhat @ z[: system.r12].T / n
-    c = b @ c0.c0
-    d = xhat.xhat - c
-    return SourceDecomposition(c=c, d=d), MixingChannel(b=b, dataset_index=k)
+    return MixingChannel(b=xhat.xhat @ z[: system.r12].T / system.n, dataset_index=k)
+
+
+def source_decomposition(
+    xhat: SignalEstimate, channel: MixingChannel, c0: CommonFactorSet
+) -> SourceDecomposition:
+    """Split one signal estimate into common and distinctive sources.
+
+    The common source is ``b_k @ c0`` for the dataset's mixing channel
+    ``b_k`` and the distinctive source is the remainder, so additivity is
+    exact by construction.
+    """
+    c = channel.b @ c0.c0
+    return SourceDecomposition(c=c, d=xhat.xhat - c)

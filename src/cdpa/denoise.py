@@ -11,6 +11,7 @@ subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import norm
@@ -62,6 +63,12 @@ class ObservedMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD ``(u, s, vt)`` of the values, taken once and shared by
+        rank selection, denoising and the shared-rank criterion."""
+        return det_svd(self.values)
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,6 @@ class Diagnostics:
 
     snr: tuple[float, float]
     delta_theta: float
-    selected_ranks: RankProfile
 
 
 def center_rows(y: ObservedMatrix) -> ObservedMatrix:
@@ -159,7 +165,7 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
         raise DegenerateThreshold(
             f"n*p - n*r - p*r = {denom} <= 0 for (n, p, r) = ({n}, {p}, {r})"
         )
-    u, s, vt = det_svd(y.values)
+    u, s, vt = y.svd
     tau = float(np.sum(s[r:] ** 2) / denom)
     s_soft = np.sqrt(np.maximum(s[:r] ** 2 - tau * p, 0.0))
     xhat = (u[:, :r] * s_soft) @ vt[:r]
@@ -200,15 +206,19 @@ def ed_select_rank(y: ObservedMatrix) -> int:
     rank on ``(index - 1)^(2/3)``, set ``delta = 2 |slope|``, re-select,
     and repeat to a fixed point (at most 50 rounds).
 
-    Returns 0 when no eigenvalue gap clears the calibrated threshold.
+    Every threshold is linear in the eigenvalues, so they are taken
+    relative to the largest one and the rank does not depend on the scale
+    of ``y``.  Returns 0 for a zero matrix and when no eigenvalue gap
+    clears the calibrated threshold.
     """
     p, n = y.p, y.n
     if n < 20:
         raise TooFewSamples(f"need n >= 20 to calibrate, got {n}")
     m = min(n, p)
-    s = np.linalg.svd(y.values, compute_uv=False)
-    lam = np.zeros(m)
-    lam[: s.shape[0]] = s[:m] ** 2 / n
+    s = y.svd[1]
+    if s[0] == 0:
+        return 0
+    lam = (s / s[0]) ** 2
     t = min(int(np.sum(lam >= lam.mean())), m // 10)
     if t < 1:
         return 0
@@ -231,6 +241,9 @@ def ed_select_rank(y: ObservedMatrix) -> int:
     return int(r or 0)
 
 
+_SCREEN_ROWS = 1024  # rows of the p1 x p2 correlation matrix formed at a time
+
+
 def correlation_screen(
     x1: SignalEstimate, x2: SignalEstimate, alpha: float = 0.05
 ) -> bool:
@@ -238,25 +251,46 @@ def correlation_screen(
 
     Applies the Fisher z normal-approximation test to every pair of
     denoised variables with a Bonferroni correction over all p1 * p2
-    pairs.  A True result licenses a nonzero shared rank.
+    pairs.  A True result licenses a nonzero shared rank.  The test is
+    monotone in |r|, so only the largest |r| is compared with the
+    critical value.
+    """
+    r_max = _max_correlation(x1, x2)
+    z = np.arctanh(min(r_max, 1.0 - 1e-15)) * np.sqrt(x1.n - 3)
+    return bool(z >= norm.isf(alpha / (2.0 * x1.p * x2.p)))
+
+
+def _max_correlation(x1: SignalEstimate, x2: SignalEstimate) -> float:
+    """Largest |r| over all cross-dataset pairs of denoised variables.
+
+    The p1 x p2 correlations are formed from the rank-r factors of the
+    two estimates, a block of rows at a time, and are never stored whole.
     """
     if x1.n != x2.n:
         raise InputError("signal estimates have different sample counts")
-    n = x1.n
-    r = _row_correlations(x1.xhat, x2.xhat)
-    z = np.abs(np.arctanh(np.clip(r, -1 + 1e-15, 1 - 1e-15))) * np.sqrt(n - 3)
-    z_crit = norm.isf(alpha / (2.0 * r.size))
-    return bool(np.any(z >= z_crit))
+    a1, w1 = _standardized_rows(x1)
+    a2, w2 = _standardized_rows(x2)
+    cross = w1.T @ w2
+    r_max = 0.0
+    for start in range(0, x1.p, _SCREEN_ROWS):
+        block = (a1[start : start + _SCREEN_ROWS] @ cross) @ a2.T
+        r_max = max(r_max, float(np.max(np.abs(block))))
+    return r_max
 
 
-def _row_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    def standardize(x):
-        xc = x - x.mean(axis=1, keepdims=True)
-        norms = np.sqrt((xc**2).sum(axis=1))
-        norms[norms < 1e-300] = np.inf  # constant rows contribute zero correlation
-        return xc / norms[:, None]
+def _standardized_rows(x: SignalEstimate) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(a, w)`` with ``a @ w.T`` the row-standardized ``xhat``.
 
-    return standardize(a) @ standardize(b).T
+    Centring the rows of ``xhat = (u s) v.T`` centres the columns of
+    ``v``, so each centred row norm is a quadratic form in ``w.T @ w``.
+    """
+    w = x.right_vectors - x.right_vectors.mean(axis=0)
+    load = x.left_vectors * x.soft_singular_values
+    sq = np.sum((load @ (w.T @ w)) * load, axis=1)
+    # rows that are constant up to round-off contribute zero correlation
+    norms = np.sqrt(np.maximum(sq, 0.0))
+    norms[sq <= 1e-24 * np.sum(load**2, axis=1)] = np.inf
+    return load / norms[:, None], w
 
 
 def mdl_select_r12(
@@ -273,9 +307,7 @@ def mdl_select_r12(
     if min(r1, r2) < 1:
         raise InputError("mdl_select_r12 requires r1, r2 >= 1")
     n = y1.n
-    _, _, vt1 = np.linalg.svd(y1.values, full_matrices=False)
-    _, _, vt2 = np.linalg.svd(y2.values, full_matrices=False)
-    s = np.linalg.svd(vt1[:r1] @ vt2[:r2].T, compute_uv=False)
+    s = np.linalg.svd(y1.svd[2][:r1] @ y2.svd[2][:r2].T, compute_uv=False)
     s2 = np.minimum(s**2, 1.0 - 1e-12)  # guard against coincident subspaces
     rmax = min(r1, r2)
     crit = [
@@ -285,11 +317,45 @@ def mdl_select_r12(
     return int(np.argmin(crit)) + 1
 
 
+def denoise_at_rank(y: ObservedMatrix, r: int) -> SignalEstimate:
+    """``soft_threshold_denoise(y, r)``, or a zero estimate when ``r`` is 0."""
+    if r >= 1:
+        return soft_threshold_denoise(y, r)
+    p, n = y.p, y.n
+    return SignalEstimate(
+        xhat=np.zeros((p, n)),
+        rank=0,
+        soft_singular_values=np.zeros(0),
+        tau=float(np.sum(y.svd[1] ** 2) / (n * p)),
+        left_vectors=np.zeros((p, 0)),
+        right_vectors=np.zeros((n, 0)),
+    )
+
+
+def select_ranks(
+    y1: ObservedMatrix, y2: ObservedMatrix, alpha: float = 0.05
+) -> tuple[RankProfile, SignalEstimate, SignalEstimate, bool]:
+    """Select the ranks and denoise both datasets.
+
+    ``r1`` and ``r2`` come from ``ed_select_rank``; the shared rank is
+    selected by ``mdl_select_r12`` when both are nonzero and the
+    correlation screen at level ``alpha`` finds a correlated pair, and is
+    0 otherwise.  Returns the ranks, the two signal estimates at ``r1``
+    and ``r2``, and the screen result.  Each dataset's SVD is taken once.
+    """
+    if y1.n != y2.n:
+        raise InputError(f"datasets have different sample counts: {y1.n} vs {y2.n}")
+    r1, r2 = ed_select_rank(y1), ed_select_rank(y2)
+    x1, x2 = denoise_at_rank(y1, r1), denoise_at_rank(y2, r2)
+    screen = min(r1, r2) >= 1 and correlation_screen(x1, x2, alpha)
+    r12 = mdl_select_r12(y1, y2, r1, r2) if screen else 0
+    return RankProfile(r1=r1, r2=r2, r12=r12), x1, x2, screen
+
+
 def compute_diagnostics(
     x1: SignalEstimate,
     x2: SignalEstimate,
     noise_traces: tuple[float, float],
-    ranks: RankProfile,
 ) -> Diagnostics:
     """Signal-to-noise ratios and the clamped rate quantity.
 
@@ -305,11 +371,7 @@ def compute_diagnostics(
     delta = 1.0 / np.sqrt(n)
     for x, s in zip((x1, x2), snr):
         delta += np.sqrt(np.log(x.p) / (n * max(s, 1e-300)))
-    return Diagnostics(
-        snr=(snr[0], snr[1]),
-        delta_theta=float(min(delta, 1.0)),
-        selected_ranks=ranks,
-    )
+    return Diagnostics(snr=(snr[0], snr[1]), delta_theta=float(min(delta, 1.0)))
 
 
 def noise_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:

@@ -36,22 +36,20 @@ from .dcca import (
     canonical_system,
     common_factor_coefficients,
     common_factor_scores,
+    mixing_channel,
     source_decomposition,
 )
 from .denoise import (
     Diagnostics,
     ObservedMatrix,
     RankProfile,
-    SignalCovariance,
     SignalEstimate,
     center_rows,
     compute_diagnostics,
-    correlation_screen,
-    ed_select_rank,
-    mdl_select_r12,
+    denoise_at_rank,
     noise_trace,
+    select_ranks,
     signal_covariance,
-    soft_threshold_denoise,
 )
 from .errors import BadConfig, InputError, RankDeficiency
 from .subspace import (
@@ -138,7 +136,6 @@ class CdpaConfig:
     screen_alpha: float = 0.05
     seed: int = 0
     dspfp: DspfpConfig = DspfpConfig()
-    shared_first_basis: bool = False
 
     def __post_init__(self):
         if self.sign not in ("auto", "plus", "minus"):
@@ -169,21 +166,16 @@ def dual_weights(
     b1: MixingChannel,
     b2a_permuted: MixingChannel,
     traces: tuple[float, float],
-    shared_first_basis: bool = False,
 ) -> DualWeight:
     """Dual-weight matrices of the two aligned channels and their consensus.
 
-    Each dataset's channel is expressed in its own principal-vector basis
-    (``shared_first_basis=True`` instead expresses both in dataset 1's
-    basis, kept only for auditing; it does not reproduce the closed-form
-    population values).  The consensus halves the sum of the trace-scaled
-    weights.
+    Each dataset's channel is expressed in its own principal-vector basis.
+    The consensus halves the sum of the trace-scaled weights.
     """
     if traces[0] <= 0 or traces[1] <= 0:
         raise InputError("covariance traces must be positive")
-    basis2 = pair.v_b1 if shared_first_basis else pair.v_b2
     s1 = pair.v_b1.T @ b1.b
-    s2 = basis2.T @ b2a_permuted.b
+    s2 = pair.v_b2.T @ b2a_permuted.b
     scale1, scale2 = float(np.sqrt(traces[0])), float(np.sqrt(traces[1]))
     s = 0.5 * (s1 / scale1 + s2 / scale2)
     return DualWeight(s1=s1, s2=s2, s=s, scale1=scale1, scale2=scale2)
@@ -392,13 +384,71 @@ def _trivial_patterns(
     )
 
 
+@dataclass(frozen=True)
+class _Factors:
+    """Factor stage of the assembly for one orientation of dataset 2.
+
+    ``_channel_factors`` fills in everything that does not depend on the
+    row alignment: the canonical system, the common factor scores, both
+    mixing channels and their zero-padded orthonormal bases.
+    ``_align_factors`` adds the principal-angle pair and the common
+    pattern's factors ``(loadings, scores)`` for one alignment.  Nothing
+    here is p x n; ``_dense_patterns`` builds the dense matrices.
+    """
+
+    x: tuple[SignalEstimate, SignalEstimate]
+    system: CanonicalSystem
+    c0: CommonFactorSet
+    channels: tuple[MixingChannel, MixingChannel]
+    bases: tuple[np.ndarray, np.ndarray]
+    pair: ChannelSubspacePair | None = None
+    c_factors: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def explained(self) -> float:
+        """``||loadings @ scores||_F^2 / n`` from the two r12 x r12 Gram matrices."""
+        loadings, scores = self.c_factors
+        return float(np.sum((loadings.T @ loadings) * (scores @ scores.T)) / scores.shape[1])
+
+
+def _channel_factors(
+    x1: SignalEstimate, x2: SignalEstimate, system: CanonicalSystem
+) -> _Factors:
+    c0 = common_factor_scores(system, common_factor_coefficients(system.correlations))
+    channels = (mixing_channel(x1, system, 1), mixing_channel(x2, system, 2))
+    pmax = max(x1.p, x2.p)
+    bases = tuple(pad_rows(orthonormal_basis(ch), pmax) for ch in channels)
+    return _Factors(x=(x1, x2), system=system, c0=c0, channels=channels, bases=bases)
+
+
+def _align_factors(
+    f: _Factors, traces: tuple[float, float], perm: PermutationPlan
+) -> _Factors:
+    pmax = f.bases[0].shape[0]
+    pair = principal_angles(*f.bases, perm.perm)
+    weights = dual_weights(
+        pair,
+        zero_pad(f.channels[0], pmax),
+        MixingChannel(b=zero_pad(f.channels[1], pmax).b[perm.perm], dataset_index=2),
+        traces,
+    )
+    loadings = channel_common_basis(pair).c_b @ weights.s
+    return replace(f, pair=pair, c_factors=(loadings, f.c0.c0))
+
+
+def _dense_patterns(f: _Factors, traces: tuple[float, float], perm: PermutationPlan):
+    sources = tuple(
+        source_decomposition(x, ch, f.c0) for x, ch in zip(f.x, f.channels)
+    )
+    return pattern_decomposition(f.x, sources, f.c_factors, traces, perm), sources
+
+
 def assemble_patterns(
     x1: SignalEstimate,
     x2: SignalEstimate,
     system: CanonicalSystem,
     traces: tuple[float, float],
     perm: PermutationPlan,
-    shared_first_basis: bool = False,
 ):
     """Assemble the decomposition from an existing canonical system.
 
@@ -407,57 +457,9 @@ def assemble_patterns(
     coordinates were chosen, which is what makes the final common
     pattern well defined under non-unique choices.
     """
-    coeffs = common_factor_coefficients(system.correlations)
-    c0 = common_factor_scores(system, coeffs)
-    src1, chan1 = source_decomposition(x1, system, c0, 1)
-    src2, chan2 = source_decomposition(x2, system, c0, 2)
-    pmax = max(x1.p, x2.p)
-    chan1p = zero_pad(chan1, pmax)
-    chan2p = zero_pad(chan2, pmax)
-    q1 = pad_rows(orthonormal_basis(chan1), pmax)
-    q2a = pad_rows(orthonormal_basis(chan2), pmax)
-    pair = principal_angles(q1, q2a, perm.perm)
-    basis = channel_common_basis(pair)
-    weights = dual_weights(
-        pair,
-        chan1p,
-        MixingChannel(b=chan2p.b[perm.perm], dataset_index=2),
-        traces,
-        shared_first_basis=shared_first_basis,
-    )
-    c_factors = (basis.c_b @ weights.s, c0.c0)
-    patterns = pattern_decomposition((x1, x2), (src1, src2), c_factors, traces, perm)
-    return patterns, (src1, src2), (chan1, chan2), pair
-
-
-def _assemble(
-    x1: SignalEstimate,
-    x2: SignalEstimate,
-    cov1: SignalCovariance,
-    cov2: SignalCovariance,
-    r12: int,
-    perm: PermutationPlan,
-    shared_first_basis: bool = False,
-):
-    """Post-denoising pipeline for a fixed orientation and alignment."""
-    system = canonical_system(cov1, cov2, x1, x2, r12)
-    patterns, sources, channels, pair = assemble_patterns(
-        x1,
-        x2,
-        system,
-        (cov1.trace, cov2.trace),
-        perm,
-        shared_first_basis=shared_first_basis,
-    )
-    return patterns, sources, channels, system, pair
-
-
-def _flip(x: SignalEstimate) -> SignalEstimate:
-    return replace(
-        x,
-        xhat=-x.xhat,
-        left_vectors=-x.left_vectors,
-    )
+    f = _align_factors(_channel_factors(x1, x2, system), traces, perm)
+    patterns, sources = _dense_patterns(f, traces, perm)
+    return patterns, sources, f.channels, f.pair
 
 
 def estimate_cdpa(
@@ -468,7 +470,10 @@ def estimate_cdpa(
     Steps: optional row centering, rank selection (or configured ranks),
     soft-threshold denoising, canonical decomposition, channel padding
     and row alignment, sign resolution, and final pattern assembly.
-    Deterministic given the configuration.
+    Each dataset is factored by one SVD.  Sign ``auto`` compares the
+    explained variance of both orientations of dataset 2 on the common
+    pattern's factors, and only the chosen orientation is assembled into
+    dense patterns.  Deterministic given the configuration.
 
     When the correlation screen finds no cross-dataset correlation (or a
     zero shared rank is configured), the result carries a zero common
@@ -484,33 +489,12 @@ def estimate_cdpa(
         y2 = center_rows(y2) if not y2.row_centered else y2
 
     if config.ranks is None:
-        r1 = ed_select_rank(y1)
-        r2 = ed_select_rank(y2)
-        x1 = soft_threshold_denoise(y1, r1) if r1 >= 1 else _zero_estimate(y1)
-        x2 = soft_threshold_denoise(y2, r2) if r2 >= 1 else _zero_estimate(y2)
-        r12 = 0
-        if (
-            min(r1, r2) >= 1
-            and correlation_screen(x1, x2, config.screen_alpha)
-        ):
-            r12 = mdl_select_r12(y1, y2, r1, r2)
-        ranks = RankProfile(r1=r1, r2=r2, r12=r12)
+        ranks, x1, x2, _ = select_ranks(y1, y2, config.screen_alpha)
     else:
         ranks = config.ranks
-        x1 = (
-            soft_threshold_denoise(y1, ranks.r1)
-            if ranks.r1 >= 1
-            else _zero_estimate(y1)
-        )
-        x2 = (
-            soft_threshold_denoise(y2, ranks.r2)
-            if ranks.r2 >= 1
-            else _zero_estimate(y2)
-        )
+        x1, x2 = denoise_at_rank(y1, ranks.r1), denoise_at_rank(y2, ranks.r2)
 
-    diagnostics = compute_diagnostics(
-        x1, x2, (noise_trace(y1, x1), noise_trace(y2, x2)), ranks
-    )
+    diagnostics = compute_diagnostics(x1, x2, (noise_trace(y1, x1), noise_trace(y2, x2)))
     pmax = max(y1.p, y2.p)
 
     if ranks.r12 == 0:
@@ -542,42 +526,34 @@ def estimate_cdpa(
 
     cov1 = signal_covariance(x1, y1.n)
     cov2 = signal_covariance(x2, y2.n)
+    traces = (cov1.trace, cov2.trace)
+    perm = _fixed_permutation(config, pmax)
+    # orientations of dataset 2 to build; the first one resolves the alignment
+    signs = {"plus": (1,), "minus": (-1,), "auto": (1, -1)}[config.sign]
+    factors = {}
+    for sign in signs:
+        x2s = x2 if sign == 1 else replace(x2, xhat=-x2.xhat, left_vectors=-x2.left_vectors)
+        system = canonical_system(cov1, cov2, x1, x2s, ranks.r12)
+        factors[sign] = _channel_factors(x1, x2s, system)
+    if perm is None:
+        perm = dspfp_match(build_match_problem(*factors[signs[0]].bases), config.dspfp)
+    factors = {sign: _align_factors(f, traces, perm) for sign, f in factors.items()}
 
-    # orientation of dataset 2 is resolved before the final assembly
-    sign = 1
-    sign_choice = None
-    x2_minus = _flip(x2)
-    if config.sign == "minus":
-        sign = -1
-        x2 = x2_minus
-
-    perm = _resolve_permutation(config, x1, x2, cov1, cov2, ranks.r12, pmax)
-
+    sign, sign_choice = signs[0], None
     if config.sign == "auto":
-        run_plus = _assemble(
-            x1, x2, cov1, cov2, ranks.r12, perm, config.shared_first_basis
-        )
-        run_minus = _assemble(
-            x1, x2_minus, cov1, cov2, ranks.r12, perm, config.shared_first_basis
-        )
-        sign_choice = choose_sign(run_plus[0], run_minus[0])
+        sign_choice = choose_sign(factors[1], factors[-1])
         sign = sign_choice.sign
-        chosen = run_plus if sign == 1 else run_minus
-    else:
-        chosen = _assemble(
-            x1, x2, cov1, cov2, ranks.r12, perm, config.shared_first_basis
-        )
-
-    patterns, sources, channels, system, pair = chosen
+    chosen = factors[sign]
+    patterns, sources = _dense_patterns(chosen, traces, perm)
     if perm.method in ("identity", "provided"):
         # fill in the exactly evaluated objective for the plan in effect
-        perm = replace(perm, objective=float(np.sum(pair.cosines**2)))
+        perm = replace(perm, objective=float(np.sum(chosen.pair.cosines**2)))
     return DecompositionResult(
         patterns=patterns,
         sources=sources,
-        channels=channels,
-        system=system,
-        pair=pair,
+        channels=chosen.channels,
+        system=chosen.system,
+        pair=chosen.pair,
         ranks=ranks,
         permutation=perm,
         sign=sign,
@@ -587,31 +563,10 @@ def estimate_cdpa(
     )
 
 
-def _zero_estimate(y: ObservedMatrix) -> SignalEstimate:
-    """Rank-zero signal estimate for a dataset with no detected signal."""
-    p, n = y.p, y.n
-    s = np.linalg.svd(y.values, compute_uv=False)
-    return SignalEstimate(
-        xhat=np.zeros((p, n)),
-        rank=0,
-        soft_singular_values=np.zeros(0),
-        tau=float(np.sum(s**2) / (n * p)),
-        left_vectors=np.zeros((p, 0)),
-        right_vectors=np.zeros((n, 0)),
-    )
-
-
-def _resolve_permutation(
-    config: CdpaConfig,
-    x1: SignalEstimate,
-    x2: SignalEstimate,
-    cov1: SignalCovariance,
-    cov2: SignalCovariance,
-    r12: int,
-    pmax: int,
-) -> PermutationPlan:
+def _fixed_permutation(config: CdpaConfig, pmax: int) -> PermutationPlan | None:
+    """The identity or provided plan; None when the heuristic solves for it."""
     # identity/provided objectives are filled in after assembly from the
-    # principal angles; only the heuristic needs the channel bases here
+    # principal angles
     if isinstance(config.perm, str) and config.perm == "identity":
         return PermutationPlan(
             perm=identity_permutation(pmax), objective=0.0, method="identity"
@@ -623,10 +578,4 @@ def _resolve_permutation(
                 f"provided permutation has length {plan.perm.shape[0]}, expected {pmax}"
             )
         return plan
-    system = canonical_system(cov1, cov2, x1, x2, r12)
-    c0 = common_factor_scores(system, common_factor_coefficients(system.correlations))
-    _, chan1 = source_decomposition(x1, system, c0, 1)
-    _, chan2 = source_decomposition(x2, system, c0, 2)
-    q1 = pad_rows(orthonormal_basis(chan1), pmax)
-    q2a = pad_rows(orthonormal_basis(chan2), pmax)
-    return dspfp_match(build_match_problem(q1, q2a), config.dspfp)
+    return None

@@ -372,7 +372,6 @@ def _spectral_norm(left: np.ndarray, right: np.ndarray) -> float:
 def error_metrics(
     estimate: PatternDecomposition,
     truth: GroundTruth,
-    estimated_q: tuple[np.ndarray, np.ndarray] | None = None,
     estimated_perm: np.ndarray | None = None,
 ) -> ErrorReport:
     """Scaled squared errors of the estimated patterns against the truth.
@@ -385,8 +384,9 @@ def error_metrics(
     (``x_k = v_k @ (sqrt(lam) * z_k)``, and each pattern difference
     ``[loadings | b_c] @ [scores; -c0_true]`` with the scales on the two
     row blocks) by two thin QRs and an SVD of their small triangular core.
-    When the estimated channel bases and alignment are supplied, the
-    alignment-objective error on the true bases is included.
+    When the estimated alignment ``estimated_perm`` is supplied, the
+    alignment-objective error of that alignment on the true bases is
+    included.
     """
     pmax = estimate.c.shape[0]
     c_true = pad_rows(truth.c, pmax)

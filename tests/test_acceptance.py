@@ -280,13 +280,13 @@ def test_criterion_5_structural_invariants():
                 from cdpa.dcca import (
                     common_factor_coefficients,
                     common_factor_scores,
-                    source_decomposition,
+                    mixing_channel,
                 )
 
                 coeffs = common_factor_coefficients(base_sys.correlations)
                 c0 = common_factor_scores(base_sys, coeffs)
-                _, chan1 = source_decomposition(e1, base_sys, c0, 1)
-                _, chan2 = source_decomposition(e2, base_sys, c0, 2)
+                chan1 = mixing_channel(e1, base_sys, 1)
+                chan2 = mixing_channel(e2, base_sys, 2)
                 pmax = max(p1, p2)
                 chan1p = zero_pad(chan1, pmax)
                 chan2p = zero_pad(chan2, pmax)

@@ -57,7 +57,7 @@ def test_ranks_pure_noise_screen_false(tmp_path, capsys):
     assert payload["screen"] is False
 
 
-def test_ranks_benchmark_files(tmp_path, capsys):
+def test_ranks_benchmark_files(tmp_path, capsys, monkeypatch):
     cfg = SimulationConfig(
         setup=1, theta_deg=15.0, p1=300, n=300, noise_var=1.0, seed=11
     )
@@ -66,10 +66,20 @@ def test_ranks_benchmark_files(tmp_path, capsys):
     p2 = tmp_path / "y2.cdpm"
     write_matrix_binary(p1, y1.values)
     write_matrix_binary(p2, y2.values)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     code, out, _ = _run(capsys, ["ranks", str(p1), str(p2), "--no-center"])
     assert code == 0
     payload = json.loads(out)
     assert (payload["r1"], payload["r2"], payload["r12"]) == (5, 5, 5)
+    # one SVD per dataset serves ED, denoising and MDL
+    assert [s for s in shapes if min(s) > 10] == [(300, 300), (300, 300)]
 
 
 # ------------------------------------------------------------- decompose

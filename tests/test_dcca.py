@@ -8,6 +8,7 @@ from cdpa import (
     common_factor_coefficients,
     common_factor_scores,
     generate_setup,
+    mixing_channel,
     source_decomposition,
 )
 from cdpa._linalg import random_orthonormal
@@ -155,7 +156,8 @@ def test_identical_datasets_all_common():
     c0 = common_factor_scores(
         system, common_factor_coefficients(system.correlations)
     )
-    src, chan = source_decomposition(e1, system, c0, 1)
+    chan = mixing_channel(e1, system, 1)
+    src = source_decomposition(e1, chan, c0)
     assert rel_err(src.c, e1.xhat) <= 1e-8
     assert np.linalg.norm(src.d) <= 1e-8 * np.linalg.norm(e1.xhat)
     # channel equals the analytic factored form
@@ -173,7 +175,7 @@ def test_orthogonal_signals_all_distinctive():
     c0 = common_factor_scores(
         system, common_factor_coefficients(system.correlations)
     )
-    src, _ = source_decomposition(e1, system, c0, 1)
+    src = source_decomposition(e1, mixing_channel(e1, system, 1), c0)
     assert np.linalg.norm(src.c) <= 1e-8 * np.linalg.norm(e1.xhat)
     np.testing.assert_allclose(src.d, e1.xhat, atol=1e-8)
 
@@ -189,7 +191,7 @@ def test_additivity_exact_on_random_inputs():
             system, common_factor_coefficients(system.correlations)
         )
         for k, est in ((1, e1), (2, e2)):
-            src, _ = source_decomposition(est, system, c0, k)
+            src = source_decomposition(est, mixing_channel(est, system, k), c0)
             assert rel_err(src.c + src.d, est.xhat) <= 1e-10
 
 
@@ -262,7 +264,7 @@ def test_sign_pair_flip_leaves_common_source_unchanged():
     c0 = common_factor_scores(
         system, common_factor_coefficients(system.correlations)
     )
-    base, _ = source_decomposition(e1, system, c0, 1)
+    base = source_decomposition(e1, mixing_channel(e1, system, 1), c0)
 
     flip = np.ones(3)
     flip[1] = -1.0
@@ -278,5 +280,5 @@ def test_sign_pair_flip_leaves_common_source_unchanged():
     c0f = common_factor_scores(
         flipped, common_factor_coefficients(flipped.correlations)
     )
-    got, _ = source_decomposition(e1, flipped, c0f, 1)
+    got = source_decomposition(e1, mixing_channel(e1, flipped, 1), c0f)
     np.testing.assert_allclose(got.c, base.c, atol=1e-10)

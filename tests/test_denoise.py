@@ -1,11 +1,16 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
 from cdpa import (
     DegenerateThreshold,
     InputError,
     ObservedMatrix,
-    RankProfile,
     RankTooLarge,
     SimulationConfig,
     TooFewSamples,
@@ -21,6 +26,7 @@ from cdpa import (
     soft_threshold_denoise,
 )
 from cdpa._linalg import random_orthonormal
+from cdpa.denoise import _max_correlation
 
 from helpers import estimates_from, exact_signal_pair
 
@@ -236,6 +242,27 @@ def test_ed_too_few_samples():
         ed_select_rank(ObservedMatrix(rng.standard_normal((100, 10))))
 
 
+@lru_cache(maxsize=None)
+def _setup1_draw() -> np.ndarray:
+    cfg = SimulationConfig(setup=1, theta_deg=30.0, p1=300, n=300, seed=4100)
+    return generate_setup(cfg)[0].values
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(min_value=-300, max_value=300))
+@example(k=-150)
+@example(k=150)
+@example(k=-300)
+@example(k=300)
+def test_ed_rank_does_not_depend_on_scale(k):
+    y = _setup1_draw()
+    assert ed_select_rank(ObservedMatrix(10.0**k * y)) == ed_select_rank(ObservedMatrix(y))
+
+
+def test_ed_zero_matrix_selects_zero():
+    assert ed_select_rank(ObservedMatrix(np.zeros((60, 40)))) == 0
+
+
 # --------------------------------------------------------- correlation_screen
 
 
@@ -276,6 +303,60 @@ def test_screen_benchmark_signals_positive():
     assert hits == 20
 
 
+def _dense_screen(x1, x2, alpha):
+    """The screen on the dense p1 x p2 correlation matrix, as a reference."""
+
+    def standardize(x):
+        xc = x - x.mean(axis=1, keepdims=True)
+        norms = np.sqrt((xc**2).sum(axis=1))
+        norms[norms < 1e-300] = np.inf  # constant rows contribute zero correlation
+        return xc / norms[:, None]
+
+    r = standardize(x1.xhat) @ standardize(x2.xhat).T
+    z = np.abs(np.arctanh(np.clip(r, -1 + 1e-15, 1 - 1e-15))) * np.sqrt(x1.n - 3)
+    return bool(np.any(z >= norm.isf(alpha / (2.0 * r.size)))), float(np.max(np.abs(r)))
+
+
+def _with_constant_rows(x, n):
+    """``x`` with row 3 set to a nonzero constant and row 7 to zero, kept factored."""
+    v = x.right_vectors.copy()
+    v[:, 0] = 1.0 / np.sqrt(n)
+    v[:, 1:] -= v[:, :1] @ (v[:, :1].T @ v[:, 1:])
+    u = x.left_vectors.copy()
+    u[3] = np.eye(x.rank)[0]
+    u[7] = 0.0
+    xhat = (u * x.soft_singular_values) @ v.T
+    return replace(x, xhat=xhat, left_vectors=u, right_vectors=v)
+
+
+def test_screen_agrees_with_dense_correlations():
+    pairs = []
+    for setup, p1, theta, seed in [(1, 200, 30.0, 9100), (2, 300, 75.0, 9101), (2, 1100, 15.0, 9102)]:
+        y1, y2, _ = generate_setup(
+            SimulationConfig(setup=setup, theta_deg=theta, p1=p1, n=300, seed=seed)
+        )
+        e1, e2 = soft_threshold_denoise(y1, 5), soft_threshold_denoise(y2, 5)
+        pairs += [(e1, e2), (e2, e1)]  # p1 < p2 and p1 > p2 for setup 2
+    pairs.append((_with_constant_rows(pairs[0][0], 300), pairs[0][1]))
+    # independent signals: the screen licenses no shared rank (r12 = 0)
+    rng = np.random.default_rng(9103)
+    x1, _, _ = exact_signal_pair(rng, 300, 300, [500, 400, 300, 200, 100], np.zeros(5), 300)
+    x2, _, _ = exact_signal_pair(rng, 250, 250, [500, 400, 300, 200, 100], np.zeros(5), 300)
+    pairs.append(
+        (
+            soft_threshold_denoise(ObservedMatrix(x1 + rng.standard_normal(x1.shape)), 5),
+            soft_threshold_denoise(ObservedMatrix(x2 + rng.standard_normal(x2.shape)), 5),
+        )
+    )
+    decisions = []
+    for e1, e2 in pairs:
+        want, want_max = _dense_screen(e1, e2, 0.05)
+        assert correlation_screen(e1, e2, 0.05) == want
+        assert abs(_max_correlation(e1, e2) - want_max) <= 1e-12
+        decisions.append(want)
+    assert True in decisions and False in decisions
+
+
 # ------------------------------------------------------------- mdl_select_r12
 
 
@@ -305,7 +386,7 @@ def test_diagnostics_noiseless_limit():
     rng = np.random.default_rng(16)
     x1, x2, _ = exact_signal_pair(rng, 40, 40, [5, 4, 3], [0.9, 0.5, 0.2], 100)
     e1, e2, _, _ = estimates_from(x1, x2, 3, 3)
-    diag = compute_diagnostics(e1, e2, (1e-15, 1e-15), RankProfile(3, 3, 3))
+    diag = compute_diagnostics(e1, e2, (1e-15, 1e-15))
     assert diag.snr[0] > 1e10
     np.testing.assert_allclose(diag.delta_theta, 1 / np.sqrt(100), rtol=1e-4)
 
@@ -319,7 +400,7 @@ def test_diagnostics_formula_value():
     e1, e2, _, _ = estimates_from(x1, x2, 5, 5)
     tr1 = np.sum(e1.soft_singular_values**2) / 300
     tr2 = np.sum(e2.soft_singular_values**2) / 300
-    diag = compute_diagnostics(e1, e2, (tr1 / 5.0, tr2 / 5.0), RankProfile(5, 5, 5))
+    diag = compute_diagnostics(e1, e2, (tr1 / 5.0, tr2 / 5.0))
     expected = 1 / np.sqrt(300) + 2 * np.sqrt(np.log(300) / (300 * 5.0))
     np.testing.assert_allclose(diag.delta_theta, expected, rtol=1e-12)
     np.testing.assert_allclose(expected, 0.181064, atol=5e-7)
@@ -330,7 +411,7 @@ def test_diagnostics_clamped_at_one():
     rng = np.random.default_rng(18)
     x1, x2, _ = exact_signal_pair(rng, 50, 50, [5.0, 2.0], [0.5, 0.1], 40)
     e1, e2, _, _ = estimates_from(x1, x2, 2, 2)
-    diag = compute_diagnostics(e1, e2, (1e9, 1e9), RankProfile(2, 2, 2))
+    diag = compute_diagnostics(e1, e2, (1e9, 1e9))
     assert diag.delta_theta == 1.0
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from cdpa import (
     assemble_patterns,
     bootstrap_ci,
     canonical_system,
+    center_rows,
     channel_common_basis,
+    choose_sign,
     closed_form_explained_variance,
     common_factor_coefficients,
     common_factor_scores,
@@ -20,9 +24,12 @@ from cdpa import (
     estimate_cdpa,
     explained_variance,
     generate_setup,
+    mixing_channel,
     pattern_decomposition,
     population_cdpa,
     principal_angles,
+    select_ranks,
+    signal_covariance,
     source_decomposition,
 )
 from cdpa._linalg import pad_rows, random_orthonormal
@@ -58,8 +65,10 @@ def _pair_for(x1, x2, r, r12):
     c0 = common_factor_scores(
         system, common_factor_coefficients(system.correlations)
     )
-    src1, chan1 = source_decomposition(e1, system, c0, 1)
-    src2, chan2 = source_decomposition(e2, system, c0, 2)
+    chan1 = mixing_channel(e1, system, 1)
+    chan2 = mixing_channel(e2, system, 2)
+    src1 = source_decomposition(e1, chan1, c0)
+    src2 = source_decomposition(e2, chan2, c0)
     pmax = max(x1.shape[0], x2.shape[0])
     from cdpa import orthonormal_basis, zero_pad
 
@@ -108,23 +117,6 @@ def test_dual_weights_planted_population_diagonal():
     )
     want = np.diag(np.sqrt(EIGENVALUES[: pop.r12]) / np.sqrt(TOTAL_VARIANCE))
     np.testing.assert_allclose(np.abs(pop.s), want, atol=1e-8)
-
-
-def test_dual_weights_shared_basis_variant_diagonal():
-    # the audit variant expresses both channels in the first dataset's
-    # principal vectors; on the planted construction its weights gain the
-    # factor (1 + rho) / 2 per component
-    rng = np.random.default_rng(2)
-    rho = planted_correlations(75.0)[:3]
-    x1, x2, _ = exact_signal_pair(rng, 40, 40, LAM, planted_correlations(75.0), 120)
-    ctx = _pair_for(x1, x2, 5, 3)
-    w = dual_weights(
-        ctx["pair"], ctx["chan1"], ctx["chan2"], ctx["traces"], shared_first_basis=True
-    )
-    want = np.sqrt(EIGENVALUES[:3]) * (1.0 + rho) / (2.0 * np.sqrt(TOTAL_VARIANCE))
-    np.testing.assert_allclose(np.abs(np.diag(w.s)), want, atol=1e-6)
-    off = w.s - np.diag(np.diag(w.s))
-    assert np.max(np.abs(off)) <= 1e-6
 
 
 def _planted_factors(theta, p, seed=5):
@@ -487,6 +479,58 @@ def test_estimate_rejects_mismatched_samples():
             ObservedMatrix(rng.standard_normal((5, 30))),
             ObservedMatrix(rng.standard_normal((5, 31))),
         )
+
+
+def test_estimate_auto_ranks_takes_one_svd_per_dataset(monkeypatch):
+    y1, y2, _ = generate_setup(
+        SimulationConfig(setup=2, theta_deg=30.0, p1=300, n=300, seed=61)
+    )
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    result = estimate_cdpa(y1, y2)
+    assert result.ranks.r12 >= 1 and result.sign_choice is not None
+    assert sorted(s for s in shapes if min(s) > 10) == [(300, 300), (900, 300)]
+
+
+def _pattern_arrays(p):
+    return [p.c, *p.c_factors, *p.c_scaled, *p.h, *p.delta, *p.aligned_x]
+
+
+@pytest.mark.parametrize("setup", [1, 2])
+def test_sign_auto_matches_two_dense_assemblies(setup):
+    signs = set()
+    for theta in (0.0, 30.0, 75.0):
+        y1, y2, _ = generate_setup(
+            SimulationConfig(setup=setup, theta_deg=theta, p1=100, n=300, seed=62)
+        )
+        for negate in (False, True):
+            y2s = ObservedMatrix(-y2.values) if negate else y2
+            result = estimate_cdpa(y1, y2s)
+            # the reference: both orientations of dataset 2 assembled in full
+            ranks, x1, x2, _ = select_ranks(center_rows(y1), center_rows(y2s))
+            cov1, cov2 = signal_covariance(x1, 300), signal_covariance(x2, 300)
+            traces = (cov1.trace, cov2.trace)
+            plan = _identity_plan(max(y1.p, y2.p))
+            runs = []
+            for x2o in (x2, replace(x2, xhat=-x2.xhat, left_vectors=-x2.left_vectors)):
+                system = canonical_system(cov1, cov2, x1, x2o, ranks.r12)
+                runs.append(assemble_patterns(x1, x2o, system, traces, plan)[0])
+            want = choose_sign(*runs)
+            assert result.sign == want.sign
+            chosen = runs[0] if want.sign == 1 else runs[1]
+            for got, ref in zip(_pattern_arrays(result.patterns), _pattern_arrays(chosen)):
+                assert np.array_equal(got, ref)
+            assert result.patterns.explained == chosen.explained
+            np.testing.assert_allclose(result.sign_choice.trace_plus, runs[0].explained, rtol=1e-12)
+            np.testing.assert_allclose(result.sign_choice.trace_minus, runs[1].explained, rtol=1e-12)
+            signs.add(result.sign)
+    assert signs == {1, -1}
 
 
 # ---------------------------------------------------- uniqueness under ties
