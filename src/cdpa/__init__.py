@@ -7,7 +7,6 @@ denoised signals.
 """
 
 from .align import (
-    DspfpConfig,
     MatchProblem,
     PermutationPlan,
     SignChoice,

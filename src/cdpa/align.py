@@ -15,6 +15,7 @@ from itertools import permutations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from ._linalg import pad_rows
 from .dcca import MixingChannel
 from .errors import BadDimensions, InputError, TooLarge
 
@@ -80,21 +81,11 @@ class SignChoice:
     trace_minus: float
 
 
-@dataclass(frozen=True)
-class DspfpConfig:
-    """Tuning knobs of the assignment-ascent row matcher.
-
-    ``max_iter`` bounds the ascent steps taken from each start, and
-    ``polish`` applies pairwise swaps to each start's result.  Small
-    problems (``p <= small_p``) add ``seeded_inits`` random starts drawn
-    from ``init_seed``.
-    """
-
-    max_iter: int = 120
-    polish: bool = True
-    small_p: int = 12
-    seeded_inits: int = 12
-    init_seed: int = 12345
+# Problems with p <= SMALL_P also ascend from SEEDED_INITS random starts,
+# drawn from the fixed INIT_SEED so that the result stays deterministic.
+SMALL_P = 12
+SEEDED_INITS = 12
+INIT_SEED = 12345
 
 
 def identity_permutation(p: int) -> np.ndarray:
@@ -135,8 +126,7 @@ def zero_pad(b2: MixingChannel, p1: int) -> MixingChannel:
         raise BadDimensions(f"cannot pad {b2.p} rows down to {p1}")
     if p1 == b2.p:
         return b2
-    padded = np.vstack([b2.b, np.zeros((p1 - b2.p, b2.r12))])
-    return MixingChannel(b=padded, dataset_index=b2.dataset_index)
+    return MixingChannel(b=pad_rows(b2.b, p1), dataset_index=b2.dataset_index)
 
 
 def build_match_problem(q1: np.ndarray, q2a: np.ndarray) -> MatchProblem:
@@ -207,7 +197,7 @@ def _two_opt(m1, m2, perm, max_swaps=None):
     return perm
 
 
-def dspfp_match(problem: MatchProblem, cfg: DspfpConfig | None = None) -> PermutationPlan:
+def dspfp_match(problem: MatchProblem, max_iter: int = 120) -> PermutationPlan:
     """Approximate the optimal row alignment by assignment ascent.
 
     The objective ``f(P) = ||q1.T @ P @ q2a||_F^2`` is convex in P, so a
@@ -220,7 +210,6 @@ def dspfp_match(problem: MatchProblem, cfg: DspfpConfig | None = None) -> Permut
     taken.  Each start's result is polished by pairwise swaps, and the
     best permutation is returned, never worse than the identity.
     """
-    cfg = cfg or DspfpConfig()
     p = problem.p
     q1, q2a = problem.q1, problem.q2a
     # for orthonormal bases the start m1 @ m2 has the identity's gradient,
@@ -230,19 +219,18 @@ def dspfp_match(problem: MatchProblem, cfg: DspfpConfig | None = None) -> Permut
         np.outer(problem.diag1, problem.diag2),
         np.eye(p),
     ]
-    if p <= cfg.small_p:
-        rng = np.random.default_rng(cfg.init_seed)
-        starts += [rng.random((p, p)) for _ in range(cfg.seeded_inits)]
+    if p <= SMALL_P:
+        rng = np.random.default_rng(INIT_SEED)
+        starts += [rng.random((p, p)) for _ in range(SEEDED_INITS)]
     best_perm = identity_permutation(p)
     best_obj = match_objective(q1, q2a, best_perm)
     iterations, converged = 0, True
     for x0 in starts:
         perm = _assign(q1 @ (q1.T @ x0 @ q2a) @ q2a.T)
-        perm, steps, stopped = _ascend(q1, q2a, perm, cfg.max_iter)
+        perm, steps, stopped = _ascend(q1, q2a, perm, max_iter)
         iterations += steps
         converged &= stopped
-        if cfg.polish:
-            perm = _two_opt(problem.m1, problem.m2, perm)
+        perm = _two_opt(problem.m1, problem.m2, perm)
         obj = match_objective(q1, q2a, perm)
         if obj > best_obj + 1e-12:
             best_perm, best_obj = perm, obj

@@ -24,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .align import (
-    DspfpConfig,
-    PermutationPlan,
-    build_match_problem,
-    dspfp_match,
-    exhaustive_match,
-)
+from .align import PermutationPlan, build_match_problem, dspfp_match, exhaustive_match
 from .dcca import MixingChannel
 from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
 from .errors import BadConfig, InputError, NumericalError
@@ -123,7 +117,6 @@ def cmd_decompose(args) -> int:
         perm=_perm_argument(args.perm),
         sign=args.sign,
         center=False,  # centering already applied at load time
-        seed=args.seed,
     )
     _progress(f"decomposing {args.y1} and {args.y2}")
     result = estimate_cdpa(y1, y2, config)
@@ -226,15 +219,11 @@ def cmd_simulate(args) -> int:
         for noise in noises
     ]
     _progress(f"running {len(cells)} cells x {args.reps} replications")
-
-    def run(cell: SimulationConfig):
-        return run_replications(cell)
-
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            studies = list(pool.map(run, cells))
+            studies = list(pool.map(run_replications, cells))
     else:
-        studies = [run(cell) for cell in cells]
+        studies = [run_replications(cell) for cell in cells]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,7 +290,7 @@ def cmd_match(args) -> int:
     if args.method == "exhaustive":
         plan = exhaustive_match(q1, q2a)
     else:
-        plan = dspfp_match(build_match_problem(q1, q2a), DspfpConfig())
+        plan = dspfp_match(build_match_problem(q1, q2a))
     if args.out:
         Path(args.out).write_text(plan.to_json() + "\n")
     _emit(

@@ -20,16 +20,16 @@ from .errors import InputError, RankDeficiency
 
 @dataclass(frozen=True)
 class CanonicalSystem:
-    """Canonical score matrices and the rotations that produced them.
+    """Canonical score matrices and the leading canonical correlations.
 
     ``z1`` and ``z2`` satisfy ``z_k @ z_k.T / n = I`` and
     ``z1 @ z2.T / n`` diagonal with nonincreasing nonnegative diagonal.
+    Negating dataset 2 leaves the system unchanged, so one system serves
+    both orientations of dataset 2.
     """
 
     z1: np.ndarray
     z2: np.ndarray
-    theta_hat: np.ndarray
-    left_rotations: tuple[np.ndarray, np.ndarray]
     correlations: np.ndarray
 
     @property
@@ -108,16 +108,8 @@ def canonical_system(
     theta = z1s @ z2s.T / n
     u1, svals, v2t = np.linalg.svd(theta, full_matrices=True)
     u1, v2t = fix_signs(u1, v2t)
-    u2 = v2t.T
-    z1 = u1.T @ z1s
-    z2 = u2.T @ z2s
-    correlations = clip_correlations(svals[:r12])
     return CanonicalSystem(
-        z1=z1,
-        z2=z2,
-        theta_hat=theta,
-        left_rotations=(u1, u2),
-        correlations=correlations,
+        z1=u1.T @ z1s, z2=v2t @ z2s, correlations=clip_correlations(svals[:r12])
     )
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from ._linalg import fix_signs, pad_rows
 from .align import (
-    DspfpConfig,
     PermutationPlan,
     SignChoice,
     as_permutation,
@@ -26,7 +25,6 @@ from .align import (
     choose_sign,
     dspfp_match,
     identity_permutation,
-    zero_pad,
 )
 from .dcca import (
     CanonicalSystem,
@@ -79,8 +77,9 @@ class PatternDecomposition:
     All matrices live in the padded row space.  The common pattern is
     kept both dense and as its rank-r12 factors ``c_factors = (loadings,
     scores)``: the pmax x r12 loadings ``c_b @ s`` and the r12 x n
-    common factor scores ``c0``, with ``c == loadings @ scores`` bitwise
-    (both have zero width when r12 is 0).  ``scales`` holds the square
+    common factor scores ``c0``, with ``c == loadings @ scores`` bitwise.
+    When r12 is 0 both factors have zero width, ``c``, ``c_scaled`` and
+    ``h`` are zero and ``r12_zero`` is set.  ``scales`` holds the square
     roots of the two signal-covariance traces.  Exact identities:
     ``c_scaled[k] = scales[k] * c``,
     ``aligned_x[k] = c_scaled[k] + delta[k]``, and
@@ -95,7 +94,11 @@ class PatternDecomposition:
     delta: tuple[np.ndarray, np.ndarray]
     aligned_x: tuple[np.ndarray, np.ndarray]
     explained: float
-    r12_zero: bool = False
+
+    @property
+    def r12_zero(self) -> bool:
+        """True when the common pattern has zero width (no shared rank)."""
+        return self.c_factors[0].shape[1] == 0
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,6 @@ class CdpaConfig:
     sign: str = "auto"  # "auto", "plus", "minus"
     center: bool = True
     screen_alpha: float = 0.05
-    seed: int = 0
-    dspfp: DspfpConfig = DspfpConfig()
 
     def __post_init__(self):
         if self.sign not in ("auto", "plus", "minus"):
@@ -203,7 +204,6 @@ def pattern_decomposition(
     c_factors: tuple[np.ndarray, np.ndarray],
     traces: tuple[float, float],
     permutation: PermutationPlan,
-    r12_zero: bool = False,
 ) -> PatternDecomposition:
     """Assemble the rescaled common patterns and distinctive remainders.
 
@@ -241,7 +241,6 @@ def pattern_decomposition(
         delta=delta,
         aligned_x=tuple(aligned_x),
         explained=explained_variance(c, n),
-        r12_zero=r12_zero,
     )
 
 
@@ -360,87 +359,53 @@ def bootstrap_ci(
     )
 
 
-def _trivial_patterns(
-    x1: SignalEstimate, x2: SignalEstimate, perm: PermutationPlan
-) -> PatternDecomposition:
-    """Zero-common decomposition used when no shared rank is licensed."""
-    pmax = max(x1.p, x2.p)
-    n = x1.n
-    zeros = np.zeros((pmax, n))
-    ax1 = pad_rows(x1.xhat, pmax)
-    ax2 = pad_rows(x2.xhat, pmax)[perm.perm]
-    return PatternDecomposition(
-        c=zeros,
-        c_factors=(np.zeros((pmax, 0)), np.zeros((0, n))),
-        scales=tuple(
-            float(np.sqrt(np.sum(x.soft_singular_values**2 / n))) for x in (x1, x2)
-        ),
-        c_scaled=(zeros, zeros),
-        h=(np.zeros_like(ax1), np.zeros_like(ax2)),
-        delta=(ax1, ax2),
-        aligned_x=(ax1, ax2),
-        explained=0.0,
-        r12_zero=True,
-    )
-
-
 @dataclass(frozen=True)
-class _Factors:
-    """Factor stage of the assembly for one orientation of dataset 2.
+class _CommonFactors:
+    """The common pattern ``loadings @ scores`` of one orientation of dataset 2."""
 
-    ``_channel_factors`` fills in everything that does not depend on the
-    row alignment: the canonical system, the common factor scores, both
-    mixing channels and their zero-padded orthonormal bases.
-    ``_align_factors`` adds the principal-angle pair and the common
-    pattern's factors ``(loadings, scores)`` for one alignment.  Nothing
-    here is p x n; ``_dense_patterns`` builds the dense matrices.
-    """
-
-    x: tuple[SignalEstimate, SignalEstimate]
-    system: CanonicalSystem
-    c0: CommonFactorSet
-    channels: tuple[MixingChannel, MixingChannel]
-    bases: tuple[np.ndarray, np.ndarray]
-    pair: ChannelSubspacePair | None = None
-    c_factors: tuple[np.ndarray, np.ndarray] | None = None
+    loadings: np.ndarray
+    scores: np.ndarray
 
     @property
     def explained(self) -> float:
         """``||loadings @ scores||_F^2 / n`` from the two r12 x r12 Gram matrices."""
-        loadings, scores = self.c_factors
-        return float(np.sum((loadings.T @ loadings) * (scores @ scores.T)) / scores.shape[1])
+        gram = (self.loadings.T @ self.loadings) * (self.scores @ self.scores.T)
+        return float(np.sum(gram) / self.scores.shape[1])
 
 
-def _channel_factors(
-    x1: SignalEstimate, x2: SignalEstimate, system: CanonicalSystem
-) -> _Factors:
+def _channel_stage(x1: SignalEstimate, x2: SignalEstimate, system: CanonicalSystem):
+    """Common factor scores, both mixing channels and their padded orthonormal bases."""
     c0 = common_factor_scores(system, common_factor_coefficients(system.correlations))
     channels = (mixing_channel(x1, system, 1), mixing_channel(x2, system, 2))
     pmax = max(x1.p, x2.p)
-    bases = tuple(pad_rows(orthonormal_basis(ch), pmax) for ch in channels)
-    return _Factors(x=(x1, x2), system=system, c0=c0, channels=channels, bases=bases)
+    return c0, channels, tuple(pad_rows(orthonormal_basis(ch), pmax) for ch in channels)
 
 
-def _align_factors(
-    f: _Factors, traces: tuple[float, float], perm: PermutationPlan
-) -> _Factors:
-    pmax = f.bases[0].shape[0]
-    pair = principal_angles(*f.bases, perm.perm)
-    weights = dual_weights(
+def _signed_loadings(channels, bases, traces: tuple[float, float], perm: PermutationPlan):
+    """Principal-angle pair and the common loadings of both orientations.
+
+    Negating dataset 2 negates only its dual weight ``s2``, so orientation
+    ``+1`` or ``-1`` has the loadings ``c_b @ s`` with the consensus
+    ``s = (s1 / scale1 +- s2 / scale2) / 2``.  Returns ``(pair,
+    {1: loadings, -1: loadings})``.
+    """
+    pmax = bases[0].shape[0]
+    pair = principal_angles(*bases, perm.perm)
+    w = dual_weights(
         pair,
-        zero_pad(f.channels[0], pmax),
-        MixingChannel(b=zero_pad(f.channels[1], pmax).b[perm.perm], dataset_index=2),
+        MixingChannel(b=pad_rows(channels[0].b, pmax), dataset_index=1),
+        MixingChannel(b=pad_rows(channels[1].b, pmax)[perm.perm], dataset_index=2),
         traces,
     )
-    loadings = channel_common_basis(pair).c_b @ weights.s
-    return replace(f, pair=pair, c_factors=(loadings, f.c0.c0))
+    c_b = channel_common_basis(pair).c_b
+    return pair, {1: c_b @ w.s, -1: c_b @ (0.5 * (w.s1 / w.scale1 - w.s2 / w.scale2))}
 
 
-def _dense_patterns(f: _Factors, traces: tuple[float, float], perm: PermutationPlan):
-    sources = tuple(
-        source_decomposition(x, ch, f.c0) for x, ch in zip(f.x, f.channels)
-    )
-    return pattern_decomposition(f.x, sources, f.c_factors, traces, perm), sources
+def _dense_stage(x, channels, c0: CommonFactorSet, loadings, traces, perm):
+    """Sources and dense patterns from the factors: the only p x n stage."""
+    sources = tuple(source_decomposition(xk, ch, c0) for xk, ch in zip(x, channels))
+    patterns = pattern_decomposition(x, sources, (loadings, c0.c0), traces, perm)
+    return patterns, sources
 
 
 def assemble_patterns(
@@ -457,9 +422,10 @@ def assemble_patterns(
     coordinates were chosen, which is what makes the final common
     pattern well defined under non-unique choices.
     """
-    f = _align_factors(_channel_factors(x1, x2, system), traces, perm)
-    patterns, sources = _dense_patterns(f, traces, perm)
-    return patterns, sources, f.channels, f.pair
+    c0, channels, bases = _channel_stage(x1, x2, system)
+    pair, loadings = _signed_loadings(channels, bases, traces, perm)
+    patterns, sources = _dense_stage((x1, x2), channels, c0, loadings[1], traces, perm)
+    return patterns, sources, channels, pair
 
 
 def estimate_cdpa(
@@ -468,16 +434,21 @@ def estimate_cdpa(
     """Run the full estimation pipeline on two observed matrices.
 
     Steps: optional row centering, rank selection (or configured ranks),
-    soft-threshold denoising, canonical decomposition, channel padding
-    and row alignment, sign resolution, and final pattern assembly.
-    Each dataset is factored by one SVD.  Sign ``auto`` compares the
-    explained variance of both orientations of dataset 2 on the common
-    pattern's factors, and only the chosen orientation is assembled into
-    dense patterns.  Deterministic given the configuration.
+    soft-threshold denoising, one canonical system, the mixing channels
+    and their row alignment, sign resolution, and one dense assembly.
+    Each dataset is factored by one SVD.  Negating dataset 2 leaves the
+    canonical system, the common factor scores, the channel bases and
+    the principal angles unchanged and negates only its dual weight, so
+    sign ``auto`` compares the explained variance of both orientations
+    on the common pattern's factors.  When ``-1`` is chosen, dataset 2
+    and its channel, and with them its sources, are negated before the
+    dense stage.  Deterministic given the configuration.
 
     When the correlation screen finds no cross-dataset correlation (or a
-    zero shared rank is configured), the result carries a zero common
-    pattern and the ``r12_zero`` flag instead of raising.
+    zero shared rank is configured), the same dense stage runs on
+    zero-width channels and factors: the common pattern is zero,
+    ``r12_zero`` is set, the alignment is the identity, the sign is 1,
+    and ``system``, ``pair`` and ``sign_choice`` are None.
     """
     config = config or CdpaConfig()
     if y1.n != y2.n:
@@ -495,65 +466,46 @@ def estimate_cdpa(
         x1, x2 = denoise_at_rank(y1, ranks.r1), denoise_at_rank(y2, ranks.r2)
 
     diagnostics = compute_diagnostics(x1, x2, (noise_trace(y1, x1), noise_trace(y2, x2)))
-    pmax = max(y1.p, y2.p)
-
+    pmax, n = max(y1.p, y2.p), y1.n
+    system = pair = sign_choice = None
+    sign = 1
     if ranks.r12 == 0:
         perm = PermutationPlan(
             perm=identity_permutation(pmax), objective=0.0, method="identity"
         )
-        patterns = _trivial_patterns(x1, x2, perm)
-        src = (
-            SourceDecomposition(c=np.zeros_like(x1.xhat), d=x1.xhat),
-            SourceDecomposition(c=np.zeros_like(x2.xhat), d=x2.xhat),
+        traces = tuple(float(np.sum(x.soft_singular_values**2 / n)) for x in (x1, x2))
+        c0 = CommonFactorSet(c0=np.zeros((0, n)), coefficients=np.zeros(0))
+        channels = (
+            MixingChannel(b=np.zeros((x1.p, 0)), dataset_index=1),
+            MixingChannel(b=np.zeros((x2.p, 0)), dataset_index=2),
         )
-        chans = (
-            MixingChannel(b=np.zeros((y1.p, 0)), dataset_index=1),
-            MixingChannel(b=np.zeros((y2.p, 0)), dataset_index=2),
-        )
-        return DecompositionResult(
-            patterns=patterns,
-            sources=src,
-            channels=chans,
-            system=None,
-            pair=None,
-            ranks=ranks,
-            permutation=perm,
-            sign=1,
-            sign_choice=None,
-            diagnostics=diagnostics,
-            config=config,
-        )
-
-    cov1 = signal_covariance(x1, y1.n)
-    cov2 = signal_covariance(x2, y2.n)
-    traces = (cov1.trace, cov2.trace)
-    perm = _fixed_permutation(config, pmax)
-    # orientations of dataset 2 to build; the first one resolves the alignment
-    signs = {"plus": (1,), "minus": (-1,), "auto": (1, -1)}[config.sign]
-    factors = {}
-    for sign in signs:
-        x2s = x2 if sign == 1 else replace(x2, xhat=-x2.xhat, left_vectors=-x2.left_vectors)
-        system = canonical_system(cov1, cov2, x1, x2s, ranks.r12)
-        factors[sign] = _channel_factors(x1, x2s, system)
-    if perm is None:
-        perm = dspfp_match(build_match_problem(*factors[signs[0]].bases), config.dspfp)
-    factors = {sign: _align_factors(f, traces, perm) for sign, f in factors.items()}
-
-    sign, sign_choice = signs[0], None
-    if config.sign == "auto":
-        sign_choice = choose_sign(factors[1], factors[-1])
-        sign = sign_choice.sign
-    chosen = factors[sign]
-    patterns, sources = _dense_patterns(chosen, traces, perm)
-    if perm.method in ("identity", "provided"):
-        # fill in the exactly evaluated objective for the plan in effect
-        perm = replace(perm, objective=float(np.sum(chosen.pair.cosines**2)))
+        loadings = np.zeros((pmax, 0))
+    else:
+        cov1, cov2 = signal_covariance(x1, n), signal_covariance(x2, n)
+        traces = (cov1.trace, cov2.trace)
+        system = canonical_system(cov1, cov2, x1, x2, ranks.r12)
+        c0, channels, bases = _channel_stage(x1, x2, system)
+        perm = _fixed_permutation(config, pmax) or dspfp_match(build_match_problem(*bases))
+        pair, signed = _signed_loadings(channels, bases, traces, perm)
+        if config.sign == "auto":
+            sign_choice = choose_sign(*(_CommonFactors(signed[k], c0.c0) for k in (1, -1)))
+            sign = sign_choice.sign
+        elif config.sign == "minus":
+            sign = -1
+        loadings = signed[sign]
+        if sign == -1:
+            x2 = replace(x2, xhat=-x2.xhat, left_vectors=-x2.left_vectors)
+            channels = (channels[0], MixingChannel(b=-channels[1].b, dataset_index=2))
+        if perm.method in ("identity", "provided"):
+            # fill in the exactly evaluated objective for the plan in effect
+            perm = replace(perm, objective=float(np.sum(pair.cosines**2)))
+    patterns, sources = _dense_stage((x1, x2), channels, c0, loadings, traces, perm)
     return DecompositionResult(
         patterns=patterns,
         sources=sources,
-        channels=chosen.channels,
-        system=chosen.system,
-        pair=chosen.pair,
+        channels=channels,
+        system=system,
+        pair=pair,
         ranks=ranks,
         permutation=perm,
         sign=sign,

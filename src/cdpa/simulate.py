@@ -10,7 +10,7 @@ variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -445,35 +445,19 @@ class ReplicationStudy:
     oracle: float
 
 
-def run_replications(
-    config: SimulationConfig,
-    use_true_ranks: bool = True,
-    exact_moments: bool = False,
-) -> ReplicationStudy:
+def run_replications(config: SimulationConfig) -> ReplicationStudy:
     """Estimate on ``config.replications`` independent replications.
 
     Replication ``i`` draws data with seed ``config.seed ^ i``; the
-    planted structure stays fixed.  Aggregates are deterministic given
-    the master seed.
+    planted structure stays fixed.  Each fit uses the true ranks.
+    Aggregates are deterministic given the master seed.
     """
     structure = _structure_for(config)
+    ranks = RankProfile(r1=SIGNAL_RANK, r2=SIGNAL_RANK, r12=structure.r12)
     rows = []
     for i in range(config.replications):
-        rep_cfg = SimulationConfig(
-            setup=config.setup,
-            theta_deg=config.theta_deg,
-            p1=config.p1,
-            n=config.n,
-            noise_var=config.noise_var,
-            p2=config.p2,
-            seed=config.seed ^ i,
-            structure_seed=config.structure_seed,
-        )
-        y1, y2, truth = generate_setup(rep_cfg, exact_moments=exact_moments)
-        ranks = (
-            RankProfile(r1=SIGNAL_RANK, r2=SIGNAL_RANK, r12=structure.r12)
-            if use_true_ranks
-            else None
+        y1, y2, truth = generate_setup(
+            replace(config, seed=config.seed ^ i, replications=1)
         )
         fit = estimate_cdpa(
             y1,

@@ -28,7 +28,6 @@ class ChannelSubspacePair:
 
     q1: np.ndarray
     q2a: np.ndarray
-    theta_b: np.ndarray
     cosines: np.ndarray
     v_b1: np.ndarray
     v_b2: np.ndarray
@@ -71,15 +70,12 @@ def principal_angles(
         raise InputError(f"basis shapes differ: {q1.shape} vs {q2a.shape}")
     perm = as_permutation(permutation, q1.shape[0])
     q2p = q2a[perm]
-    theta_b = q1.T @ q2p
-    u1, svals, v2t = np.linalg.svd(theta_b)
+    u1, svals, v2t = np.linalg.svd(q1.T @ q2p)
     u1, v2t = fix_signs(u1, v2t)
-    cosines = clip_correlations(svals)
     return ChannelSubspacePair(
         q1=q1,
         q2a=q2a,
-        theta_b=theta_b,
-        cosines=cosines,
+        cosines=clip_correlations(svals),
         v_b1=q1 @ u1,
         v_b2=q2p @ v2t.T,
     )

@@ -80,13 +80,7 @@ def rotate_system(system: CanonicalSystem, start: int, stop: int, rng):
     rot = block_rotation(rng, max(r1, r2), start, stop)
     g1 = rot[:r1, :r1]
     g2 = rot[:r2, :r2]
-    u1, u2 = system.left_rotations
-    return replace(
-        system,
-        z1=g1.T @ system.z1,
-        z2=g2.T @ system.z2,
-        left_rotations=(u1 @ g1, u2 @ g2),
-    )
+    return replace(system, z1=g1.T @ system.z1, z2=g2.T @ system.z2)
 
 
 def rotate_pair(pair: ChannelSubspacePair, start: int, stop: int, rng):

@@ -18,7 +18,7 @@ from cdpa import (
     zero_pad,
 )
 from cdpa._linalg import random_orthonormal
-from cdpa.align import DspfpConfig, _all_permutations
+from cdpa.align import _all_permutations
 
 from helpers import dense_match_problem
 
@@ -190,7 +190,7 @@ def test_dspfp_reports_convergence():
     full = dspfp_match(prob)
     assert full.converged
     assert full.iterations >= 3  # at least one step per deterministic start
-    cut = dspfp_match(prob, DspfpConfig(max_iter=1))
+    cut = dspfp_match(prob, max_iter=1)
     assert not cut.converged
     assert cut.iterations == 3
 

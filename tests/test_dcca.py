@@ -270,12 +270,10 @@ def test_sign_pair_flip_leaves_common_source_unchanged():
     flip[1] = -1.0
     from dataclasses import replace
 
-    u1, u2 = system.left_rotations
     flipped = replace(
         system,
         z1=flip[:, None] * system.z1,
         z2=flip[:, None] * system.z2,
-        left_rotations=(u1 * flip, u2 * flip),
     )
     c0f = common_factor_scores(
         flipped, common_factor_coefficients(flipped.correlations)

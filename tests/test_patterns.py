@@ -20,6 +20,7 @@ from cdpa import (
     common_factor_coefficients,
     common_factor_scores,
     common_pattern,
+    denoise_at_rank,
     dual_weights,
     estimate_cdpa,
     explained_variance,
@@ -502,6 +503,26 @@ def _pattern_arrays(p):
     return [p.c, *p.c_factors, *p.c_scaled, *p.h, *p.delta, *p.aligned_x]
 
 
+def _orientation_arrays(system, sources, channels, pair):
+    """Every array of one orientation's system, sources, channels and pair."""
+    return [
+        system.z1,
+        system.z2,
+        system.correlations,
+        *(a for src in sources for a in (src.c, src.d)),
+        *(ch.b for ch in channels),
+        pair.q1,
+        pair.q2a,
+        pair.cosines,
+        pair.v_b1,
+        pair.v_b2,
+    ]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("setup", [1, 2])
 def test_sign_auto_matches_two_dense_assemblies(setup):
     signs = set()
@@ -512,25 +533,93 @@ def test_sign_auto_matches_two_dense_assemblies(setup):
         for negate in (False, True):
             y2s = ObservedMatrix(-y2.values) if negate else y2
             result = estimate_cdpa(y1, y2s)
-            # the reference: both orientations of dataset 2 assembled in full
+            # the reference: both orientations of dataset 2 assembled in full,
+            # each from its own canonical system
             ranks, x1, x2, _ = select_ranks(center_rows(y1), center_rows(y2s))
             cov1, cov2 = signal_covariance(x1, 300), signal_covariance(x2, 300)
             traces = (cov1.trace, cov2.trace)
             plan = _identity_plan(max(y1.p, y2.p))
-            runs = []
+            refs = []
             for x2o in (x2, replace(x2, xhat=-x2.xhat, left_vectors=-x2.left_vectors)):
                 system = canonical_system(cov1, cov2, x1, x2o, ranks.r12)
-                runs.append(assemble_patterns(x1, x2o, system, traces, plan)[0])
+                refs.append((system, *assemble_patterns(x1, x2o, system, traces, plan)))
+            runs = [ref[1] for ref in refs]
             want = choose_sign(*runs)
             assert result.sign == want.sign
-            chosen = runs[0] if want.sign == 1 else runs[1]
+            system, chosen, sources, channels, pair = refs[0 if want.sign == 1 else 1]
             for got, ref in zip(_pattern_arrays(result.patterns), _pattern_arrays(chosen)):
                 assert np.array_equal(got, ref)
             assert result.patterns.explained == chosen.explained
+            got = _orientation_arrays(result.system, result.sources, result.channels, result.pair)
+            ref = _orientation_arrays(system, sources, channels, pair)
+            assert len(got) == len(ref)
+            assert all(_same_bits(a, b) for a, b in zip(got, ref))
             np.testing.assert_allclose(result.sign_choice.trace_plus, runs[0].explained, rtol=1e-12)
             np.testing.assert_allclose(result.sign_choice.trace_minus, runs[1].explained, rtol=1e-12)
             signs.add(result.sign)
     assert signs == {1, -1}
+
+
+@pytest.mark.parametrize("perm", ["identity", "dspfp"])
+def test_sign_auto_builds_one_canonical_system(monkeypatch, perm):
+    import cdpa.patterns
+
+    calls = []
+    build = cdpa.patterns.canonical_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cdpa.patterns, "canonical_system", counting)
+    y1, y2, _ = generate_setup(
+        SimulationConfig(setup=1, theta_deg=30.0, p1=100, n=300, seed=63)
+    )
+    result = estimate_cdpa(y1, y2, CdpaConfig(perm=perm, sign="auto"))
+    assert result.ranks.r12 >= 1 and result.sign_choice is not None
+    assert result.permutation.method == perm
+    assert len(calls) == 1
+
+
+def _independent_signals(p1, p2, n, seed):
+    """Rank-3 signals in each dataset with no shared structure, plus noise."""
+    rng = np.random.default_rng(seed)
+    ys = []
+    for p in (p1, p2):
+        signal = rng.standard_normal((p, 3)) @ (
+            np.diag([30.0, 20.0, 10.0]) @ rng.standard_normal((3, n))
+        )
+        ys.append(ObservedMatrix(signal + rng.standard_normal((p, n))))
+    return ys
+
+
+@pytest.mark.parametrize("case", ["independent", "pure-noise"])
+def test_zero_shared_rank_is_the_zero_width_case(case):
+    if case == "independent":
+        y1, y2 = _independent_signals(80, 90, 300, 9)
+        ranks = None
+    else:
+        rng = np.random.default_rng(10)
+        y1 = ObservedMatrix(rng.standard_normal((80, 300)))
+        y2 = ObservedMatrix(rng.standard_normal((90, 300)))
+        ranks = RankProfile(0, 0, 0)
+    result = estimate_cdpa(y1, y2, CdpaConfig(ranks=ranks, perm="dspfp", sign="auto"))
+    assert result.ranks.r12 == 0
+    if case == "independent":
+        assert min(result.ranks.r1, result.ranks.r2) >= 1
+    p = result.patterns
+    assert p.r12_zero
+    assert result.permutation.method == "identity"
+    assert result.sign == 1 and result.sign_choice is None
+    for k, (y, r) in enumerate(((y1, result.ranks.r1), (y2, result.ranks.r2))):
+        xhat = denoise_at_rank(center_rows(y), r).xhat
+        assert not np.any(result.sources[k].c)
+        assert _same_bits(result.sources[k].d, xhat)
+        assert result.channels[k].b.shape == (y.p, 0)
+        assert not np.any(p.h[k])
+        assert _same_bits(p.delta[k], p.aligned_x[k])
+    assert p.c_factors[0].shape == (90, 0) and p.c_factors[1].shape == (0, 300)
+    assert p.explained == 0.0 and not np.any(p.c)
 
 
 # ---------------------------------------------------- uniqueness under ties
