@@ -15,12 +15,9 @@ from .align import (
     dspfp_match,
     exhaustive_match,
     match_objective,
-    zero_pad,
 )
 from .dcca import (
     CanonicalSystem,
-    CommonFactorSet,
-    MixingChannel,
     SourceDecomposition,
     canonical_system,
     common_factor_coefficients,
@@ -32,7 +29,6 @@ from .denoise import (
     Diagnostics,
     ObservedMatrix,
     RankProfile,
-    SignalCovariance,
     SignalEstimate,
     center_rows,
     compute_diagnostics,
@@ -42,12 +38,10 @@ from .denoise import (
     mdl_select_r12,
     noise_trace,
     select_ranks,
-    signal_covariance,
     soft_threshold_denoise,
 )
 from .errors import (
     BadConfig,
-    BadDimensions,
     CdpaError,
     ChannelRankDeficient,
     DegenerateThreshold,

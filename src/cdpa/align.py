@@ -15,9 +15,7 @@ from itertools import permutations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ._linalg import pad_rows
-from .dcca import MixingChannel
-from .errors import BadDimensions, InputError, TooLarge
+from .errors import InputError, TooLarge
 
 
 @dataclass(frozen=True)
@@ -118,15 +116,6 @@ def as_permutation(perm, p: int | None = None) -> np.ndarray:
 def match_objective(q1: np.ndarray, q2a: np.ndarray, perm) -> float:
     """Exact trace objective ``||q1.T @ q2a[perm]||_F^2`` for one alignment."""
     return float(np.sum((q1.T @ q2a[as_permutation(perm, q2a.shape[0])]) ** 2))
-
-
-def zero_pad(b2: MixingChannel, p1: int) -> MixingChannel:
-    """Append zero rows so the channel has ``p1`` rows."""
-    if p1 < b2.p:
-        raise BadDimensions(f"cannot pad {b2.p} rows down to {p1}")
-    if p1 == b2.p:
-        return b2
-    return MixingChannel(b=pad_rows(b2.b, p1), dataset_index=b2.dataset_index)
 
 
 def build_match_problem(q1: np.ndarray, q2a: np.ndarray) -> MatchProblem:
@@ -279,12 +268,11 @@ def exhaustive_match(q1: np.ndarray, q2a: np.ndarray) -> PermutationPlan:
     )
 
 
-def choose_sign(run_plus, run_minus) -> SignChoice:
-    """Pick the dataset-2 orientation with larger explained variance.
+def choose_sign(trace_plus: float, trace_minus: float) -> SignChoice:
+    """Pick the dataset-2 orientation with the larger explained variance.
 
-    Both runs must come from the same ranks and permutation; ties break
-    to the positive orientation.
+    Both explained variances must come from the same ranks and
+    permutation; ties break to the positive orientation.
     """
-    tp = float(run_plus.explained)
-    tm = float(run_minus.explained)
+    tp, tm = float(trace_plus), float(trace_minus)
     return SignChoice(sign=1 if tp >= tm else -1, trace_plus=tp, trace_minus=tm)

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .align import PermutationPlan, build_match_problem, dspfp_match, exhaustive_match
-from .dcca import MixingChannel
 from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
 from .errors import BadConfig, InputError, NumericalError
 from .matrixio import read_matrix, write_matrix_binary
@@ -285,8 +284,8 @@ def cmd_match(args) -> int:
             f"channel column counts differ: {b1.shape[1]} vs {b2.shape[1]}"
         )
     pmax = max(b1.shape[0], b2.shape[0])
-    q1 = pad_rows(orthonormal_basis(MixingChannel(b=b1, dataset_index=1)), pmax)
-    q2a = pad_rows(orthonormal_basis(MixingChannel(b=b2, dataset_index=2)), pmax)
+    q1 = pad_rows(orthonormal_basis(b1), pmax)
+    q2a = pad_rows(orthonormal_basis(b2), pmax)
     if args.method == "exhaustive":
         plan = exhaustive_match(q1, q2a)
     else:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import clip_correlations, fix_signs
-from .denoise import SignalCovariance, SignalEstimate
-from .errors import InputError, RankDeficiency
+from .denoise import SignalEstimate
+from .errors import InputError, RankDeficiency, ZeroSignal
 
 
 @dataclass(frozen=True)
@@ -42,30 +42,6 @@ class CanonicalSystem:
 
 
 @dataclass(frozen=True)
-class MixingChannel:
-    """Coefficient matrix mapping common factor scores into one dataset."""
-
-    b: np.ndarray
-    dataset_index: int
-
-    @property
-    def p(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def r12(self) -> int:
-        return self.b.shape[1]
-
-
-@dataclass(frozen=True)
-class CommonFactorSet:
-    """Common factor score matrix and its shrinkage coefficients."""
-
-    c0: np.ndarray
-    coefficients: np.ndarray
-
-
-@dataclass(frozen=True)
 class SourceDecomposition:
     """Additive split of a signal estimate: ``c + d`` equals the signal."""
 
@@ -74,21 +50,22 @@ class SourceDecomposition:
 
 
 def canonical_system(
-    cov1: SignalCovariance,
-    cov2: SignalCovariance,
-    x1: SignalEstimate,
-    x2: SignalEstimate,
-    r12: int,
+    x1: SignalEstimate, x2: SignalEstimate, r12: int
 ) -> CanonicalSystem:
-    """Build canonical scores from factored signal covariances.
+    """Build canonical scores from the factored signal estimates.
 
-    The whitened scores ``z_k* = lam_k^(-1/2) v_k' xhat_k`` are rotated by
-    the left/right singular vectors of their cross-covariance; the first
-    ``r12`` singular values (clipped to [0, 1]) are the sample canonical
-    correlations.
+    Each estimate is whitened on the strictly positive eigenvalues
+    ``lam_k = soft_singular_values**2 / n`` of ``xhat @ xhat.T / n`` and
+    their left singular vectors ``v_k``.  The whitened scores ``z_k* =
+    lam_k^(-1/2) v_k' xhat_k`` are rotated by the left/right singular
+    vectors of their cross-covariance; the first ``r12`` singular values
+    (clipped to [0, 1]) are the sample canonical correlations.
 
     Raises
     ------
+    ZeroSignal
+        If an estimate is zero after thresholding; both are checked before
+        any rank condition.
     RankDeficiency
         If a covariance eigenvalue is negligible relative to its largest,
         or ``r12`` exceeds an available rank.
@@ -96,15 +73,22 @@ def canonical_system(
     if x1.n != x2.n:
         raise InputError("signal estimates have different sample counts")
     n = x1.n
-    for cov in (cov1, cov2):
-        if np.any(cov.eigvalues <= 1e-12 * cov.eigvalues[0]):
+    spectra = []
+    for x in (x1, x2):
+        lam = x.soft_singular_values**2 / n
+        keep = lam > 0
+        if not np.any(keep):
+            raise ZeroSignal("signal estimate is zero after thresholding")
+        spectra.append((x.left_vectors[:, keep], lam[keep]))
+    for _, lam in spectra:
+        if np.any(lam <= 1e-12 * lam[0]):
             raise RankDeficiency("covariance spectrum is numerically degenerate")
-    if r12 > min(cov1.rank, cov2.rank):
-        raise RankDeficiency(
-            f"r12 = {r12} exceeds available ranks ({cov1.rank}, {cov2.rank})"
-        )
-    z1s = (cov1.eigvectors.T @ x1.xhat) / np.sqrt(cov1.eigvalues)[:, None]
-    z2s = (cov2.eigvectors.T @ x2.xhat) / np.sqrt(cov2.eigvalues)[:, None]
+    rank1, rank2 = (lam.shape[0] for _, lam in spectra)
+    if r12 > min(rank1, rank2):
+        raise RankDeficiency(f"r12 = {r12} exceeds available ranks ({rank1}, {rank2})")
+    z1s, z2s = (
+        (v.T @ x.xhat) / np.sqrt(lam)[:, None] for (v, lam), x in zip(spectra, (x1, x2))
+    )
     theta = z1s @ z2s.T / n
     u1, svals, v2t = np.linalg.svd(theta, full_matrices=True)
     u1, v2t = fix_signs(u1, v2t)
@@ -126,31 +110,29 @@ def common_factor_coefficients(correlations: np.ndarray) -> np.ndarray:
 
 def common_factor_scores(
     system: CanonicalSystem, coefficients: np.ndarray
-) -> CommonFactorSet:
-    """Common factor scores: coefficient-scaled sum of the two score blocks."""
+) -> np.ndarray:
+    """Common factor scores ``c0`` (r12 x n): the coefficient-scaled sum of
+    the two score blocks."""
     r12 = system.r12
-    c0 = coefficients[:, None] * (system.z1[:r12] + system.z2[:r12])
-    return CommonFactorSet(c0=c0, coefficients=np.asarray(coefficients))
+    return coefficients[:, None] * (system.z1[:r12] + system.z2[:r12])
 
 
-def mixing_channel(
-    xhat: SignalEstimate, system: CanonicalSystem, k: int
-) -> MixingChannel:
-    """Mixing channel ``b_k = xhat @ z_k[:r12].T / n`` of dataset ``k``."""
+def mixing_channel(xhat: SignalEstimate, system: CanonicalSystem, k: int) -> np.ndarray:
+    """Mixing channel ``b_k = xhat @ z_k[:r12].T / n`` (p_k x r12) of dataset ``k``."""
     if k not in (1, 2):
         raise InputError(f"dataset index must be 1 or 2, got {k}")
     z = system.z1 if k == 1 else system.z2
-    return MixingChannel(b=xhat.xhat @ z[: system.r12].T / system.n, dataset_index=k)
+    return xhat.xhat @ z[: system.r12].T / system.n
 
 
 def source_decomposition(
-    xhat: SignalEstimate, channel: MixingChannel, c0: CommonFactorSet
+    xhat: SignalEstimate, channel: np.ndarray, c0: np.ndarray
 ) -> SourceDecomposition:
     """Split one signal estimate into common and distinctive sources.
 
     The common source is ``b_k @ c0`` for the dataset's mixing channel
-    ``b_k`` and the distinctive source is the remainder, so additivity is
-    exact by construction.
+    ``b_k`` and the common factor scores ``c0``; the distinctive source is
+    the remainder, so additivity is exact by construction.
     """
-    c = channel.b @ c0.c0
+    c = channel @ c0
     return SourceDecomposition(c=c, d=xhat.xhat - c)

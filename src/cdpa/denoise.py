@@ -22,7 +22,6 @@ from .errors import (
     InputError,
     RankTooLarge,
     TooFewSamples,
-    ZeroSignal,
 )
 
 
@@ -109,23 +108,12 @@ class SignalEstimate:
     def n(self) -> int:
         return self.xhat.shape[1]
 
-
-@dataclass(frozen=True)
-class SignalCovariance:
-    """Factored signal covariance estimate xhat @ xhat.T / n."""
-
-    eigvectors: np.ndarray
-    eigvalues: np.ndarray
-    trace: float
-
     @property
-    def rank(self) -> int:
-        return self.eigvalues.shape[0]
-
-    @property
-    def scale(self) -> float:
-        """Square root of the trace, the natural size of the signal."""
-        return float(np.sqrt(self.trace))
+    def trace(self) -> float:
+        """Trace of the signal covariance ``xhat @ xhat.T / n``, summed over
+        its strictly positive eigenvalues ``soft_singular_values**2 / n``."""
+        lam = self.soft_singular_values**2 / self.n
+        return float(lam[lam > 0].sum())
 
 
 @dataclass(frozen=True)
@@ -176,24 +164,6 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
         tau=tau,
         left_vectors=u[:, :r],
         right_vectors=vt[:r].T,
-    )
-
-
-def signal_covariance(xhat: SignalEstimate, n: int) -> SignalCovariance:
-    """Factored eigendecomposition of ``xhat @ xhat.T / n``.
-
-    Only strictly positive eigenvalues are kept, so the returned rank can
-    be smaller than the requested denoising rank when soft thresholding
-    zeroed trailing singular values.
-    """
-    lam = xhat.soft_singular_values**2 / n
-    keep = lam > 0
-    if not np.any(keep):
-        raise ZeroSignal("signal estimate is zero after thresholding")
-    return SignalCovariance(
-        eigvectors=xhat.left_vectors[:, keep],
-        eigvalues=lam[keep],
-        trace=float(lam[keep].sum()),
     )
 
 

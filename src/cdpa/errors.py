@@ -42,10 +42,6 @@ class ChannelRankDeficient(NumericalError):
     """Mixing channel does not have full column rank."""
 
 
-class BadDimensions(InputError):
-    """Matrix dimensions are inconsistent with the operation."""
-
-
 class TooLarge(InputError):
     """Problem size exceeds the limit of an exhaustive method."""
 

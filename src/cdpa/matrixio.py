@@ -25,12 +25,14 @@ _HEADER = struct.Struct("<4sII")
 
 def write_matrix_binary(path, a: np.ndarray) -> None:
     """Write ``a`` to ``path`` in the binary matrix format."""
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    a = np.asarray(a, dtype="<f8")
     if a.ndim != 2:
         raise InputError(f"expected a 2-d array, got shape {a.shape}")
+    # the column-major payload is the row-major buffer of the transpose
+    payload = np.ascontiguousarray(a.T)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, a.shape[0], a.shape[1]))
-        fh.write(np.asfortranarray(a).tobytes(order="F"))
+        fh.write(payload)
 
 
 def read_matrix_binary(path) -> np.ndarray:

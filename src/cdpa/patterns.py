@@ -28,8 +28,6 @@ from .align import (
 )
 from .dcca import (
     CanonicalSystem,
-    CommonFactorSet,
-    MixingChannel,
     SourceDecomposition,
     canonical_system,
     common_factor_coefficients,
@@ -47,7 +45,6 @@ from .denoise import (
     denoise_at_rank,
     noise_trace,
     select_ranks,
-    signal_covariance,
 )
 from .errors import BadConfig, InputError, RankDeficiency
 from .subspace import (
@@ -136,7 +133,6 @@ class CdpaConfig:
     perm: str | np.ndarray = "identity"  # "identity", "dspfp", or an index array
     sign: str = "auto"  # "auto", "plus", "minus"
     center: bool = True
-    screen_alpha: float = 0.05
 
     def __post_init__(self):
         if self.sign not in ("auto", "plus", "minus"):
@@ -151,7 +147,7 @@ class DecompositionResult:
 
     patterns: PatternDecomposition
     sources: tuple[SourceDecomposition, SourceDecomposition]
-    channels: tuple[MixingChannel, MixingChannel]
+    channels: tuple[np.ndarray, np.ndarray]
     system: CanonicalSystem | None
     pair: ChannelSubspacePair | None
     ranks: RankProfile
@@ -164,33 +160,35 @@ class DecompositionResult:
 
 def dual_weights(
     pair: ChannelSubspacePair,
-    b1: MixingChannel,
-    b2a_permuted: MixingChannel,
+    b1: np.ndarray,
+    b2a_permuted: np.ndarray,
     traces: tuple[float, float],
 ) -> DualWeight:
     """Dual-weight matrices of the two aligned channels and their consensus.
 
-    Each dataset's channel is expressed in its own principal-vector basis.
-    The consensus halves the sum of the trace-scaled weights.
+    ``b1`` and ``b2a_permuted`` are the pmax x r12 channels, zero-padded,
+    with dataset 2's rows aligned.  Each is expressed in its own
+    principal-vector basis.  The consensus halves the sum of the
+    trace-scaled weights.
     """
     if traces[0] <= 0 or traces[1] <= 0:
         raise InputError("covariance traces must be positive")
-    s1 = pair.v_b1.T @ b1.b
-    s2 = pair.v_b2.T @ b2a_permuted.b
+    s1 = pair.v_b1.T @ b1
+    s2 = pair.v_b2.T @ b2a_permuted
     scale1, scale2 = float(np.sqrt(traces[0])), float(np.sqrt(traces[1]))
     s = 0.5 * (s1 / scale1 + s2 / scale2)
     return DualWeight(s1=s1, s2=s2, s=s, scale1=scale1, scale2=scale2)
 
 
 def common_pattern(
-    basis: ChannelPatternBasis, weights: DualWeight, c0: CommonFactorSet
+    basis: ChannelPatternBasis, weights: DualWeight, c0: np.ndarray
 ) -> np.ndarray:
     """Common-pattern matrix: shared basis times consensus weights times scores.
 
     The product runs left to right, ``(c_b @ s) @ c0``, the same product
     of the loadings and scores that ``assemble_patterns`` evaluates.
     """
-    return basis.c_b @ weights.s @ c0.c0
+    return basis.c_b @ weights.s @ c0
 
 
 def explained_variance(c: np.ndarray, n: int) -> float:
@@ -281,10 +279,7 @@ def population_cdpa(
     basis = channel_common_basis(pair)
     trace1, trace2 = float(np.sum(lam1)), float(np.sum(lam2))
     weights = dual_weights(
-        pair,
-        MixingChannel(b=pad_rows(b1, pmax), dataset_index=1),
-        MixingChannel(b=pad_rows(b2, pmax)[perm], dataset_index=2),
-        (trace1, trace2),
+        pair, pad_rows(b1, pmax), pad_rows(b2, pmax)[perm], (trace1, trace2)
     )
     b_c = basis.c_b @ weights.s
     a = common_factor_coefficients(rho)
@@ -359,18 +354,10 @@ def bootstrap_ci(
     )
 
 
-@dataclass(frozen=True)
-class _CommonFactors:
-    """The common pattern ``loadings @ scores`` of one orientation of dataset 2."""
-
-    loadings: np.ndarray
-    scores: np.ndarray
-
-    @property
-    def explained(self) -> float:
-        """``||loadings @ scores||_F^2 / n`` from the two r12 x r12 Gram matrices."""
-        gram = (self.loadings.T @ self.loadings) * (self.scores @ self.scores.T)
-        return float(np.sum(gram) / self.scores.shape[1])
+def _factor_explained(loadings: np.ndarray, scores: np.ndarray) -> float:
+    """``||loadings @ scores||_F^2 / n`` from the two r12 x r12 Gram matrices."""
+    gram = (loadings.T @ loadings) * (scores @ scores.T)
+    return float(np.sum(gram) / scores.shape[1])
 
 
 def _channel_stage(x1: SignalEstimate, x2: SignalEstimate, system: CanonicalSystem):
@@ -392,19 +379,16 @@ def _signed_loadings(channels, bases, traces: tuple[float, float], perm: Permuta
     pmax = bases[0].shape[0]
     pair = principal_angles(*bases, perm.perm)
     w = dual_weights(
-        pair,
-        MixingChannel(b=pad_rows(channels[0].b, pmax), dataset_index=1),
-        MixingChannel(b=pad_rows(channels[1].b, pmax)[perm.perm], dataset_index=2),
-        traces,
+        pair, pad_rows(channels[0], pmax), pad_rows(channels[1], pmax)[perm.perm], traces
     )
     c_b = channel_common_basis(pair).c_b
     return pair, {1: c_b @ w.s, -1: c_b @ (0.5 * (w.s1 / w.scale1 - w.s2 / w.scale2))}
 
 
-def _dense_stage(x, channels, c0: CommonFactorSet, loadings, traces, perm):
+def _dense_stage(x, channels, c0: np.ndarray, loadings, traces, perm):
     """Sources and dense patterns from the factors: the only p x n stage."""
     sources = tuple(source_decomposition(xk, ch, c0) for xk, ch in zip(x, channels))
-    patterns = pattern_decomposition(x, sources, (loadings, c0.c0), traces, perm)
+    patterns = pattern_decomposition(x, sources, (loadings, c0), traces, perm)
     return patterns, sources
 
 
@@ -447,8 +431,9 @@ def estimate_cdpa(
     When the correlation screen finds no cross-dataset correlation (or a
     zero shared rank is configured), the same dense stage runs on
     zero-width channels and factors: the common pattern is zero,
-    ``r12_zero`` is set, the alignment is the identity, the sign is 1,
-    and ``system``, ``pair`` and ``sign_choice`` are None.
+    ``r12_zero`` is set, the alignment is the identity (a provided
+    permutation is still checked), the sign is 1, and ``system``,
+    ``pair`` and ``sign_choice`` are None.
     """
     config = config or CdpaConfig()
     if y1.n != y2.n:
@@ -460,42 +445,38 @@ def estimate_cdpa(
         y2 = center_rows(y2) if not y2.row_centered else y2
 
     if config.ranks is None:
-        ranks, x1, x2, _ = select_ranks(y1, y2, config.screen_alpha)
+        ranks, x1, x2, _ = select_ranks(y1, y2)
     else:
         ranks = config.ranks
         x1, x2 = denoise_at_rank(y1, ranks.r1), denoise_at_rank(y2, ranks.r2)
 
     diagnostics = compute_diagnostics(x1, x2, (noise_trace(y1, x1), noise_trace(y2, x2)))
     pmax, n = max(y1.p, y2.p), y1.n
+    traces = (x1.trace, x2.trace)
+    fixed = _fixed_permutation(config, pmax)
     system = pair = sign_choice = None
     sign = 1
     if ranks.r12 == 0:
         perm = PermutationPlan(
             perm=identity_permutation(pmax), objective=0.0, method="identity"
         )
-        traces = tuple(float(np.sum(x.soft_singular_values**2 / n)) for x in (x1, x2))
-        c0 = CommonFactorSet(c0=np.zeros((0, n)), coefficients=np.zeros(0))
-        channels = (
-            MixingChannel(b=np.zeros((x1.p, 0)), dataset_index=1),
-            MixingChannel(b=np.zeros((x2.p, 0)), dataset_index=2),
-        )
+        c0 = np.zeros((0, n))
+        channels = (np.zeros((x1.p, 0)), np.zeros((x2.p, 0)))
         loadings = np.zeros((pmax, 0))
     else:
-        cov1, cov2 = signal_covariance(x1, n), signal_covariance(x2, n)
-        traces = (cov1.trace, cov2.trace)
-        system = canonical_system(cov1, cov2, x1, x2, ranks.r12)
+        system = canonical_system(x1, x2, ranks.r12)
         c0, channels, bases = _channel_stage(x1, x2, system)
-        perm = _fixed_permutation(config, pmax) or dspfp_match(build_match_problem(*bases))
+        perm = fixed or dspfp_match(build_match_problem(*bases))
         pair, signed = _signed_loadings(channels, bases, traces, perm)
         if config.sign == "auto":
-            sign_choice = choose_sign(*(_CommonFactors(signed[k], c0.c0) for k in (1, -1)))
+            sign_choice = choose_sign(*(_factor_explained(signed[k], c0) for k in (1, -1)))
             sign = sign_choice.sign
         elif config.sign == "minus":
             sign = -1
         loadings = signed[sign]
         if sign == -1:
             x2 = replace(x2, xhat=-x2.xhat, left_vectors=-x2.left_vectors)
-            channels = (channels[0], MixingChannel(b=-channels[1].b, dataset_index=2))
+            channels = (channels[0], -channels[1])
         if perm.method in ("identity", "provided"):
             # fill in the exactly evaluated objective for the plan in effect
             perm = replace(perm, objective=float(np.sum(pair.cosines**2)))

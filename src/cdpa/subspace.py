@@ -14,7 +14,7 @@ import numpy as np
 
 from ._linalg import clip_correlations, fix_signs
 from .align import as_permutation
-from .dcca import MixingChannel, common_factor_coefficients
+from .dcca import common_factor_coefficients
 from .errors import ChannelRankDeficient, InputError
 
 
@@ -42,15 +42,16 @@ class ChannelPatternBasis:
     d_b2: np.ndarray
 
 
-def orthonormal_basis(channel: MixingChannel) -> np.ndarray:
-    """Orthonormal basis of the channel column space (its left singular vectors).
+def orthonormal_basis(channel: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the p x r12 channel's column space (its left
+    singular vectors).
 
     Raises
     ------
     ChannelRankDeficient
         If the channel's smallest singular value is negligible.
     """
-    u, s, _ = np.linalg.svd(channel.b, full_matrices=False)
+    u, s, _ = np.linalg.svd(channel, full_matrices=False)
     if s[-1] <= 1e-10 * s[0]:
         raise ChannelRankDeficient(
             f"channel singular values span [{s[-1]:.3e}, {s[0]:.3e}]"

@@ -10,7 +10,6 @@ from cdpa import (
     ChannelSubspacePair,
     ObservedMatrix,
     build_match_problem,
-    signal_covariance,
     soft_threshold_denoise,
 )
 from cdpa._linalg import random_orthonormal
@@ -58,10 +57,10 @@ def exact_signal_pair(rng, p1, p2, lam, rho, n, planted_channel_cos=None):
 
 
 def estimates_from(x1, x2, r1, r2):
-    """Signal estimates and covariances from exactly low-rank matrices."""
+    """Signal estimates from exactly low-rank matrices."""
     e1 = soft_threshold_denoise(ObservedMatrix(np.asarray(x1)), r1)
     e2 = soft_threshold_denoise(ObservedMatrix(np.asarray(x2)), r2)
-    return e1, e2, signal_covariance(e1, x1.shape[1]), signal_covariance(e2, x2.shape[1])
+    return e1, e2
 
 
 def block_rotation(rng, size, start, stop):

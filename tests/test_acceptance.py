@@ -257,12 +257,12 @@ def test_criterion_5_structural_invariants():
                 system.correlations[stop], system.correlations[start], atol=1e-6
             ):
                 stop += 1
-            e1, e2, c1, c2 = estimates_from(y1, y2, 3, 3)
-            base_sys = canonical_system(c1, c2, e1, e2, 3)
+            e1, e2 = estimates_from(y1, y2, 3, 3)
+            base_sys = canonical_system(e1, e2, 3)
             plan = PermutationPlan(
                 perm=np.arange(max(p1, p2)), objective=0.0, method="identity"
             )
-            traces = (c1.trace, c2.trace)
+            traces = (e1.trace, e2.trace)
             base = assemble_patterns(e1, e2, base_sys, traces, plan)[0]
             rotated = rotate_system(base_sys, start, stop, rng)
             got = assemble_patterns(e1, e2, rotated, traces, plan)[0]
@@ -276,7 +276,7 @@ def test_criterion_5_structural_invariants():
                 s = int(np.argmax(cos_ties))
                 t = s + 2
                 from cdpa import channel_common_basis, common_pattern, dual_weights
-                from cdpa import zero_pad
+                from cdpa._linalg import pad_rows
                 from cdpa.dcca import (
                     common_factor_coefficients,
                     common_factor_scores,
@@ -288,8 +288,8 @@ def test_criterion_5_structural_invariants():
                 chan1 = mixing_channel(e1, base_sys, 1)
                 chan2 = mixing_channel(e2, base_sys, 2)
                 pmax = max(p1, p2)
-                chan1p = zero_pad(chan1, pmax)
-                chan2p = zero_pad(chan2, pmax)
+                chan1p = pad_rows(chan1, pmax)
+                chan2p = pad_rows(chan2, pmax)
                 base_c = common_pattern(
                     channel_common_basis(pair),
                     dual_weights(pair, chan1p, chan2p, traces),

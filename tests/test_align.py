@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from cdpa import (
-    BadDimensions,
     CdpaConfig,
-    MixingChannel,
     RankProfile,
     SimulationConfig,
     TooLarge,
@@ -15,37 +13,11 @@ from cdpa import (
     exhaustive_match,
     generate_setup,
     match_objective,
-    zero_pad,
 )
 from cdpa._linalg import random_orthonormal
 from cdpa.align import _all_permutations
 
 from helpers import dense_match_problem
-
-
-# --------------------------------------------------------------- zero_pad
-
-
-def test_zero_pad_noop():
-    rng = np.random.default_rng(0)
-    chan = MixingChannel(b=rng.standard_normal((6, 2)), dataset_index=2)
-    assert zero_pad(chan, 6) is chan
-
-
-def test_zero_pad_appends_zero_rows():
-    chan = MixingChannel(b=np.arange(6.0).reshape(3, 2), dataset_index=2)
-    padded = zero_pad(chan, 5)
-    np.testing.assert_array_equal(padded.b[3:], np.zeros((2, 2)))
-    np.testing.assert_array_equal(padded.b[:3], chan.b)
-    np.testing.assert_array_equal(
-        np.linalg.norm(padded.b, axis=0), np.linalg.norm(chan.b, axis=0)
-    )
-
-
-def test_zero_pad_rejects_shrinking():
-    chan = MixingChannel(b=np.ones((4, 2)), dataset_index=2)
-    with pytest.raises(BadDimensions):
-        zero_pad(chan, 3)
 
 
 # ---------------------------------------------------------- build_match_problem
@@ -223,18 +195,13 @@ def test_exhaustive_size_guard():
 # ------------------------------------------------------------- choose_sign
 
 
-class _Run:
-    def __init__(self, explained):
-        self.explained = explained
-
-
 def test_choose_sign_tie_goes_positive():
-    choice = choose_sign(_Run(0.4), _Run(0.4))
+    choice = choose_sign(0.4, 0.4)
     assert choice.sign == 1
 
 
 def test_choose_sign_prefers_larger_trace():
-    choice = choose_sign(_Run(0.1), _Run(0.5))
+    choice = choose_sign(0.1, 0.5)
     assert choice.sign == -1
     assert choice.trace_plus == 0.1
     assert choice.trace_minus == 0.5

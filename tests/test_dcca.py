@@ -19,8 +19,8 @@ LAM = [500.0, 400.0, 300.0, 200.0, 100.0]
 
 
 def _system_from(x1, x2, r12, rank=5):
-    e1, e2, c1, c2 = estimates_from(x1, x2, rank, rank)
-    return canonical_system(c1, c2, e1, e2, r12), e1, e2
+    e1, e2 = estimates_from(x1, x2, rank, rank)
+    return canonical_system(e1, e2, r12), e1, e2
 
 
 # ------------------------------------------------------------ canonical_system
@@ -38,16 +38,16 @@ def test_orthogonal_row_spaces_have_zero_correlations():
     basis = random_orthonormal(rng, 60, 6) * np.sqrt(60)
     x1 = rng.standard_normal((20, 3)) @ basis[:, :3].T
     x2 = rng.standard_normal((20, 3)) @ basis[:, 3:].T
-    e1, e2, c1, c2 = estimates_from(x1, x2, 3, 3)
-    system = canonical_system(c1, c2, e1, e2, 3)
+    e1, e2 = estimates_from(x1, x2, 3, 3)
+    system = canonical_system(e1, e2, 3)
     np.testing.assert_allclose(system.correlations, np.zeros(3), atol=1e-8)
 
 
 def test_benchmark_noiseless_correlations_at_45_degrees():
     cfg = SimulationConfig(setup=1, theta_deg=45.0, p1=80, n=160, noise_var=0.0, seed=3)
     y1, y2, truth = generate_setup(cfg, exact_moments=True)
-    e1, e2, c1, c2 = estimates_from(y1.values, y2.values, 5, 5)
-    system = canonical_system(c1, c2, e1, e2, 5)
+    e1, e2 = estimates_from(y1.values, y2.values, 5, 5)
+    system = canonical_system(e1, e2, 5)
     want = np.cos(np.deg2rad([30.0, 45.0, 45.0, 60.0, 75.0]))
     np.testing.assert_allclose(system.correlations, want, atol=1e-6)
 
@@ -76,9 +76,9 @@ def test_bi_orthogonality_invariants():
 def test_rank_deficiency_guard():
     rng = np.random.default_rng(5)
     x1, x2, _ = exact_signal_pair(rng, 20, 20, [4.0, 2.0], [0.5, 0.2], 50)
-    e1, e2, c1, c2 = estimates_from(x1, x2, 2, 2)
+    e1, e2 = estimates_from(x1, x2, 2, 2)
     with pytest.raises(RankDeficiency):
-        canonical_system(c1, c2, e1, e2, 3)
+        canonical_system(e1, e2, 3)
 
 
 # --------------------------------------------------- common_factor_coefficients
@@ -118,19 +118,19 @@ def test_scores_perfect_correlation_recovers_block():
     system, _, _ = _system_from(x, x.copy(), 5)
     coeffs = common_factor_coefficients(system.correlations)
     c0 = common_factor_scores(system, coeffs)
-    np.testing.assert_allclose(c0.c0, system.z1[:5], atol=1e-4)
+    np.testing.assert_allclose(c0, system.z1[:5], atol=1e-4)
 
 
 def test_scores_zero_correlation_rows_are_zero():
     rng = np.random.default_rng(7)
     rho = np.array([0.9, 0.5, 0.0])
     x1, x2, _ = exact_signal_pair(rng, 30, 25, [9.0, 4.0, 1.0], rho, 60)
-    e1, e2, c1, c2 = estimates_from(x1, x2, 3, 3)
-    system = canonical_system(c1, c2, e1, e2, 3)
+    e1, e2 = estimates_from(x1, x2, 3, 3)
+    system = canonical_system(e1, e2, 3)
     c0 = common_factor_scores(
         system, common_factor_coefficients(system.correlations)
     )
-    np.testing.assert_allclose(c0.c0[2], np.zeros(60), atol=1e-8)
+    np.testing.assert_allclose(c0[2], np.zeros(60), atol=1e-8)
 
 
 def test_scores_row_variance_identity():
@@ -141,7 +141,7 @@ def test_scores_row_variance_identity():
     system = _system_from(x1, x2, 3, rank=3)[0]
     a = common_factor_coefficients(system.correlations)
     c0 = common_factor_scores(system, a)
-    got = np.sum(c0.c0**2, axis=1) / n
+    got = np.sum(c0**2, axis=1) / n
     want = a**2 * (2.0 + 2.0 * system.correlations)
     np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -162,7 +162,7 @@ def test_identical_datasets_all_common():
     assert np.linalg.norm(src.d) <= 1e-8 * np.linalg.norm(e1.xhat)
     # channel equals the analytic factored form
     n = system.n
-    np.testing.assert_allclose(chan.b, e1.xhat @ system.z1[:5].T / n, atol=1e-10)
+    np.testing.assert_allclose(chan, e1.xhat @ system.z1[:5].T / n, atol=1e-10)
 
 
 def test_orthogonal_signals_all_distinctive():
@@ -170,8 +170,8 @@ def test_orthogonal_signals_all_distinctive():
     basis = random_orthonormal(rng, 60, 6) * np.sqrt(60)
     x1 = rng.standard_normal((20, 3)) @ basis[:, :3].T
     x2 = rng.standard_normal((20, 3)) @ basis[:, 3:].T
-    e1, e2, c1, c2 = estimates_from(x1, x2, 3, 3)
-    system = canonical_system(c1, c2, e1, e2, 3)
+    e1, e2 = estimates_from(x1, x2, 3, 3)
+    system = canonical_system(e1, e2, 3)
     c0 = common_factor_scores(
         system, common_factor_coefficients(system.correlations)
     )
@@ -185,8 +185,8 @@ def test_additivity_exact_on_random_inputs():
     for trial in range(4):
         rho = np.sort(rng.uniform(0, 1, 4))[::-1]
         x1, x2, _ = exact_signal_pair(rng, 18 + trial, 26, [8, 6, 4, 2], rho, 64)
-        e1, e2, c1, c2 = estimates_from(x1, x2, 4, 4)
-        system = canonical_system(c1, c2, e1, e2, 4)
+        e1, e2 = estimates_from(x1, x2, 4, 4)
+        system = canonical_system(e1, e2, 4)
         c0 = common_factor_scores(
             system, common_factor_coefficients(system.correlations)
         )
@@ -259,8 +259,8 @@ def test_sign_pair_flip_leaves_common_source_unchanged():
     rng = np.random.default_rng(15)
     rho = np.array([0.9, 0.6, 0.3])
     x1, x2, _ = exact_signal_pair(rng, 20, 24, [9.0, 4.0, 1.0], rho, 66)
-    e1, e2, c1, c2 = estimates_from(x1, x2, 3, 3)
-    system = canonical_system(c1, c2, e1, e2, 3)
+    e1, e2 = estimates_from(x1, x2, 3, 3)
+    system = canonical_system(e1, e2, 3)
     c0 = common_factor_scores(
         system, common_factor_coefficients(system.correlations)
     )

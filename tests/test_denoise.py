@@ -15,6 +15,7 @@ from cdpa import (
     SimulationConfig,
     TooFewSamples,
     ZeroSignal,
+    canonical_system,
     center_rows,
     compute_diagnostics,
     correlation_screen,
@@ -22,7 +23,6 @@ from cdpa import (
     generate_setup,
     mdl_select_r12,
     noise_trace,
-    signal_covariance,
     soft_threshold_denoise,
 )
 from cdpa._linalg import random_orthonormal
@@ -145,7 +145,7 @@ def test_soft_threshold_monte_carlo_error():
     assert np.mean(errs) < 0.1
 
 
-# ---------------------------------------------------------- signal_covariance
+# ------------------------------------------ signal covariance of an estimate
 
 
 def test_signal_covariance_diagonal_case():
@@ -156,29 +156,25 @@ def test_signal_covariance_diagonal_case():
     x[0] = 2.0 * q[:, 0]  # squared row norm 4n
     x[1] = 1.0 * q[:, 1]  # squared row norm n
     est = soft_threshold_denoise(ObservedMatrix(x), 2)
-    cov = signal_covariance(est, n)
-    np.testing.assert_allclose(cov.eigvalues, [4.0, 1.0], atol=1e-10)
+    np.testing.assert_allclose(est.soft_singular_values**2 / n, [4.0, 1.0], atol=1e-10)
 
 
 def test_signal_covariance_trace_identity():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((15, 8)) @ rng.standard_normal((8, 40))
     est = soft_threshold_denoise(ObservedMatrix(x), 8)
-    cov = signal_covariance(est, 40)
-    np.testing.assert_allclose(cov.trace, np.sum(est.xhat**2) / 40, rtol=1e-12)
+    np.testing.assert_allclose(est.trace, np.sum(est.xhat**2) / 40, rtol=1e-12)
 
 
 def test_signal_covariance_matches_dense_eigendecomposition():
     rng = np.random.default_rng(10)
     y = ObservedMatrix(rng.standard_normal((12, 30)))
     est = soft_threshold_denoise(y, 4)
-    cov = signal_covariance(est, 30)
+    lam, v = est.soft_singular_values**2 / 30, est.left_vectors
     dense = est.xhat @ est.xhat.T / 30
     w = np.linalg.eigvalsh(dense)[::-1]
-    np.testing.assert_allclose(cov.eigvalues, w[: cov.rank], atol=1e-10)
-    np.testing.assert_allclose(
-        cov.eigvectors.T @ cov.eigvectors, np.eye(cov.rank), atol=1e-10
-    )
+    np.testing.assert_allclose(lam, w[: est.rank], atol=1e-10)
+    np.testing.assert_allclose(v.T @ v, np.eye(est.rank), atol=1e-10)
 
 
 def test_signal_covariance_monte_carlo_consistency():
@@ -189,8 +185,7 @@ def test_signal_covariance_monte_carlo_consistency():
             setup=1, theta_deg=15.0, p1=300, n=300, noise_var=0.25, seed=2000 + i
         )
         y1, _, _ = generate_setup(cfg)
-        cov = signal_covariance(soft_threshold_denoise(y1, 5), 300)
-        est_all.append(cov.eigvalues)
+        est_all.append(soft_threshold_denoise(y1, 5).soft_singular_values**2 / 300)
     mean_eig = np.mean(est_all, axis=0)
     np.testing.assert_allclose(mean_eig, [500, 400, 300, 200, 100], rtol=0.10)
 
@@ -202,7 +197,11 @@ def test_signal_covariance_zero_signal():
     y = ObservedMatrix((u * 10.0) @ v.T)
     est = soft_threshold_denoise(y, 1)
     with pytest.raises(ZeroSignal):
-        signal_covariance(est, 30)
+        canonical_system(est, est, 1)
+    # a zero second estimate is reported before the first one's rank shortfall
+    signal = soft_threshold_denoise(ObservedMatrix(rng.standard_normal((30, 30))), 1)
+    with pytest.raises(ZeroSignal):
+        canonical_system(signal, est, 2)
 
 
 # ------------------------------------------------------------- ed_select_rank
@@ -269,7 +268,7 @@ def test_ed_zero_matrix_selects_zero():
 def test_screen_identical_signals():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 60))
-    e1, e2, _, _ = estimates_from(x, x.copy(), 3, 3)
+    e1, e2 = estimates_from(x, x.copy(), 3, 3)
     assert correlation_screen(e1, e2, 0.05)
 
 
@@ -385,7 +384,7 @@ def test_mdl_benchmark_recovery(theta, want):
 def test_diagnostics_noiseless_limit():
     rng = np.random.default_rng(16)
     x1, x2, _ = exact_signal_pair(rng, 40, 40, [5, 4, 3], [0.9, 0.5, 0.2], 100)
-    e1, e2, _, _ = estimates_from(x1, x2, 3, 3)
+    e1, e2 = estimates_from(x1, x2, 3, 3)
     diag = compute_diagnostics(e1, e2, (1e-15, 1e-15))
     assert diag.snr[0] > 1e10
     np.testing.assert_allclose(diag.delta_theta, 1 / np.sqrt(100), rtol=1e-4)
@@ -397,7 +396,7 @@ def test_diagnostics_formula_value():
     x1, x2, _ = exact_signal_pair(
         rng, 300, 300, [500, 400, 300, 200, 100], [0.8, 0.5, 0.3, 0.2, 0.1], 300
     )
-    e1, e2, _, _ = estimates_from(x1, x2, 5, 5)
+    e1, e2 = estimates_from(x1, x2, 5, 5)
     tr1 = np.sum(e1.soft_singular_values**2) / 300
     tr2 = np.sum(e2.soft_singular_values**2) / 300
     diag = compute_diagnostics(e1, e2, (tr1 / 5.0, tr2 / 5.0))
@@ -410,7 +409,7 @@ def test_diagnostics_formula_value():
 def test_diagnostics_clamped_at_one():
     rng = np.random.default_rng(18)
     x1, x2, _ = exact_signal_pair(rng, 50, 50, [5.0, 2.0], [0.5, 0.1], 40)
-    e1, e2, _, _ = estimates_from(x1, x2, 2, 2)
+    e1, e2 = estimates_from(x1, x2, 2, 2)
     diag = compute_diagnostics(e1, e2, (1e9, 1e9))
     assert diag.delta_theta == 1.0
 

@@ -23,6 +23,26 @@ def test_binary_header(tmp_path):
     assert len(raw) == 12 + 3 * 2 * 8
 
 
+def test_binary_payload_bytes_match_column_major_copy(tmp_path):
+    rng = np.random.default_rng(1)
+    base = rng.standard_normal((9, 6))
+    inputs = {
+        "c-ordered": base,
+        "f-ordered": np.asfortranarray(base),
+        "strided": base[::2, 1::2],
+        "zero-width": np.zeros((4, 0)),
+        "zero-height": np.zeros((0, 4)),
+        "float32": base.astype(np.float32),
+    }
+    for name, a in inputs.items():
+        # the payload as written by the earlier two-copy expression
+        old = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+        want = np.asfortranarray(old).tobytes(order="F")
+        path = tmp_path / f"{name}.cdpm"
+        write_matrix_binary(path, a)
+        assert path.read_bytes()[12:] == want, name
+
+
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.cdpm"
     path.write_bytes(b"NOPE" + bytes(16))

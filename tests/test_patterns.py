@@ -30,7 +30,6 @@ from cdpa import (
     population_cdpa,
     principal_angles,
     select_ranks,
-    signal_covariance,
     source_decomposition,
 )
 from cdpa._linalg import pad_rows, random_orthonormal
@@ -61,8 +60,8 @@ def _identity_plan(p):
 
 
 def _pair_for(x1, x2, r, r12):
-    e1, e2, c1, c2 = estimates_from(x1, x2, r, r)
-    system = canonical_system(c1, c2, e1, e2, r12)
+    e1, e2 = estimates_from(x1, x2, r, r)
+    system = canonical_system(e1, e2, r12)
     c0 = common_factor_scores(
         system, common_factor_coefficients(system.correlations)
     )
@@ -71,17 +70,17 @@ def _pair_for(x1, x2, r, r12):
     src1 = source_decomposition(e1, chan1, c0)
     src2 = source_decomposition(e2, chan2, c0)
     pmax = max(x1.shape[0], x2.shape[0])
-    from cdpa import orthonormal_basis, zero_pad
+    from cdpa import orthonormal_basis
 
     q1 = pad_rows(orthonormal_basis(chan1), pmax)
     q2a = pad_rows(orthonormal_basis(chan2), pmax)
     pair = principal_angles(q1, q2a, np.arange(pmax))
     return dict(
         pair=pair,
-        chan1=zero_pad(chan1, pmax),
-        chan2=zero_pad(chan2, pmax),
+        chan1=pad_rows(chan1, pmax),
+        chan2=pad_rows(chan2, pmax),
         c0=c0,
-        traces=(c1.trace, c2.trace),
+        traces=(e1.trace, e2.trace),
         system=system,
         ests=(e1, e2),
         srcs=(src1, src2),
@@ -482,6 +481,21 @@ def test_estimate_rejects_mismatched_samples():
         )
 
 
+@pytest.mark.parametrize("r12", [0, 3])
+def test_estimate_rejects_invalid_provided_permutation(r12):
+    from cdpa import InputError
+
+    y1, y2, _ = generate_setup(
+        SimulationConfig(setup=1, theta_deg=30.0, p1=60, n=150, seed=64)
+    )
+    for perm in (np.arange(7), [0.5] * 60):
+        with pytest.raises(InputError):
+            estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 5, r12), perm=perm))
+    # a valid plan is accepted; a zero shared rank still aligns by the identity
+    fit = estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 5, r12), perm=np.arange(60)[::-1]))
+    assert fit.permutation.method == ("identity" if r12 == 0 else "provided")
+
+
 def test_estimate_auto_ranks_takes_one_svd_per_dataset(monkeypatch):
     y1, y2, _ = generate_setup(
         SimulationConfig(setup=2, theta_deg=30.0, p1=300, n=300, seed=61)
@@ -510,7 +524,7 @@ def _orientation_arrays(system, sources, channels, pair):
         system.z2,
         system.correlations,
         *(a for src in sources for a in (src.c, src.d)),
-        *(ch.b for ch in channels),
+        *channels,
         pair.q1,
         pair.q2a,
         pair.cosines,
@@ -536,15 +550,14 @@ def test_sign_auto_matches_two_dense_assemblies(setup):
             # the reference: both orientations of dataset 2 assembled in full,
             # each from its own canonical system
             ranks, x1, x2, _ = select_ranks(center_rows(y1), center_rows(y2s))
-            cov1, cov2 = signal_covariance(x1, 300), signal_covariance(x2, 300)
-            traces = (cov1.trace, cov2.trace)
+            traces = (x1.trace, x2.trace)
             plan = _identity_plan(max(y1.p, y2.p))
             refs = []
             for x2o in (x2, replace(x2, xhat=-x2.xhat, left_vectors=-x2.left_vectors)):
-                system = canonical_system(cov1, cov2, x1, x2o, ranks.r12)
+                system = canonical_system(x1, x2o, ranks.r12)
                 refs.append((system, *assemble_patterns(x1, x2o, system, traces, plan)))
             runs = [ref[1] for ref in refs]
-            want = choose_sign(*runs)
+            want = choose_sign(*(run.explained for run in runs))
             assert result.sign == want.sign
             system, chosen, sources, channels, pair = refs[0 if want.sign == 1 else 1]
             for got, ref in zip(_pattern_arrays(result.patterns), _pattern_arrays(chosen)):
@@ -615,7 +628,7 @@ def test_zero_shared_rank_is_the_zero_width_case(case):
         xhat = denoise_at_rank(center_rows(y), r).xhat
         assert not np.any(result.sources[k].c)
         assert _same_bits(result.sources[k].d, xhat)
-        assert result.channels[k].b.shape == (y.p, 0)
+        assert result.channels[k].shape == (y.p, 0)
         assert not np.any(p.h[k])
         assert _same_bits(p.delta[k], p.aligned_x[k])
     assert p.c_factors[0].shape == (90, 0) and p.c_factors[1].shape == (0, 300)
@@ -629,11 +642,11 @@ def test_tied_canonical_block_rotation_invariance():
     rng = np.random.default_rng(19)
     rho = np.array([0.9, 0.9, 0.4])  # tied leading pair
     x1, x2, _ = exact_signal_pair(rng, 24, 28, [9.0, 4.0, 1.0], rho, 64)
-    e1, e2, c1, c2 = estimates_from(x1, x2, 3, 3)
-    system = canonical_system(c1, c2, e1, e2, 3)
+    e1, e2 = estimates_from(x1, x2, 3, 3)
+    system = canonical_system(e1, e2, 3)
     np.testing.assert_allclose(system.correlations[:2], [0.9, 0.9], atol=1e-9)
     plan = _identity_plan(28)
-    traces = (c1.trace, c2.trace)
+    traces = (e1.trace, e2.trace)
     base = assemble_patterns(e1, e2, system, traces, plan)[0]
     rotated_system = rotate_system(system, 0, 2, rng)
     got = assemble_patterns(e1, e2, rotated_system, traces, plan)[0]

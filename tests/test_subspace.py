@@ -3,7 +3,6 @@ import pytest
 
 from cdpa import (
     ChannelRankDeficient,
-    MixingChannel,
     channel_common_basis,
     orthonormal_basis,
     principal_angles,
@@ -33,7 +32,7 @@ def test_basis_of_orthonormal_input_spans_same_space():
     # singular values are all tied here, so only the span is pinned down
     rng = np.random.default_rng(0)
     q = random_orthonormal(rng, 20, 4)
-    got = orthonormal_basis(MixingChannel(b=q, dataset_index=1))
+    got = orthonormal_basis(q)
     np.testing.assert_allclose(got.T @ got, np.eye(4), atol=1e-10)
     np.testing.assert_allclose(got @ got.T, q @ q.T, atol=1e-10)
 
@@ -42,14 +41,14 @@ def test_basis_is_scale_invariant():
     rng = np.random.default_rng(1)
     q = random_orthonormal(rng, 15, 2)
     b = q @ np.diag([5.0, 3.0])
-    got = orthonormal_basis(MixingChannel(b=b, dataset_index=1))
+    got = orthonormal_basis(b)
     np.testing.assert_allclose(got @ got.T, q @ q.T, atol=1e-10)
 
 
 def test_basis_projector_properties():
     rng = np.random.default_rng(2)
     b = rng.standard_normal((50, 3))
-    q = orthonormal_basis(MixingChannel(b=b, dataset_index=2))
+    q = orthonormal_basis(b)
     proj = q @ q.T
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
     np.testing.assert_allclose(np.trace(proj), 3.0, atol=1e-10)
@@ -60,7 +59,7 @@ def test_basis_rank_deficient_channel():
     q = random_orthonormal(rng, 12, 2)
     b = np.hstack([q[:, :1], q[:, :1] * (1 + 1e-14), q[:, 1:]])
     with pytest.raises(ChannelRankDeficient):
-        orthonormal_basis(MixingChannel(b=b, dataset_index=1))
+        orthonormal_basis(b)
 
 
 # ----------------------------------------------------------- principal_angles
