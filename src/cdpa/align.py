@@ -62,12 +62,12 @@ class PermutationPlan:
         return json.dumps([int(i) for i in self.perm])
 
     @staticmethod
-    def from_json(text: str, method: str = "provided") -> "PermutationPlan":
+    def from_json(text: str) -> "PermutationPlan":
         try:
             idx = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"permutation file is not valid JSON: {exc}") from None
-        return PermutationPlan(perm=idx, objective=float("nan"), method=method)
+        return PermutationPlan(perm=idx, objective=float("nan"), method="provided")
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,10 @@ def _swap_deltas(m1: np.ndarray, p2g: np.ndarray) -> np.ndarray:
     return 2.0 * (base - corr - corr.T) + diag_term
 
 
-def _two_opt(m1, m2, perm, max_swaps=None):
-    p = perm.shape[0]
+def _two_opt(m1, m2, perm):
+    """Best-improvement pairwise swaps, at most ``4 p`` of them."""
     perm = perm.copy()
-    if max_swaps is None:
-        max_swaps = 4 * p
-    for _ in range(max_swaps):
+    for _ in range(4 * perm.shape[0]):
         deltas = _swap_deltas(m1, m2[np.ix_(perm, perm)])
         np.fill_diagonal(deltas, -np.inf)
         i, j = np.unravel_index(np.argmax(deltas), deltas.shape)

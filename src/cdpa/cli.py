@@ -28,7 +28,7 @@ from .align import PermutationPlan, build_match_problem, dspfp_match, exhaustive
 from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
 from .errors import BadConfig, InputError, NumericalError
 from .matrixio import read_matrix, write_matrix_binary
-from .patterns import CdpaConfig, bootstrap_ci, estimate_cdpa
+from .patterns import CdpaConfig, bootstrap_ci, check_bootstrap, estimate_cdpa
 from .simulate import SimulationConfig, oracle_explained_variance, run_replications
 from .subspace import orthonormal_basis
 from ._linalg import pad_rows
@@ -47,12 +47,20 @@ def _load(path: str, center: bool) -> ObservedMatrix:
     return center_rows(m) if center else m
 
 
+def _threads(text: str, source: str = "--threads") -> int:
+    """A worker count of at least 1."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise BadConfig(f"{source} must be an integer, got {text!r}") from None
+    if threads < 1:
+        raise BadConfig(f"{source} must be at least 1, got {threads}")
+    return threads
+
+
 def _default_threads() -> int:
     env = os.environ.get("CDPA_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        raise BadConfig(f"CDPA_THREADS must be an integer, got {env!r}") from None
+    return _threads(env, "CDPA_THREADS") if env else 1
 
 
 def _parse_ranks(text: str) -> RankProfile:
@@ -117,6 +125,8 @@ def cmd_decompose(args) -> int:
         sign=args.sign,
         center=False,  # centering already applied at load time
     )
+    if args.bootstrap:
+        check_bootstrap(args.bootstrap, args.level)
     _progress(f"decomposing {args.y1} and {args.y2}")
     result = estimate_cdpa(y1, y2, config)
     out = Path(args.out)
@@ -132,12 +142,10 @@ def cmd_decompose(args) -> int:
         ci = bootstrap_ci(
             y1,
             y2,
-            result.ranks,
-            result.permutation,
+            result,
             replicates=args.bootstrap,
             level=args.level,
             seed=args.seed,
-            sign=result.sign,
             threads=args.threads,
         )
         interval = {
@@ -218,11 +226,8 @@ def cmd_simulate(args) -> int:
         for noise in noises
     ]
     _progress(f"running {len(cells)} cells x {args.reps} replications")
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            studies = list(pool.map(run_replications, cells))
-    else:
-        studies = [run_replications(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        studies = list(pool.map(run_replications, cells))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,15 +316,17 @@ def cmd_match(args) -> int:
 def cmd_bootstrap(args) -> int:
     y1 = _load(args.y1, not args.no_center)
     y2 = _load(args.y2, not args.no_center)
-    ranks = _parse_ranks(args.ranks)
-    perm_arg = _perm_argument(args.perm)
-    config = CdpaConfig(ranks=ranks, perm=perm_arg, sign="plus", center=False)
-    result = estimate_cdpa(y1, y2, config)
+    config = CdpaConfig(
+        ranks=_parse_ranks(args.ranks),
+        perm=_perm_argument(args.perm),
+        sign="plus",
+        center=False,
+    )
+    check_bootstrap(args.replicates, args.level)
     ci = bootstrap_ci(
         y1,
         y2,
-        ranks,
-        result.permutation,
+        estimate_cdpa(y1, y2, config),
         replicates=args.replicates,
         level=args.level,
         seed=args.seed,
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--out", required=True)
     dec.add_argument("--no-center", action="store_true")
-    dec.add_argument("--threads", type=int, default=_default_threads())
+    dec.add_argument("--threads", type=_threads, default=_default_threads())
     dec.set_defaults(func=cmd_decompose)
 
     sim = sub.add_parser("simulate", help="replication studies over a grid")
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--structure-seed", type=int, default=0)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--threads", type=int, default=_default_threads())
+    sim.add_argument("--threads", type=_threads, default=_default_threads())
     sim.set_defaults(func=cmd_simulate)
 
     orc = sub.add_parser("oracle", help="population explained variance")
@@ -405,16 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     boot.add_argument("--level", type=float, default=0.95)
     boot.add_argument("--seed", type=int, default=0)
     boot.add_argument("--no-center", action="store_true")
-    boot.add_argument("--threads", type=int, default=_default_threads())
+    boot.add_argument("--threads", type=_threads, default=_default_threads())
     boot.set_defaults(func=cmd_bootstrap)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

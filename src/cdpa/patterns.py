@@ -299,35 +299,42 @@ def population_cdpa(
     )
 
 
-def bootstrap_ci(
-    y1: ObservedMatrix,
-    y2: ObservedMatrix,
-    ranks: RankProfile,
-    permutation: PermutationPlan,
-    replicates: int = 1000,
-    level: float = 0.95,
-    seed: int = 0,
-    sign: int = 1,
-    threads: int = 1,
-) -> BootstrapInterval:
-    """Percentile bootstrap interval for the explained variance.
-
-    Columns are resampled with replacement jointly across the two
-    datasets; ranks and the permutation stay fixed.  Replicate ``i`` uses
-    seed ``seed ^ i`` so results are independent of scheduling.
-    """
+def check_bootstrap(replicates: int, level: float, threads: int = 1) -> None:
+    """Reject bootstrap settings that ``bootstrap_ci`` cannot run."""
     if replicates < 100:
         raise BadConfig(f"need at least 100 replicates, got {replicates}")
     if not 0.0 < level < 1.0:
         raise BadConfig(f"level must be in (0, 1), got {level}")
+    if threads < 1:
+        raise BadConfig(f"threads must be at least 1, got {threads}")
+
+
+def bootstrap_ci(
+    y1: ObservedMatrix,
+    y2: ObservedMatrix,
+    fit: DecompositionResult,
+    replicates: int = 1000,
+    level: float = 0.95,
+    seed: int = 0,
+    threads: int = 1,
+) -> BootstrapInterval:
+    """Percentile bootstrap interval for the explained variance of ``fit``.
+
+    ``fit`` is the decomposition of ``y1`` and ``y2`` and gives the point
+    estimate.  Columns are resampled with replacement jointly across the
+    two datasets and refitted with the fit's configuration, its ranks,
+    alignment and sign held fixed, on ``threads`` workers.  Replicate
+    ``i`` uses seed ``seed ^ i`` so results are independent of
+    scheduling.
+    """
+    check_bootstrap(replicates, level, threads)
     n = y1.n
-    cfg = CdpaConfig(
-        ranks=ranks,
-        perm=permutation.perm,
-        sign="plus" if sign >= 0 else "minus",
-        center=False,
+    cfg = replace(
+        fit.config,
+        ranks=fit.ranks,
+        perm=fit.permutation.perm,
+        sign="plus" if fit.sign >= 0 else "minus",
     )
-    point = estimate_cdpa(y1, y2, cfg).patterns.explained
 
     def one(i: int) -> float:
         rng = np.random.default_rng(seed ^ i)
@@ -338,15 +345,12 @@ def bootstrap_ci(
         )
         return estimate_cdpa(pair[0], pair[1], cfg).patterns.explained
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, range(replicates)))
-    else:
-        values = [one(i) for i in range(replicates)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        values = list(pool.map(one, range(replicates)))
     tail = 100.0 * (1.0 - level) / 2.0
     lower, upper = np.percentile(values, [tail, 100.0 - tail])
     return BootstrapInterval(
-        point=point,
+        point=fit.patterns.explained,
         lower=float(lower),
         upper=float(upper),
         level=level,

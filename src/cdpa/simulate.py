@@ -10,7 +10,8 @@ variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
@@ -47,7 +48,6 @@ class SimulationConfig:
     p1: int
     n: int
     noise_var: float = 1.0
-    p2: int | None = None
     seed: int = 0
     replications: int = 1
     structure_seed: int = 0
@@ -61,15 +61,13 @@ class SimulationConfig:
             raise BadConfig("noise_var must be nonnegative")
         if self.replications < 1:
             raise BadConfig("replications must be >= 1")
-        expected_p2 = self.p1 if self.setup == 1 else 900
-        if self.p2 is None:
-            object.__setattr__(self, "p2", expected_p2)
-        elif self.p2 != expected_p2:
-            raise BadConfig(
-                f"setup {self.setup} forces p2 = {expected_p2}, got {self.p2}"
-            )
         if min(self.p1, self.p2) < SIGNAL_RANK:
             raise BadConfig("variable counts must be at least the signal rank")
+
+    @property
+    def p2(self) -> int:
+        """Dataset 2's variable count: ``p1`` in setup 1, 900 in setup 2."""
+        return self.p1 if self.setup == 1 else 900
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,6 @@ class GroundTruth:
 
     v1: np.ndarray
     v2: np.ndarray
-    eigvalues: np.ndarray
-    cross_cov: np.ndarray
     r12: int
     x1: np.ndarray
     x2: np.ndarray
@@ -93,8 +89,6 @@ class GroundTruth:
     c: np.ndarray
     c_factors: tuple[np.ndarray, np.ndarray]
     c_scaled: tuple[np.ndarray, np.ndarray]
-    h: tuple[np.ndarray, np.ndarray]
-    delta: tuple[np.ndarray, np.ndarray]
     population: PopulationPatterns
 
     @property
@@ -118,22 +112,9 @@ class ErrorReport:
     match_objective_rel_error: float | None = None
 
     def as_dict(self) -> dict[str, float]:
-        out = {}
-        for name in (
-            "scaled_sq_error_c_fro",
-            "scaled_sq_error_c_spec",
-            "scaled_sq_error_c1_fro",
-            "scaled_sq_error_c1_spec",
-            "scaled_sq_error_c2_fro",
-            "scaled_sq_error_c2_spec",
-            "trace_abs_error",
-            "trace_rel_error",
-        ):
-            out[name] = float(getattr(self, name))
-        if self.match_objective_abs_error is not None:
-            out["match_objective_abs_error"] = float(self.match_objective_abs_error)
-            out["match_objective_rel_error"] = float(self.match_objective_rel_error)
-        return out
+        """The errors in field order; the alignment errors only when set."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: float(v) for k, v in values.items() if v is not None}
 
 
 def planted_correlations(theta_deg: float) -> np.ndarray:
@@ -160,41 +141,38 @@ def planted_correlations(theta_deg: float) -> np.ndarray:
 class _Structure:
     """Planted factor matrices plus analytic population quantities.
 
-    ``b_c`` and the channel matrices are expressed in the planted
-    coordinates (no SVD tie-breaking involved), so per-replication truth
-    matrices can be paired consistently with the planted factor scores.
+    ``b_c`` is expressed in the planted coordinates (no SVD tie-breaking
+    involved), so the true common pattern pairs consistently with the
+    planted factor scores.
     """
 
     rho: np.ndarray
     r12: int
     v1: np.ndarray
     v2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
     b_c: np.ndarray
     population: PopulationPatterns
 
 
-def _build_structure(config: SimulationConfig) -> _Structure:
+@functools.lru_cache(maxsize=None)
+def _build_structure(
+    setup: int, theta_deg: float, p1: int, p2: int, structure_seed: int
+) -> _Structure:
     """Factor matrices with the planted channel-subspace alignment.
 
     The smaller dataset's leading block is drawn first; the larger
     dataset's is constructed so the product of the padded orthonormal
-    blocks equals the diagonal of planted correlations exactly.
+    blocks equals the diagonal of planted correlations exactly.  The
+    structure is shared by every replication of a cell, so it is built
+    once per argument tuple.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(
-            [
-                config.structure_seed,
-                config.setup,
-                config.p1,
-                int(round(1000 * config.theta_deg)),
-            ]
+            [structure_seed, setup, p1, int(round(1000 * theta_deg))]
         )
     )
-    rho = planted_correlations(config.theta_deg)
+    rho = planted_correlations(theta_deg)
     r12 = int(np.sum(rho > 0))
-    p1, p2 = config.p1, config.p2
     pmax, pmin = max(p1, p2), min(p1, p2)
     q_small = random_orthonormal(rng, pmin, r12)
     q_small_padded = pad_rows(q_small, pmax)
@@ -211,30 +189,16 @@ def _build_structure(config: SimulationConfig) -> _Structure:
     population = population_cdpa(
         v1, EIGENVALUES, v2, EIGENVALUES, np.diag(rho)
     )
-    # channel quantities in the planted coordinates: the padded leading
+    # the common loadings in the planted coordinates: the padded leading
     # blocks are principal-vector pairs with cosines rho, so no SVD (and
     # no tie-breaking ambiguity) is involved
     root = np.sqrt(EIGENVALUES[:r12])
-    b1 = v1[:, :r12] * root
-    b2 = v2[:, :r12] * root
     q1p = pad_rows(v1[:, :r12], pmax)
     q2p = pad_rows(v2[:, :r12], pmax)
     tan_half = np.sqrt((1.0 - rho[:r12]) / (1.0 + rho[:r12]))
     c_b = (1.0 - tan_half) * (q1p + q2p) / 2.0
     b_c = c_b * (root / np.sqrt(TOTAL_VARIANCE))
-    return _Structure(
-        rho=rho, r12=r12, v1=v1, v2=v2, b1=b1, b2=b2, b_c=b_c, population=population
-    )
-
-
-_STRUCTURE_CACHE: dict[tuple, _Structure] = {}
-
-
-def _structure_for(config: SimulationConfig) -> _Structure:
-    key = (config.setup, config.theta_deg, config.p1, config.p2, config.structure_seed)
-    if key not in _STRUCTURE_CACHE:
-        _STRUCTURE_CACHE[key] = _build_structure(config)
-    return _STRUCTURE_CACHE[key]
+    return _Structure(rho=rho, r12=r12, v1=v1, v2=v2, b_c=b_c, population=population)
 
 
 def generate_setup(
@@ -246,7 +210,9 @@ def generate_setup(
     sample second moments match the planted ones exactly; useful for
     tests of algebraic identities.
     """
-    structure = _structure_for(config)
+    structure = _build_structure(
+        config.setup, config.theta_deg, config.p1, config.p2, config.structure_seed
+    )
     rho, r12 = structure.rho, structure.r12
     n = config.n
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 97]))
@@ -270,19 +236,10 @@ def generate_setup(
     a = common_factor_coefficients(rho[:r12])
     c0_true = a[:, None] * (z1[:r12] + z2[:r12])
     c_true = structure.b_c @ c0_true
-    scale = np.sqrt(TOTAL_VARIANCE)
-    c_scaled = (scale * c_true, scale * c_true)
-    pmax = max(config.p1, config.p2)
-    x1_pad, x2_pad = pad_rows(x1, pmax), pad_rows(x2, pmax)
-    b1_pad, b2_pad = pad_rows(structure.b1, pmax), pad_rows(structure.b2, pmax)
-    c_source = (b1_pad @ c0_true, b2_pad @ c0_true)
-    h = tuple(c_source[k] - c_scaled[k] for k in range(2))
-    delta = tuple(x_pad - cs for x_pad, cs in zip((x1_pad, x2_pad), c_scaled))
+    c_scaled = np.sqrt(TOTAL_VARIANCE) * c_true
     truth = GroundTruth(
         v1=structure.v1,
         v2=structure.v2,
-        eigvalues=EIGENVALUES,
-        cross_cov=np.diag(rho),
         r12=r12,
         x1=x1,
         x2=x2,
@@ -290,9 +247,7 @@ def generate_setup(
         z2=z2,
         c=c_true,
         c_factors=(structure.b_c, c0_true),
-        c_scaled=c_scaled,
-        h=h,
-        delta=delta,
+        c_scaled=(c_scaled, c_scaled),
         population=structure.population,
     )
     return (
@@ -321,34 +276,17 @@ def closed_form_explained_variance(theta_deg: float) -> float:
     return float(np.sum(contrib))
 
 
-def oracle_explained_variance(theta_deg: float, p: int = 40) -> float:
+def oracle_explained_variance(theta_deg: float) -> float:
     """Population explained variance, validated by two independent routes.
 
-    The matrix-level analytic pipeline on a randomly generated planted
-    structure must agree with the closed-form sum to 1e-10; the common
-    value is returned.  The result does not depend on ``p``.
+    The matrix-level analytic pipeline on the planted structure of the
+    simulation studies (setup 1, p1 = 40, structure seed 0) must agree
+    with the closed-form sum to 1e-10; the common value is returned.
     """
     if not 0.0 <= theta_deg <= 90.0:
         raise BadConfig(f"theta_deg must be in [0, 90], got {theta_deg}")
     closed = closed_form_explained_variance(theta_deg)
-    config = SimulationConfig(
-        setup=1, theta_deg=min(theta_deg, 75.0), p1=p, n=2 * SIGNAL_RANK
-    )
-    if theta_deg > 75.0:
-        # outside the standard sweep: rebuild the structure directly
-        rng = np.random.default_rng(3)
-        rho = planted_correlations(theta_deg)
-        r12 = int(np.sum(rho > 0))
-        q1 = random_orthonormal(rng, p, r12)
-        w = orthonormal_complement(rng, q1, r12)
-        q2 = q1 * rho[:r12] + w * np.sqrt(1.0 - rho[:r12] ** 2)
-        v1 = np.hstack([q1, orthonormal_complement(rng, q1, SIGNAL_RANK - r12)])
-        v2 = np.hstack([q2, orthonormal_complement(rng, q2, SIGNAL_RANK - r12)])
-        matrix_value = population_cdpa(
-            v1, EIGENVALUES, v2, EIGENVALUES, np.diag(rho)
-        ).explained
-    else:
-        matrix_value = _structure_for(config).population.explained
+    matrix_value = _build_structure(1, theta_deg, 40, 40, 0).population.explained
     if abs(matrix_value - closed) > 1e-10:
         raise AssertionError(
             f"oracle routes disagree at theta={theta_deg}: "
@@ -390,7 +328,7 @@ def error_metrics(
     """
     pmax = estimate.c.shape[0]
     c_true = pad_rows(truth.c, pmax)
-    root = np.sqrt(truth.eigvalues)[:, None]
+    root = np.sqrt(EIGENVALUES)[:, None]
     x_sq_spec = [
         _spectral_norm(v, root * z) ** 2
         for v, z in ((truth.v1, truth.z1), (truth.v2, truth.z2))
@@ -452,13 +390,12 @@ def run_replications(config: SimulationConfig) -> ReplicationStudy:
     planted structure stays fixed.  Each fit uses the true ranks.
     Aggregates are deterministic given the master seed.
     """
-    structure = _structure_for(config)
-    ranks = RankProfile(r1=SIGNAL_RANK, r2=SIGNAL_RANK, r12=structure.r12)
     rows = []
     for i in range(config.replications):
         y1, y2, truth = generate_setup(
             replace(config, seed=config.seed ^ i, replications=1)
         )
+        ranks = RankProfile(r1=SIGNAL_RANK, r2=SIGNAL_RANK, r12=truth.r12)
         fit = estimate_cdpa(
             y1,
             y2,
@@ -483,5 +420,5 @@ def run_replications(config: SimulationConfig) -> ReplicationStudy:
         rows=tuple(rows),
         means=means,
         sds=sds,
-        oracle=structure.population.explained,
+        oracle=truth.explained,
     )

@@ -330,13 +330,48 @@ def test_bootstrap_command(bench_files, capsys):
     assert payload["replicates"] == 100
 
 
+@pytest.mark.parametrize("bad", [["--bootstrap", "50"], ["--bootstrap", "100", "--level", "1.5"]])
+def test_decompose_bad_bootstrap_writes_nothing(bench_files, tmp_path, capsys, bad):
+    p1, p2, _ = bench_files
+    out = tmp_path / "out"
+    code, _, err = _run(
+        capsys, ["decompose", p1, p2, "--ranks", "5,5,5", "--out", str(out), *bad]
+    )
+    assert code == 2
+    assert "error:" in err
+    assert not out.exists()  # no .cdpm file and no manifest
+
+
 # ------------------------------------------------------------------ misc
 
 
-def test_threads_env_default(monkeypatch):
+def test_threads_env_default(monkeypatch, capsys):
+    from cdpa import BadConfig
     from cdpa.cli import _default_threads
 
     monkeypatch.setenv("CDPA_THREADS", "3")
     assert _default_threads() == 3
+    for bad in ("0", "-4", "two"):
+        monkeypatch.setenv("CDPA_THREADS", bad)
+        with pytest.raises(BadConfig):
+            _default_threads()
+        code, _, err = _run(capsys, ["oracle", "--theta", "15"])
+        assert code == 2 and "CDPA_THREADS" in err
     monkeypatch.delenv("CDPA_THREADS")
     assert _default_threads() == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_rejected(bench_files, tmp_path, capsys, threads):
+    p1, p2, _ = bench_files
+    runs = [
+        ["simulate", "--setup", "1", "--theta", "15", "--p1", "30", "--n", "60",
+         "--reps", "1", "--out", str(tmp_path / "sim")],
+        ["bootstrap", p1, p2, "--ranks", "5,5,5", "--replicates", "100"],
+        ["decompose", p1, p2, "--ranks", "5,5,5", "--out", str(tmp_path / "dec")],
+    ]
+    for argv in runs:
+        code, out, err = _run(capsys, argv + ["--threads", threads])
+        assert code == 2 and "--threads must be at least 1" in err
+        assert out == ""
+    assert not (tmp_path / "sim").exists() and not (tmp_path / "dec").exists()

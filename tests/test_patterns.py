@@ -322,16 +322,19 @@ def test_explained_variance_orthogonal_rows():
 # --------------------------------------------------------------- bootstrap_ci
 
 
+def _fixed_fit(y1, y2, ranks):
+    config = CdpaConfig(ranks=ranks, perm="identity", sign="plus", center=False)
+    return estimate_cdpa(y1, y2, config)
+
+
 def test_bootstrap_degenerate_columns_zero_width():
     rng = np.random.default_rng(10)
     u = rng.standard_normal((8, 1))
     w = rng.standard_normal((8, 1))
     y1 = ObservedMatrix(np.tile(u, (1, 30)))
     y2 = ObservedMatrix(np.tile(0.5 * u + w, (1, 30)))
-    ranks = RankProfile(1, 1, 1)
-    ci = bootstrap_ci(
-        y1, y2, ranks, _identity_plan(8), replicates=100, level=0.9, seed=1
-    )
+    fit = _fixed_fit(y1, y2, RankProfile(1, 1, 1))
+    ci = bootstrap_ci(y1, y2, fit, replicates=100, level=0.9, seed=1)
     assert ci.lower == pytest.approx(ci.upper, abs=1e-12)
     assert ci.point == pytest.approx(ci.lower, abs=1e-12)
 
@@ -345,14 +348,8 @@ def test_bootstrap_width_shrinks_with_sample_size():
                 setup=1, theta_deg=15.0, p1=40, n=n, noise_var=0.5, seed=500 + rep
             )
             y1, y2, truth = generate_setup(cfg)
-            ci = bootstrap_ci(
-                y1,
-                y2,
-                RankProfile(5, 5, truth.r12),
-                _identity_plan(40),
-                replicates=120,
-                seed=rep,
-            )
+            fit = _fixed_fit(y1, y2, RankProfile(5, 5, truth.r12))
+            ci = bootstrap_ci(y1, y2, fit, replicates=120, seed=rep)
             per.append(ci.upper - ci.lower)
         widths[n] = np.mean(per)
     assert widths[200] < widths[100]
@@ -361,12 +358,13 @@ def test_bootstrap_width_shrinks_with_sample_size():
 def test_bootstrap_guards():
     rng = np.random.default_rng(11)
     y = ObservedMatrix(rng.standard_normal((10, 40)))
+    fit = _fixed_fit(y, y, RankProfile(2, 2, 1))
     with pytest.raises(BadConfig):
-        bootstrap_ci(y, y, RankProfile(2, 2, 1), _identity_plan(10), replicates=50)
+        bootstrap_ci(y, y, fit, replicates=50)
     with pytest.raises(BadConfig):
-        bootstrap_ci(
-            y, y, RankProfile(2, 2, 1), _identity_plan(10), replicates=100, level=1.5
-        )
+        bootstrap_ci(y, y, fit, replicates=100, level=1.5)
+    with pytest.raises(BadConfig):
+        bootstrap_ci(y, y, fit, replicates=100, threads=0)
 
 
 @pytest.mark.slow
@@ -379,15 +377,8 @@ def test_bootstrap_coverage_of_population_value():
             setup=1, theta_deg=15.0, p1=60, n=300, noise_var=0.25, seed=40_000 + rep
         )
         y1, y2, truth = generate_setup(cfg)
-        ci = bootstrap_ci(
-            y1,
-            y2,
-            RankProfile(5, 5, truth.r12),
-            _identity_plan(60),
-            replicates=120,
-            level=0.95,
-            seed=rep,
-        )
+        fit = _fixed_fit(y1, y2, RankProfile(5, 5, truth.r12))
+        ci = bootstrap_ci(y1, y2, fit, replicates=120, level=0.95, seed=rep)
         covered += ci.lower <= target <= ci.upper
     assert covered >= 85
 

@@ -29,15 +29,11 @@ from helpers import rel_err
 def test_setup1_forces_equal_dimensions():
     cfg = SimulationConfig(setup=1, theta_deg=15.0, p1=120, n=100)
     assert cfg.p2 == 120
-    with pytest.raises(BadConfig):
-        SimulationConfig(setup=1, theta_deg=15.0, p1=120, p2=100, n=100)
 
 
 def test_setup2_forces_p2_900():
     cfg = SimulationConfig(setup=2, theta_deg=15.0, p1=120, n=100)
     assert cfg.p2 == 900
-    with pytest.raises(BadConfig):
-        SimulationConfig(setup=2, theta_deg=15.0, p1=120, p2=500, n=100)
 
 
 def test_bad_angle_rejected():
@@ -92,15 +88,6 @@ def test_generator_setup2_padded_geometry():
     np.testing.assert_allclose(q1.T @ q2, np.diag(rho[: truth.r12]), atol=1e-10)
 
 
-def test_generator_truth_matrices_are_additive():
-    cfg = SimulationConfig(setup=1, theta_deg=15.0, p1=40, n=70, noise_var=0.5, seed=7)
-    _, _, truth = generate_setup(cfg)
-    for k, x in enumerate((truth.x1, truth.x2)):
-        np.testing.assert_allclose(
-            truth.c_scaled[k] + truth.delta[k], x, atol=1e-10
-        )
-
-
 def test_generator_zero_angle_canonical_correlations():
     cfg = SimulationConfig(setup=1, theta_deg=0.0, p1=50, n=120, noise_var=0.0, seed=8)
     y1, y2, truth = generate_setup(cfg, exact_moments=True)
@@ -142,7 +129,7 @@ def test_oracle_reported_values():
 
 def test_oracle_two_routes_agree_on_degree_grid():
     # the matrix-level and closed-form routes are checked to 1e-10 inside
-    for theta in range(0, 76):
+    for theta in range(0, 91):
         oracle_explained_variance(float(theta))
 
 
@@ -153,21 +140,30 @@ def test_oracle_out_of_sweep_angle():
 # --------------------------------------------------------------- error_metrics
 
 
+def _estimate(truth, c, c_factors, c_scaled, explained):
+    """An estimate with the given common pattern.  ``error_metrics`` reads
+    no distinctive pattern, so ``h`` and ``delta`` are left at zero."""
+    zeros = np.zeros_like(c)
+    return PatternDecomposition(
+        c=c,
+        c_factors=c_factors,
+        scales=(np.sqrt(TOTAL_VARIANCE), np.sqrt(TOTAL_VARIANCE)),
+        c_scaled=c_scaled,
+        h=(zeros, zeros),
+        delta=(zeros, zeros),
+        aligned_x=(truth.x1, truth.x2),
+        explained=explained,
+    )
+
+
+def _perfect_estimate(truth):
+    return _estimate(truth, truth.c, truth.c_factors, truth.c_scaled, truth.explained)
+
+
 def test_error_metrics_zero_for_perfect_estimate():
     cfg = SimulationConfig(setup=1, theta_deg=30.0, p1=30, n=60, noise_var=0.5, seed=10)
     _, _, truth = generate_setup(cfg)
-    from cdpa import PatternDecomposition
-
-    fake = PatternDecomposition(
-        c=truth.c,
-        c_factors=truth.c_factors,
-        scales=(np.sqrt(TOTAL_VARIANCE), np.sqrt(TOTAL_VARIANCE)),
-        c_scaled=truth.c_scaled,
-        h=truth.h,
-        delta=truth.delta,
-        aligned_x=(truth.x1, truth.x2),
-        explained=truth.explained,
-    )
+    fake = _perfect_estimate(truth)
     report = error_metrics(fake, truth)
     assert report.scaled_sq_error_c_fro == 0.0
     assert report.trace_abs_error == 0.0
@@ -176,17 +172,12 @@ def test_error_metrics_zero_for_perfect_estimate():
 def test_error_metrics_zero_estimate_recovers_population_trace():
     cfg = SimulationConfig(setup=1, theta_deg=15.0, p1=40, n=100, noise_var=0.5, seed=11)
     _, _, truth = generate_setup(cfg, exact_moments=True)
-    from cdpa import PatternDecomposition
-
     zeros = np.zeros_like(truth.c)
-    fake = PatternDecomposition(
+    fake = _estimate(
+        truth,
         c=zeros,
         c_factors=(np.zeros((zeros.shape[0], 0)), np.zeros((0, zeros.shape[1]))),
-        scales=(np.sqrt(TOTAL_VARIANCE), np.sqrt(TOTAL_VARIANCE)),
         c_scaled=(zeros, zeros),
-        h=truth.h,
-        delta=truth.delta,
-        aligned_x=(truth.x1, truth.x2),
         explained=0.0,
     )
     report = error_metrics(fake, truth)
@@ -198,18 +189,7 @@ def test_error_metrics_zero_estimate_recovers_population_trace():
 def test_error_metrics_alignment_objective():
     cfg = SimulationConfig(setup=1, theta_deg=30.0, p1=12, n=60, noise_var=0.1, seed=12)
     _, _, truth = generate_setup(cfg)
-    from cdpa import PatternDecomposition
-
-    fake = PatternDecomposition(
-        c=truth.c,
-        c_factors=truth.c_factors,
-        scales=(np.sqrt(TOTAL_VARIANCE), np.sqrt(TOTAL_VARIANCE)),
-        c_scaled=truth.c_scaled,
-        h=truth.h,
-        delta=truth.delta,
-        aligned_x=(truth.x1, truth.x2),
-        explained=truth.explained,
-    )
+    fake = _perfect_estimate(truth)
     report = error_metrics(fake, truth, estimated_perm=np.arange(12))
     assert report.match_objective_abs_error == 0.0
     swapped = np.arange(12)
@@ -320,16 +300,7 @@ def test_error_metrics_spectral_zero_for_perfect_estimate():
     for setup in (1, 2):
         cfg = SimulationConfig(setup=setup, theta_deg=30.0, p1=40, n=60, seed=16)
         _, _, truth = generate_setup(cfg)
-        fake = PatternDecomposition(
-            c=truth.c,
-            c_factors=truth.c_factors,
-            scales=(np.sqrt(TOTAL_VARIANCE), np.sqrt(TOTAL_VARIANCE)),
-            c_scaled=truth.c_scaled,
-            h=truth.h,
-            delta=truth.delta,
-            aligned_x=(truth.x1, truth.x2),
-            explained=truth.explained,
-        )
+        fake = _perfect_estimate(truth)
         report = error_metrics(fake, truth)
         for name in ("c", "c1", "c2"):
             assert getattr(report, f"scaled_sq_error_{name}_spec") <= 1e-24
