@@ -126,7 +126,7 @@ def cmd_decompose(args) -> int:
         center=False,  # centering already applied at load time
     )
     if args.bootstrap:
-        check_bootstrap(args.bootstrap, args.level)
+        check_bootstrap(args.bootstrap, args.level, args.seed)
     _progress(f"decomposing {args.y1} and {args.y2}")
     result = estimate_cdpa(y1, y2, config)
     out = Path(args.out)
@@ -322,7 +322,7 @@ def cmd_bootstrap(args) -> int:
         sign="plus",
         center=False,
     )
-    check_bootstrap(args.replicates, args.level)
+    check_bootstrap(args.replicates, args.level, args.seed)
     ci = bootstrap_ci(
         y1,
         y2,

@@ -299,8 +299,10 @@ def population_cdpa(
     )
 
 
-def check_bootstrap(replicates: int, level: float, threads: int = 1) -> None:
+def check_bootstrap(replicates: int, level: float, seed: int = 0, threads: int = 1) -> None:
     """Reject bootstrap settings that ``bootstrap_ci`` cannot run."""
+    if seed < 0:
+        raise BadConfig(f"seed must be nonnegative, got {seed}")
     if replicates < 100:
         raise BadConfig(f"need at least 100 replicates, got {replicates}")
     if not 0.0 < level < 1.0:
@@ -324,10 +326,11 @@ def bootstrap_ci(
     estimate.  Columns are resampled with replacement jointly across the
     two datasets and refitted with the fit's configuration, its ranks,
     alignment and sign held fixed, on ``threads`` workers.  Replicate
-    ``i`` uses seed ``seed ^ i`` so results are independent of
-    scheduling.
+    ``i`` draws from the ``i``-th child of ``SeedSequence(seed).spawn``,
+    so results are independent of scheduling and different master seeds
+    give independent streams.
     """
-    check_bootstrap(replicates, level, threads)
+    check_bootstrap(replicates, level, seed, threads)
     n = y1.n
     cfg = replace(
         fit.config,
@@ -336,8 +339,8 @@ def bootstrap_ci(
         sign="plus" if fit.sign >= 0 else "minus",
     )
 
-    def one(i: int) -> float:
-        rng = np.random.default_rng(seed ^ i)
+    def one(child: np.random.SeedSequence) -> float:
+        rng = np.random.default_rng(child)
         idx = rng.integers(0, n, size=n)
         pair = (
             ObservedMatrix(y1.values[:, idx]),
@@ -346,7 +349,7 @@ def bootstrap_ci(
         return estimate_cdpa(pair[0], pair[1], cfg).patterns.explained
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        values = list(pool.map(one, range(replicates)))
+        values = list(pool.map(one, np.random.SeedSequence(seed).spawn(replicates)))
     tail = 100.0 * (1.0 - level) / 2.0
     lower, upper = np.percentile(values, [tail, 100.0 - tail])
     return BootstrapInterval(

@@ -61,6 +61,8 @@ class SimulationConfig:
             raise BadConfig("noise_var must be nonnegative")
         if self.replications < 1:
             raise BadConfig("replications must be >= 1")
+        if min(self.seed, self.structure_seed) < 0:
+            raise BadConfig("seeds must be nonnegative")
         if min(self.p1, self.p2) < SIGNAL_RANK:
             raise BadConfig("variable counts must be at least the signal rank")
 
@@ -386,15 +388,17 @@ class ReplicationStudy:
 def run_replications(config: SimulationConfig) -> ReplicationStudy:
     """Estimate on ``config.replications`` independent replications.
 
-    Replication ``i`` draws data with seed ``config.seed ^ i``; the
-    planted structure stays fixed.  Each fit uses the true ranks.
-    Aggregates are deterministic given the master seed.
+    Replication ``i`` draws data with a 64-bit seed taken from the
+    ``i``-th child of ``SeedSequence(config.seed).spawn(replications)``,
+    so different master seeds give independent streams; the planted
+    structure stays fixed.  Each fit uses the true ranks.  Aggregates are
+    deterministic given the master seed.
     """
     rows = []
-    for i in range(config.replications):
-        y1, y2, truth = generate_setup(
-            replace(config, seed=config.seed ^ i, replications=1)
-        )
+    children = np.random.SeedSequence(config.seed).spawn(config.replications)
+    for i, child in enumerate(children):
+        seed = int(child.generate_state(1, np.uint64)[0])
+        y1, y2, truth = generate_setup(replace(config, seed=seed, replications=1))
         ranks = RankProfile(r1=SIGNAL_RANK, r2=SIGNAL_RANK, r12=truth.r12)
         fit = estimate_cdpa(
             y1,

@@ -365,6 +365,8 @@ def test_bootstrap_guards():
         bootstrap_ci(y, y, fit, replicates=100, level=1.5)
     with pytest.raises(BadConfig):
         bootstrap_ci(y, y, fit, replicates=100, threads=0)
+    with pytest.raises(BadConfig):
+        bootstrap_ci(y, y, fit, replicates=100, seed=-1)
 
 
 @pytest.mark.slow

@@ -41,6 +41,12 @@ def test_bad_angle_rejected():
         SimulationConfig(setup=1, theta_deg=80.0, p1=50, n=100)
 
 
+def test_negative_seeds_rejected():
+    for seeds in ({"seed": -1}, {"structure_seed": -1}):
+        with pytest.raises(BadConfig):
+            SimulationConfig(setup=1, theta_deg=15.0, p1=50, n=100, **seeds)
+
+
 # ------------------------------------------------------- planted correlations
 
 
@@ -218,6 +224,16 @@ def test_replications_deterministic_given_seed():
     assert a.means == b.means
     assert a.sds == b.sds
     assert a.rows == b.rows
+
+
+def test_master_seeds_give_distinct_studies():
+    means = set()
+    for seed in range(8):
+        cfg = SimulationConfig(
+            setup=1, theta_deg=15.0, p1=30, n=60, noise_var=0.5, seed=seed, replications=8
+        )
+        means.add(tuple(run_replications(cfg).means.items()))
+    assert len(means) == 8
 
 
 def test_error_grows_with_noise_in_the_mean():
