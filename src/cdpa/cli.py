@@ -322,7 +322,6 @@ def cmd_bootstrap(args) -> int:
         sign="plus",
         center=False,
     )
-    check_bootstrap(args.replicates, args.level, args.seed)
     ci = bootstrap_ci(
         y1,
         y2,
