@@ -58,15 +58,11 @@ from .patterns import (
     BootstrapInterval,
     CdpaConfig,
     DecompositionResult,
-    DualWeight,
     PatternDecomposition,
     PopulationPatterns,
     assemble_patterns,
     bootstrap_ci,
-    common_pattern,
-    dual_weights,
     estimate_cdpa,
-    explained_variance,
     pattern_decomposition,
     population_cdpa,
 )
@@ -82,9 +78,8 @@ from .simulate import (
     run_replications,
 )
 from .subspace import (
-    ChannelPatternBasis,
     ChannelSubspacePair,
-    channel_common_basis,
+    common_loadings,
     orthonormal_basis,
     principal_angles,
 )

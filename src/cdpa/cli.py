@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -72,6 +73,17 @@ def _parse_ranks(text: str) -> RankProfile:
     except ValueError:
         raise BadConfig(f"--ranks expects integers, got {text!r}") from None
     return RankProfile(r1=r1, r2=r2, r12=r12)
+
+
+def _plan_payload(plan: PermutationPlan) -> dict:
+    """The JSON form of a row alignment, shared by ``decompose`` and ``match``."""
+    return {
+        "method": plan.method,
+        "objective": plan.objective,
+        "indices": [int(i) for i in plan.perm],
+        "iterations": plan.iterations,
+        "converged": plan.converged,
+    }
 
 
 def _perm_argument(value: str):
@@ -148,13 +160,7 @@ def cmd_decompose(args) -> int:
             seed=args.seed,
             threads=args.threads,
         )
-        interval = {
-            "point": ci.point,
-            "lower": ci.lower,
-            "upper": ci.upper,
-            "level": ci.level,
-            "replicates": ci.replicates,
-        }
+        interval = dataclasses.asdict(ci)
     manifest = {
         "command": "decompose",
         "version": __version__,
@@ -171,13 +177,7 @@ def cmd_decompose(args) -> int:
         },
         "ranks": [result.ranks.r1, result.ranks.r2, result.ranks.r12],
         "r12_zero": result.patterns.r12_zero,
-        "permutation": {
-            "method": result.permutation.method,
-            "objective": result.permutation.objective,
-            "indices": [int(i) for i in result.permutation.perm],
-            "iterations": result.permutation.iterations,
-            "converged": result.permutation.converged,
-        },
+        "permutation": _plan_payload(result.permutation),
         "sign": result.sign,
         "explained_variance": result.patterns.explained,
         "confidence_interval": interval,
@@ -195,21 +195,22 @@ def cmd_decompose(args) -> int:
 # ------------------------------------------------------------- simulate
 
 
-def _float_list(text: str) -> list[float]:
+def _number_list(text: str, kind=float) -> list:
+    """A nonempty comma-separated list of ``kind`` (float or int) values."""
+    what = "integer" if kind is int else "number"
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        values = [kind(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise BadConfig(f"expected a comma-separated number list, got {text!r}") from None
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in _float_list(text)]
+        raise BadConfig(f"expected a comma-separated {what} list, got {text!r}") from None
+    if not values:
+        raise BadConfig(f"expected at least one {what}, got {text!r}")
+    return values
 
 
 def cmd_simulate(args) -> int:
-    thetas = _float_list(args.theta)
-    p1s = _int_list(args.p1)
-    noises = _float_list(args.noise)
+    thetas = _number_list(args.theta)
+    p1s = _number_list(args.p1, int)
+    noises = _number_list(args.noise)
     cells = [
         SimulationConfig(
             setup=args.setup,
@@ -268,7 +269,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    thetas = _float_list(args.theta)
+    thetas = _number_list(args.theta)
     values = {}
     for theta in thetas:
         if not 0.0 <= theta <= 75.0:
@@ -297,16 +298,7 @@ def cmd_match(args) -> int:
         plan = dspfp_match(build_match_problem(q1, q2a))
     if args.out:
         Path(args.out).write_text(plan.to_json() + "\n")
-    _emit(
-        {
-            "command": "match",
-            "method": plan.method,
-            "objective": plan.objective,
-            "indices": [int(i) for i in plan.perm],
-            "iterations": plan.iterations,
-            "converged": plan.converged,
-        }
-    )
+    _emit({"command": "match", **_plan_payload(plan)})
     return 0
 
 
@@ -331,16 +323,7 @@ def cmd_bootstrap(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    _emit(
-        {
-            "command": "bootstrap",
-            "point": ci.point,
-            "lower": ci.lower,
-            "upper": ci.upper,
-            "level": ci.level,
-            "replicates": ci.replicates,
-        }
-    )
+    _emit({"command": "bootstrap", **dataclasses.asdict(ci)})
     return 0
 
 

@@ -1,12 +1,13 @@
 """Assembly of the common-pattern and distinctive-pattern decomposition.
 
-The common pattern of two aligned signal estimates combines three shared
-ingredients: the common factor scores, the shared channel basis, and a
-scale-balanced consensus of the two dual-weight matrices.  Each dataset's
-total distinctive pattern is the residual after removing its rescaled
-common pattern.  Both a sample pipeline and an analytic population path
-are provided, plus a column-resampling bootstrap for the explained
-variance.
+The common pattern of two aligned signal estimates is the product of its
+loadings, the shared channel basis times a scale-balanced consensus of
+the two dual-weight matrices (``subspace.common_loadings``), and the
+common factor scores.  Each dataset's total distinctive pattern is the
+residual after removing its rescaled common pattern.  Both a sample
+pipeline and an analytic population path are provided, sharing one
+common-loadings step, plus a column-resampling bootstrap for the
+explained variance.
 """
 
 from __future__ import annotations
@@ -48,23 +49,11 @@ from .denoise import (
 )
 from .errors import BadConfig, InputError, RankDeficiency
 from .subspace import (
-    ChannelPatternBasis,
     ChannelSubspacePair,
-    channel_common_basis,
+    common_loadings,
     orthonormal_basis,
     principal_angles,
 )
-
-
-@dataclass(frozen=True)
-class DualWeight:
-    """Per-dataset dual-weight matrices and their scale-balanced consensus."""
-
-    s1: np.ndarray
-    s2: np.ndarray
-    s: np.ndarray
-    scale1: float
-    scale2: float
 
 
 @dataclass(frozen=True)
@@ -111,15 +100,13 @@ class BootstrapInterval:
 
 @dataclass(frozen=True)
 class PopulationPatterns:
-    """Analytic population quantities of the decomposition."""
+    """Analytic population quantities of the decomposition.
 
-    b1: np.ndarray
-    b2: np.ndarray
-    correlations: np.ndarray
+    ``b_c`` holds the pmax x r12 common loadings and ``contributions``
+    the per-pair shares of the explained variance.
+    """
+
     r12: int
-    cosines: np.ndarray
-    c_basis: np.ndarray
-    s: np.ndarray
     b_c: np.ndarray
     explained: float
     contributions: np.ndarray
@@ -156,44 +143,6 @@ class DecompositionResult:
     sign_choice: SignChoice | None
     diagnostics: Diagnostics
     config: CdpaConfig
-
-
-def dual_weights(
-    pair: ChannelSubspacePair,
-    b1: np.ndarray,
-    b2a_permuted: np.ndarray,
-    traces: tuple[float, float],
-) -> DualWeight:
-    """Dual-weight matrices of the two aligned channels and their consensus.
-
-    ``b1`` and ``b2a_permuted`` are the pmax x r12 channels, zero-padded,
-    with dataset 2's rows aligned.  Each is expressed in its own
-    principal-vector basis.  The consensus halves the sum of the
-    trace-scaled weights.
-    """
-    if traces[0] <= 0 or traces[1] <= 0:
-        raise InputError("covariance traces must be positive")
-    s1 = pair.v_b1.T @ b1
-    s2 = pair.v_b2.T @ b2a_permuted
-    scale1, scale2 = float(np.sqrt(traces[0])), float(np.sqrt(traces[1]))
-    s = 0.5 * (s1 / scale1 + s2 / scale2)
-    return DualWeight(s1=s1, s2=s2, s=s, scale1=scale1, scale2=scale2)
-
-
-def common_pattern(
-    basis: ChannelPatternBasis, weights: DualWeight, c0: np.ndarray
-) -> np.ndarray:
-    """Common-pattern matrix: shared basis times consensus weights times scores.
-
-    The product runs left to right, ``(c_b @ s) @ c0``, the same product
-    of the loadings and scores that ``assemble_patterns`` evaluates.
-    """
-    return basis.c_b @ weights.s @ c0
-
-
-def explained_variance(c: np.ndarray, n: int) -> float:
-    """Average variance captured by the common pattern, ``||c||_F^2 / n``."""
-    return float(np.sum(c**2) / n)
 
 
 def pattern_decomposition(
@@ -238,7 +187,7 @@ def pattern_decomposition(
         h=h,
         delta=delta,
         aligned_x=tuple(aligned_x),
-        explained=explained_variance(c, n),
+        explained=float(np.sum(c**2) / n),
     )
 
 
@@ -255,7 +204,8 @@ def population_cdpa(
     The model supplies the covariance factorizations ``V_k diag(lam_k)
     V_k.T`` and the cross-covariance of the standardized factor scores.
     All quantities are computed on covariance factors; no sampling is
-    involved.
+    involved.  The population channels ``B_k`` go through the fit's
+    bases and common-loadings step.
     """
     u1, svals, v2t = np.linalg.svd(z_cross, full_matrices=True)
     u1, v2t = fix_signs(u1, v2t)
@@ -268,31 +218,19 @@ def population_cdpa(
     b1 = (v1 * np.sqrt(lam1)) @ u1[:, :r12]
     b2 = (v2 * np.sqrt(lam2)) @ u2[:, :r12]
     pmax = max(b1.shape[0], b2.shape[0])
-    q1 = pad_rows(fix_signs(np.linalg.svd(b1, full_matrices=False)[0]), pmax)
-    q2 = pad_rows(fix_signs(np.linalg.svd(b2, full_matrices=False)[0]), pmax)
     perm = (
         identity_permutation(pmax)
         if permutation is None
         else as_permutation(permutation, pmax)
     )
-    pair = principal_angles(q1, q2, perm)
-    basis = channel_common_basis(pair)
-    trace1, trace2 = float(np.sum(lam1)), float(np.sum(lam2))
-    weights = dual_weights(
-        pair, pad_rows(b1, pmax), pad_rows(b2, pmax)[perm], (trace1, trace2)
-    )
-    b_c = basis.c_b @ weights.s
+    bases = tuple(pad_rows(orthonormal_basis(b), pmax) for b in (b1, b2))
+    traces = (float(np.sum(lam1)), float(np.sum(lam2)))
+    b_c = _signed_loadings((b1, b2), bases, traces, perm)[1][1]
     a = common_factor_coefficients(rho)
     var_c0 = a**2 * (2.0 + 2.0 * rho)  # factor scores are uncorrelated across pairs
     contributions = var_c0 * np.sum(b_c**2, axis=0)
     return PopulationPatterns(
-        b1=b1,
-        b2=b2,
-        correlations=rho,
         r12=r12,
-        cosines=pair.cosines,
-        c_basis=basis.c_b,
-        s=weights.s,
         b_c=b_c,
         explained=float(np.sum(contributions)),
         contributions=contributions,
@@ -375,21 +313,18 @@ def _channel_stage(x1: SignalEstimate, x2: SignalEstimate, system: CanonicalSyst
     return c0, channels, tuple(pad_rows(orthonormal_basis(ch), pmax) for ch in channels)
 
 
-def _signed_loadings(channels, bases, traces: tuple[float, float], perm: PermutationPlan):
+def _signed_loadings(channels, bases, traces: tuple[float, float], perm: np.ndarray):
     """Principal-angle pair and the common loadings of both orientations.
 
-    Negating dataset 2 negates only its dual weight ``s2``, so orientation
-    ``+1`` or ``-1`` has the loadings ``c_b @ s`` with the consensus
-    ``s = (s1 / scale1 +- s2 / scale2) / 2``.  Returns ``(pair,
+    ``perm`` is the row index array of dataset 2.  Negating dataset 2
+    negates only its dual weight, so the loadings of orientation ``+1``
+    and ``-1`` come from one ``common_loadings`` call.  Returns ``(pair,
     {1: loadings, -1: loadings})``.
     """
     pmax = bases[0].shape[0]
-    pair = principal_angles(*bases, perm.perm)
-    w = dual_weights(
-        pair, pad_rows(channels[0], pmax), pad_rows(channels[1], pmax)[perm.perm], traces
-    )
-    c_b = channel_common_basis(pair).c_b
-    return pair, {1: c_b @ w.s, -1: c_b @ (0.5 * (w.s1 / w.scale1 - w.s2 / w.scale2))}
+    pair = principal_angles(*bases, perm)
+    padded = (pad_rows(channels[0], pmax), pad_rows(channels[1], pmax)[perm])
+    return pair, dict(zip((1, -1), common_loadings(pair, *padded, traces)))
 
 
 def _dense_stage(x, channels, c0: np.ndarray, loadings, traces, perm):
@@ -414,7 +349,7 @@ def assemble_patterns(
     pattern well defined under non-unique choices.
     """
     c0, channels, bases = _channel_stage(x1, x2, system)
-    pair, loadings = _signed_loadings(channels, bases, traces, perm)
+    pair, loadings = _signed_loadings(channels, bases, traces, perm.perm)
     patterns, sources = _dense_stage((x1, x2), channels, c0, loadings[1], traces, perm)
     return patterns, sources, channels, pair
 
@@ -474,7 +409,7 @@ def estimate_cdpa(
         system = canonical_system(x1, x2, ranks.r12)
         c0, channels, bases = _channel_stage(x1, x2, system)
         perm = fixed or dspfp_match(build_match_problem(*bases))
-        pair, signed = _signed_loadings(channels, bases, traces, perm)
+        pair, signed = _signed_loadings(channels, bases, traces, perm.perm)
         if config.sign == "auto":
             sign_choice = choose_sign(*(_factor_explained(signed[k], c0) for k in (1, -1)))
             sign = sign_choice.sign

@@ -59,6 +59,8 @@ class SimulationConfig:
             raise BadConfig(f"theta_deg must be in [0, 75], got {self.theta_deg}")
         if self.noise_var < 0:
             raise BadConfig("noise_var must be nonnegative")
+        if self.n < 2:
+            raise BadConfig(f"n must be at least 2, got {self.n}")
         if self.replications < 1:
             raise BadConfig("replications must be >= 1")
         if min(self.seed, self.structure_seed) < 0:

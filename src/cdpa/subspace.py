@@ -2,8 +2,9 @@
 
 The closeness of the two mixing-channel subspaces is measured by the
 singular values of the product of their orthonormal bases.  Each pair of
-principal vectors is split into a shared direction and per-dataset
-remainders with the same shrinkage rule used for canonical variables.
+principal vectors gives a shared direction, with the same shrinkage rule
+used for canonical variables, and the shared directions weighted by the
+consensus of the two channels give the common loadings.
 """
 
 from __future__ import annotations
@@ -31,15 +32,6 @@ class ChannelSubspacePair:
     cosines: np.ndarray
     v_b1: np.ndarray
     v_b2: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChannelPatternBasis:
-    """Shared and per-dataset channel directions, columnwise additive."""
-
-    c_b: np.ndarray
-    d_b1: np.ndarray
-    d_b2: np.ndarray
 
 
 def orthonormal_basis(channel: np.ndarray) -> np.ndarray:
@@ -82,13 +74,28 @@ def principal_angles(
     )
 
 
-def channel_common_basis(pair: ChannelSubspacePair) -> ChannelPatternBasis:
-    """Split each principal-vector pair into shared and distinctive parts.
+def common_loadings(
+    pair: ChannelSubspacePair,
+    b1: np.ndarray,
+    b2_aligned: np.ndarray,
+    traces: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Common loadings ``c_b @ s`` of both orientations of dataset 2.
 
-    The shared direction is the shrunken average of the pair, with the
-    same coefficient rule as for canonical variables; it vanishes for
-    orthogonal pairs and coincides with both vectors for parallel ones.
+    ``b1`` and ``b2_aligned`` are the pmax x r12 channels, zero-padded,
+    with dataset 2's rows aligned.  Each is expressed in its own
+    principal-vector basis and divided by the square root of its
+    covariance trace, giving the dual weights ``w1`` and ``w2``; the
+    consensus is ``s = (w1 + w2) / 2``, or ``(w1 - w2) / 2`` with dataset
+    2 negated.  The shared direction ``c_b`` is the shrunken average of
+    each principal-vector pair, with the same coefficient rule as for
+    canonical variables; it vanishes for orthogonal pairs and coincides
+    with both vectors for parallel ones.  Returns ``(plus, minus)``.
     """
+    if traces[0] <= 0 or traces[1] <= 0:
+        raise InputError("covariance traces must be positive")
+    w1 = pair.v_b1.T @ b1 / float(np.sqrt(traces[0]))
+    w2 = pair.v_b2.T @ b2_aligned / float(np.sqrt(traces[1]))
     coeff = 2.0 * common_factor_coefficients(pair.cosines)  # 1 - tan(theta/2)
     c_b = coeff * (pair.v_b1 + pair.v_b2) / 2.0
-    return ChannelPatternBasis(c_b=c_b, d_b1=pair.v_b1 - c_b, d_b2=pair.v_b2 - c_b)
+    return c_b @ (0.5 * (w1 + w2)), c_b @ (0.5 * (w1 - w2))

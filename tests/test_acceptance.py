@@ -275,7 +275,7 @@ def test_criterion_5_structural_invariants():
             if np.any(cos_ties):
                 s = int(np.argmax(cos_ties))
                 t = s + 2
-                from cdpa import channel_common_basis, common_pattern, dual_weights
+                from cdpa import common_loadings
                 from cdpa._linalg import pad_rows
                 from cdpa.dcca import (
                     common_factor_coefficients,
@@ -290,17 +290,9 @@ def test_criterion_5_structural_invariants():
                 pmax = max(p1, p2)
                 chan1p = pad_rows(chan1, pmax)
                 chan2p = pad_rows(chan2, pmax)
-                base_c = common_pattern(
-                    channel_common_basis(pair),
-                    dual_weights(pair, chan1p, chan2p, traces),
-                    c0,
-                )
+                base_c = common_loadings(pair, chan1p, chan2p, traces)[0] @ c0
                 rpair = rotate_pair(pair, s, t, rng)
-                got_c = common_pattern(
-                    channel_common_basis(rpair),
-                    dual_weights(rpair, chan1p, chan2p, traces),
-                    c0,
-                )
+                got_c = common_loadings(rpair, chan1p, chan2p, traces)[0] @ c0
                 assert rel_err(got_c, base_c) <= 1e-8
 
         # scale invariance under positive per-dataset rescaling

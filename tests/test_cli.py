@@ -312,6 +312,33 @@ def test_simulate_deterministic(tmp_path, capsys):
     ).read_text()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--p1", "30.9"],
+        ["--p1", "nan"],
+        ["--p1", "inf"],
+        ["--theta", ""],
+        ["--noise", ","],
+        ["--n", "-1"],
+        ["--n", "1"],
+    ],
+)
+def test_simulate_bad_grid_writes_nothing(tmp_path, capsys, bad):
+    argv = ["simulate", "--setup", "1", "--theta", "15", "--p1", "30", "--n", "60",
+            "--reps", "1", "--out", str(tmp_path / "sim")]
+    code, out, err = _run(capsys, argv + bad)
+    assert code == 2 and "error:" in err
+    assert out == ""
+    assert not (tmp_path / "sim").exists()
+
+
+def test_oracle_empty_grid_rejected(capsys):
+    code, out, err = _run(capsys, ["oracle", "--theta", ""])
+    assert code == 2 and "error:" in err
+    assert out == ""
+
+
 # -------------------------------------------------------------- bootstrap
 
 

@@ -14,16 +14,13 @@ from cdpa import (
     bootstrap_ci,
     canonical_system,
     center_rows,
-    channel_common_basis,
     choose_sign,
     closed_form_explained_variance,
     common_factor_coefficients,
     common_factor_scores,
-    common_pattern,
+    common_loadings,
     denoise_at_rank,
-    dual_weights,
     estimate_cdpa,
-    explained_variance,
     generate_setup,
     mixing_channel,
     pattern_decomposition,
@@ -56,7 +53,7 @@ def _identity_plan(p):
     return PermutationPlan(perm=np.arange(p), objective=0.0, method="identity")
 
 
-# ------------------------------------------------------------- dual_weights
+# ---------------------------------------------------------- common_loadings
 
 
 def _pair_for(x1, x2, r, r12):
@@ -87,36 +84,45 @@ def _pair_for(x1, x2, r, r12):
     )
 
 
+def _loadings(ctx, pair=None):
+    """``(plus, minus)`` common loadings of the context's channels."""
+    pair = ctx["pair"] if pair is None else pair
+    return common_loadings(pair, ctx["chan1"], ctx["chan2"], ctx["traces"])
+
+
 def test_dual_weights_identical_channels():
+    # equal dual weights: the consensus is either weight and the minus
+    # orientation's consensus vanishes
     rng = np.random.default_rng(0)
     x, _, _ = exact_signal_pair(rng, 30, 30, LAM, np.full(5, 0.8), 80)
     ctx = _pair_for(x, x.copy(), 5, 5)
-    w = dual_weights(ctx["pair"], ctx["chan1"], ctx["chan2"], ctx["traces"])
-    np.testing.assert_allclose(w.s, w.s1 / w.scale1, atol=1e-10)
+    minus = _loadings(ctx)[1]
+    np.testing.assert_allclose(minus, 0 * minus, atol=1e-10)
 
 
 def test_dual_weights_scale_cancellation():
     rng = np.random.default_rng(1)
     rho = np.array([0.9, 0.6, 0.4])
     x1, x2, _ = exact_signal_pair(rng, 25, 32, [9.0, 4.0, 1.0], rho, 70)
-    base = _pair_for(x1, x2, 3, 3)
-    w0 = dual_weights(base["pair"], base["chan1"], base["chan2"], base["traces"])
-    scaled = _pair_for(3.7 * x1, 0.2 * x2, 3, 3)
-    w1 = dual_weights(
-        scaled["pair"], scaled["chan1"], scaled["chan2"], scaled["traces"]
-    )
-    np.testing.assert_allclose(w1.s, w0.s, atol=1e-8)
+    base = _loadings(_pair_for(x1, x2, 3, 3))
+    scaled = _loadings(_pair_for(3.7 * x1, 0.2 * x2, 3, 3))
+    for got, want in zip(scaled, base):
+        np.testing.assert_allclose(got, want, atol=1e-8)
 
 
-def test_dual_weights_planted_population_diagonal():
-    # the planted construction gives S = diag(sqrt(lam)) / sqrt(total), which
-    # the analytic path must reproduce (verified independently against the
-    # closed-form explained variance)
-    pop = population_cdpa(
-        *_planted_factors(theta=75.0, p=40),
-    )
-    want = np.diag(np.sqrt(EIGENVALUES[: pop.r12]) / np.sqrt(TOTAL_VARIANCE))
-    np.testing.assert_allclose(np.abs(pop.s), want, atol=1e-8)
+def test_population_loadings_match_planted():
+    # at 75 degrees the correlations are distinct, so the principal-vector
+    # pairs are the planted pairs up to sign and the loadings are
+    # (1 - tan(theta/2)) (q1 + q2) / 2 * sqrt(lam / total) per pair
+    v1, lam, v2, _, z_cross = _planted_factors(theta=75.0, p=40)
+    pop = population_cdpa(v1, lam, v2, lam, z_cross)
+    rho = planted_correlations(75.0)[: pop.r12]
+    tan_half = np.sqrt((1 - rho) / (1 + rho))
+    root = np.sqrt(EIGENVALUES[: pop.r12] / TOTAL_VARIANCE)
+    want = (1 - tan_half) * (v1[:, : pop.r12] + v2[:, : pop.r12]) / 2 * root
+    signs = np.sign(np.sum(pop.b_c * want, axis=0))
+    assert np.all(signs != 0)
+    np.testing.assert_allclose(pop.b_c * signs, want, atol=1e-8)
 
 
 def _planted_factors(theta, p, seed=5):
@@ -147,7 +153,7 @@ def test_population_rejects_non_integer_permutation():
         )
 
 
-# ----------------------------------------------------------- common_pattern
+# ---------------------------------------------------- common pattern (c_b s c0)
 
 
 def test_common_pattern_orthogonal_channels_is_zero():
@@ -158,9 +164,7 @@ def test_common_pattern_orthogonal_channels_is_zero():
         rng, 30, 30, [9.0, 4.0, 1.0], rho, 80, planted_channel_cos=np.zeros(3)
     )
     ctx = _pair_for(x1, x2, 3, 3)
-    basis = channel_common_basis(ctx["pair"])
-    w = dual_weights(ctx["pair"], ctx["chan1"], ctx["chan2"], ctx["traces"])
-    c = common_pattern(basis, w, ctx["c0"])
+    c = _loadings(ctx)[0] @ ctx["c0"]
     assert np.linalg.norm(c) <= 1e-8 * np.linalg.norm(x1)
 
 
@@ -168,9 +172,7 @@ def test_common_pattern_identical_datasets():
     rng = np.random.default_rng(4)
     x, _, _ = exact_signal_pair(rng, 30, 30, LAM, np.full(5, 0.6), 90)
     ctx = _pair_for(x, x.copy(), 5, 5)
-    basis = channel_common_basis(ctx["pair"])
-    w = dual_weights(ctx["pair"], ctx["chan1"], ctx["chan2"], ctx["traces"])
-    c = common_pattern(basis, w, ctx["c0"])
+    c = _loadings(ctx)[0] @ ctx["c0"]
     scale = np.sqrt(ctx["traces"][0])
     assert rel_err(c, ctx["ests"][0].xhat / scale) <= 1e-8
 
@@ -198,6 +200,7 @@ def test_patterns_keep_common_factors():
         assert loadings.shape == (max(y1.p, y2.p), r12)
         assert scores.shape == (r12, 60)
         assert np.array_equal(pat.c, loadings @ scores)
+        assert pat.explained == np.sum(pat.c**2) / 60
         for k in range(2):
             assert np.array_equal(pat.c_scaled[k], pat.scales[k] * pat.c)
     assert 0 in shared_ranks and len(shared_ranks) > 1
@@ -302,21 +305,6 @@ def test_population_per_component_closed_form():
     np.testing.assert_allclose(
         pop.explained, closed_form_explained_variance(75.0), atol=1e-12
     )
-
-
-# --------------------------------------------------------- explained_variance
-
-
-def test_explained_variance_zero():
-    assert explained_variance(np.zeros((5, 9)), 9) == 0.0
-
-
-def test_explained_variance_orthogonal_rows():
-    rng = np.random.default_rng(9)
-    n = 36
-    q = random_orthonormal(rng, n, 3) * np.sqrt(n)
-    c = q.T  # three orthogonal rows of squared norm n
-    np.testing.assert_allclose(explained_variance(c, n), 3.0, rtol=1e-12)
 
 
 # --------------------------------------------------------------- bootstrap_ci
@@ -651,15 +639,7 @@ def test_tied_principal_vector_rotation_invariance():
     rho = np.array([0.8, 0.8, 0.8])
     x1, x2, _ = exact_signal_pair(rng, 27, 27, [9.0, 4.0, 1.0], rho, 66)
     ctx = _pair_for(x1, x2, 3, 3)
-    base = common_pattern(
-        channel_common_basis(ctx["pair"]),
-        dual_weights(ctx["pair"], ctx["chan1"], ctx["chan2"], ctx["traces"]),
-        ctx["c0"],
-    )
+    base = _loadings(ctx)[0] @ ctx["c0"]
     rotated = rotate_pair(ctx["pair"], 0, 3, rng)
-    got = common_pattern(
-        channel_common_basis(rotated),
-        dual_weights(rotated, ctx["chan1"], ctx["chan2"], ctx["traces"]),
-        ctx["c0"],
-    )
+    got = _loadings(ctx, rotated)[0] @ ctx["c0"]
     assert rel_err(got, base) <= 1e-8

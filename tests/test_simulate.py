@@ -47,6 +47,12 @@ def test_negative_seeds_rejected():
             SimulationConfig(setup=1, theta_deg=15.0, p1=50, n=100, **seeds)
 
 
+def test_fewer_than_two_samples_rejected():
+    for n in (1, 0, -1):
+        with pytest.raises(BadConfig):
+            SimulationConfig(setup=1, theta_deg=30.0, p1=30, n=n)
+
+
 # ------------------------------------------------------- planted correlations
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from cdpa import (
     ChannelRankDeficient,
-    channel_common_basis,
+    common_loadings,
     orthonormal_basis,
     principal_angles,
 )
@@ -23,6 +23,12 @@ def _planted_bases(rng, p, angles_deg):
     sin = np.sin(np.deg2rad(angles_deg))
     q2 = q1 * cos + w * sin
     return q1, q2
+
+
+def _shared_directions(pair):
+    """``c_b`` from ``common_loadings``: with unit traces and each channel
+    equal to its principal vectors, both dual weights are the identity."""
+    return common_loadings(pair, pair.v_b1, pair.v_b2, (1.0, 1.0))[0]
 
 
 # ----------------------------------------------------------- orthonormal_basis
@@ -121,51 +127,47 @@ def test_basis_rotation_invariance():
     pair = principal_angles(q1, q2, np.arange(25))
     pair_rot = principal_angles(q1 @ rot, q2, np.arange(25))
     np.testing.assert_allclose(pair.cosines, pair_rot.cosines, atol=1e-10)
-    basis = channel_common_basis(pair)
-    basis_rot = channel_common_basis(pair_rot)
-    np.testing.assert_allclose(
-        basis.c_b @ basis.c_b.T, basis_rot.c_b @ basis_rot.c_b.T, atol=1e-8
-    )
+    c_b = _shared_directions(pair)
+    c_b_rot = _shared_directions(pair_rot)
+    np.testing.assert_allclose(c_b @ c_b.T, c_b_rot @ c_b_rot.T, atol=1e-8)
 
 
-# -------------------------------------------------------- channel_common_basis
+# ------------------------------------------------------------ common_loadings
 
 
 def test_common_basis_zero_angle():
     rng = np.random.default_rng(10)
     q1, q2 = _planted_bases(rng, 8, [0.0])
     pair = principal_angles(q1, q2, np.arange(8))
-    basis = channel_common_basis(pair)
-    np.testing.assert_allclose(basis.c_b, pair.v_b1, atol=1e-7)
-    np.testing.assert_allclose(basis.d_b1, 0 * basis.d_b1, atol=1e-7)
+    c_b = _shared_directions(pair)
+    np.testing.assert_allclose(c_b, pair.v_b1, atol=1e-7)
+    np.testing.assert_allclose(c_b, pair.v_b2, atol=1e-7)
 
 
 def test_common_basis_right_angle():
     rng = np.random.default_rng(11)
     q1, q2 = _planted_bases(rng, 8, [90.0])
     pair = principal_angles(q1, q2, np.arange(8))
-    basis = channel_common_basis(pair)
-    np.testing.assert_allclose(basis.c_b, np.zeros_like(basis.c_b), atol=1e-10)
+    c_b = _shared_directions(pair)
+    np.testing.assert_allclose(c_b, np.zeros_like(c_b), atol=1e-10)
 
 
 def test_common_basis_sixty_degree_norm():
     rng = np.random.default_rng(12)
     q1, q2 = _planted_bases(rng, 9, [60.0])
     pair = principal_angles(q1, q2, np.arange(9))
-    basis = channel_common_basis(pair)
+    c_b = _shared_directions(pair)
     want = (1 - np.tan(np.deg2rad(30.0))) * np.sqrt((1 + 0.5) / 2.0)
-    np.testing.assert_allclose(np.linalg.norm(basis.c_b), want, atol=1e-8)
-    np.testing.assert_allclose(np.linalg.norm(basis.c_b), 0.3660254, atol=1e-6)
+    np.testing.assert_allclose(np.linalg.norm(c_b), want, atol=1e-8)
+    np.testing.assert_allclose(np.linalg.norm(c_b), 0.3660254, atol=1e-6)
 
 
 def test_common_basis_additivity_and_column_geometry():
     rng = np.random.default_rng(13)
     q1, q2 = _planted_bases(rng, 30, [15.0, 40.0, 65.0, 88.0])
     pair = principal_angles(q1, q2, np.arange(30))
-    basis = channel_common_basis(pair)
-    np.testing.assert_allclose(basis.c_b + basis.d_b1, pair.v_b1, atol=1e-12)
-    np.testing.assert_allclose(basis.c_b + basis.d_b2, pair.v_b2, atol=1e-12)
-    gram = basis.c_b.T @ basis.c_b
+    c_b = _shared_directions(pair)
+    gram = c_b.T @ c_b
     np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-8)
     want_sq = (
         (1 - np.sqrt((1 - pair.cosines) / (1 + pair.cosines))) ** 2
@@ -174,7 +176,7 @@ def test_common_basis_additivity_and_column_geometry():
     )
     np.testing.assert_allclose(np.diag(gram), want_sq, atol=1e-8)
     # distinctive directions of the two datasets are orthogonal pairwise
-    dots = np.sum(basis.d_b1 * basis.d_b2, axis=0)
+    dots = np.sum((pair.v_b1 - c_b) * (pair.v_b2 - c_b), axis=0)
     np.testing.assert_allclose(dots, np.zeros(4), atol=1e-8)
 
 
@@ -183,9 +185,9 @@ def test_tied_cosine_block_rotation_preserves_projector():
     q1, q2 = _planted_bases(rng, 24, [45.0, 45.0, 45.0, 80.0])
     pair = principal_angles(q1, q2, np.arange(24))
     rotated = rotate_pair(pair, 0, 3, rng)
-    b0 = channel_common_basis(pair)
-    b1 = channel_common_basis(rotated)
-    np.testing.assert_allclose(b0.c_b @ b0.c_b.T, b1.c_b @ b1.c_b.T, atol=1e-8)
+    c0 = _shared_directions(pair)
+    c1 = _shared_directions(rotated)
+    np.testing.assert_allclose(c0 @ c0.T, c1 @ c1.T, atol=1e-8)
 
 
 def test_principal_angles_rejects_non_integer_permutation():
