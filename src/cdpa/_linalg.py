@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 def fix_signs(u: np.ndarray, vt: np.ndarray | None = None):
     """Resolve the sign ambiguity of singular/eigen vectors.
@@ -24,9 +26,25 @@ def fix_signs(u: np.ndarray, vt: np.ndarray | None = None):
     return u, vt
 
 
+def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
+    """``np.linalg.svd``, with a failure to converge raised as ``NumericalError``."""
+    try:
+        return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of a {a.shape} matrix failed: {exc}") from exc
+
+
+def eigh(a: np.ndarray):
+    """``np.linalg.eigh``, with a failure to converge raised as ``NumericalError``."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition of a {a.shape} matrix failed: {exc}") from exc
+
+
 def det_svd(a: np.ndarray, full_matrices: bool = False):
     """SVD with descending singular values and the package sign convention."""
-    u, s, vt = np.linalg.svd(a, full_matrices=full_matrices)
+    u, s, vt = svd(a, full_matrices=full_matrices)
     u, vt = fix_signs(u, vt)
     return u, s, vt
 

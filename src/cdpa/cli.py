@@ -22,8 +22,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .align import PermutationPlan, build_match_problem, dspfp_match, exhaustive_match
 from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

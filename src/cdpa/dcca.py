@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import clip_correlations, fix_signs
+from ._linalg import clip_correlations, fix_signs, svd
 from .denoise import SignalEstimate
 from .errors import InputError, RankDeficiency, ZeroSignal
 
@@ -90,7 +90,7 @@ def canonical_system(
         (v.T @ x.xhat) / np.sqrt(lam)[:, None] for (v, lam), x in zip(spectra, (x1, x2))
     )
     theta = z1s @ z2s.T / n
-    u1, svals, v2t = np.linalg.svd(theta, full_matrices=True)
+    u1, svals, v2t = svd(theta, full_matrices=True)
     u1, v2t = fix_signs(u1, v2t)
     return CanonicalSystem(
         z1=u1.T @ z1s, z2=v2t @ z2s, correlations=clip_correlations(svals[:r12])

@@ -5,24 +5,31 @@ signal is recovered by soft-thresholding the squared singular values with
 a noise-calibrated constant, the per-dataset signal ranks are selected
 from eigenvalue gaps, and the shared rank is selected by a penalized
 log-likelihood criterion over the affinity of the right singular
-subspaces.
+subspaces.  Each dataset is factored once, through the eigendecomposition
+of its short-side Gram matrix, with a thin SVD only for ranks that the
+Gram route cannot resolve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.stats import norm
 
-from ._linalg import det_svd
+from ._linalg import det_svd, eigh, fix_signs, svd
 from .errors import (
     DegenerateThreshold,
     InputError,
+    NumericalError,
     RankTooLarge,
     TooFewSamples,
 )
+
+# the Gram route resolves energies above _RESOLVE * m * eps * s_0**2
+_RESOLVE = 1e3
 
 
 @dataclass(frozen=True)
@@ -64,10 +71,63 @@ class ObservedMatrix:
         return self.values.shape[1]
 
     @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values and short-side singular vectors from one ``eigh``.
+
+        With ``a = values / 2**k`` (a power of two, so exact), ``eigh``
+        factors ``a.T @ a`` when p >= n, whose eigenvectors are the right
+        singular vectors, or ``a @ a.T`` when p < n, whose eigenvectors are
+        the left ones.  Returns ``(s, q)``: the min(n, p) singular values
+        ``sqrt(w) * 2**k`` in descending order, negative eigenvalues
+        clamped to zero, and the matching eigenvectors as columns.  Taken
+        once and shared by rank selection, denoising and the shared-rank
+        criterion.
+        """
+        k = int(np.frexp(np.max(np.abs(self.values)))[1])
+        a = np.ldexp(self.values, -k)
+        w, q = eigh(a.T @ a if self.p >= self.n else a @ a.T)
+        return np.ldexp(np.sqrt(np.maximum(w[::-1], 0.0)), k), q[:, ::-1]
+
+    @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD ``(u, s, vt)`` of the values, taken once and shared by
-        rank selection, denoising and the shared-rank criterion."""
+        """Thin SVD ``(u, s, vt)`` of the values, taken only for a rank
+        that the Gram route does not resolve."""
         return det_svd(self.values)
+
+    def resolves(self, r: int) -> bool:
+        """Whether the Gram route resolves rank ``r``.
+
+        The Gram eigenvalues carry a round-off of about ``m * eps * s_0**2``
+        (m = min(n, p)).  Rank ``r >= 1`` is resolved when both the kept
+        energy ``s_r**2`` and the tail energy ``sum_{l>r} s_l**2`` exceed
+        ``1e3 * m * eps * s_0**2``; rank 0 reads only the total energy.
+        """
+        if r == 0:
+            return True
+        s = self.gram[0]
+        if s[0] == 0:
+            return False
+        t = (s / s[0]) ** 2
+        floor = _RESOLVE * min(self.p, self.n) * np.finfo(np.float64).eps
+        return bool(t[r - 1] > floor and np.sum(t[r:]) > floor)
+
+    def factors(self, r: int, left: bool = True):
+        """``(s, u_r, v_r)``: all singular values and the top-``r`` left
+        (p x r) and right (n x r) singular vectors, with unresolved signs.
+
+        They come from the Gram route when it resolves rank ``r``, the
+        other side formed as ``Y v_r / s_r`` or ``Y.T u_r / s_r``, and
+        from ``svd`` otherwise.  When p >= n the Gram route forms ``u_r``
+        only if ``left`` is set (None otherwise).
+        """
+        if not self.resolves(r):
+            u, s, vt = self.svd
+            return s, u[:, :r], vt[:r].T
+        s, q = self.gram
+        q = q[:, :r]
+        if self.p < self.n:
+            return s, q, self.values.T @ q / s[:r]
+        return s, (self.values @ q / s[:r] if left else None), q
 
 
 @dataclass(frozen=True)
@@ -130,13 +190,32 @@ def center_rows(y: ObservedMatrix) -> ObservedMatrix:
     return ObservedMatrix(v, row_centered=True)
 
 
+def _relative(s: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(s_0, s / s_0)``, with zeros for a zero spectrum."""
+    s0 = float(s[0])
+    return s0, (s / s0 if s0 > 0 else s)
+
+
+def _squared(s0: float, rel: float) -> float:
+    """``s0**2 * rel``, a variance of the estimate in the data's units.
+
+    Raises ``NumericalError`` when ``s0**2`` or the product overflows.
+    """
+    sq = s0 * s0
+    value = sq * rel
+    if not (math.isfinite(sq) and math.isfinite(value)):
+        raise NumericalError(f"squared singular value {s0:.3e}**2 overflows; rescale the data")
+    return value
+
+
 def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
     """Denoise ``y`` by soft-thresholding its squared singular values.
 
     The threshold ``tau * p`` is calibrated from the residual spectrum:
     ``tau = sum_{l>r} sigma_l^2 / (n*p - n*r - p*r)``.  The top ``r``
     squared singular values are shrunk by ``tau * p`` and floored at zero
-    before reconstruction.
+    before reconstruction.  Both are formed from the singular values
+    relative to the largest one, so no step squares the raw values.
 
     Raises
     ------
@@ -144,6 +223,8 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
         If ``r`` exceeds ``min(n, p)``.
     DegenerateThreshold
         If ``n*p - n*r - p*r <= 0`` so the calibration is undefined.
+    NumericalError
+        If the squared largest singular value overflows.
     """
     p, n = y.p, y.n
     if not 1 <= r <= min(n, p):
@@ -153,17 +234,19 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
         raise DegenerateThreshold(
             f"n*p - n*r - p*r = {denom} <= 0 for (n, p, r) = ({n}, {p}, {r})"
         )
-    u, s, vt = y.svd
-    tau = float(np.sum(s[r:] ** 2) / denom)
-    s_soft = np.sqrt(np.maximum(s[:r] ** 2 - tau * p, 0.0))
-    xhat = (u[:, :r] * s_soft) @ vt[:r]
+    s, u, v = y.factors(r)
+    s0, t = _relative(s)
+    tau_rel = float(np.sum(t[r:] ** 2) / denom)
+    tau = _squared(s0, tau_rel)
+    s_soft = s0 * np.sqrt(np.maximum(t[:r] ** 2 - tau_rel * p, 0.0))
+    u, vt = fix_signs(u, v.T)
     return SignalEstimate(
-        xhat=xhat,
+        xhat=(u * s_soft) @ vt,
         rank=r,
         soft_singular_values=s_soft,
         tau=tau,
-        left_vectors=u[:, :r],
-        right_vectors=vt[:r].T,
+        left_vectors=u,
+        right_vectors=vt.T,
     )
 
 
@@ -185,7 +268,7 @@ def ed_select_rank(y: ObservedMatrix) -> int:
     if n < 20:
         raise TooFewSamples(f"need n >= 20 to calibrate, got {n}")
     m = min(n, p)
-    s = y.svd[1]
+    s = y.gram[0]
     if s[0] == 0:
         return 0
     lam = (s / s[0]) ** 2
@@ -271,13 +354,15 @@ def mdl_select_r12(
     ``s_l`` are the singular values of the product of the two top right
     singular subspaces; the criterion ``n * sum_{l<=r} log(1 - s_l^2) +
     r * (r1 + r2 - r) * log(n)`` is minimized over ``r in [1, min(r1, r2)]``.
+    Only the right singular vectors are read.
     """
     if y1.n != y2.n:
         raise InputError("datasets have different sample counts")
     if min(r1, r2) < 1:
         raise InputError("mdl_select_r12 requires r1, r2 >= 1")
     n = y1.n
-    s = np.linalg.svd(y1.svd[2][:r1] @ y2.svd[2][:r2].T, compute_uv=False)
+    v1, v2 = y1.factors(r1, left=False)[2], y2.factors(r2, left=False)[2]
+    s = svd(v1.T @ v2, compute_uv=False)
     s2 = np.minimum(s**2, 1.0 - 1e-12)  # guard against coincident subspaces
     rmax = min(r1, r2)
     crit = [
@@ -292,11 +377,12 @@ def denoise_at_rank(y: ObservedMatrix, r: int) -> SignalEstimate:
     if r >= 1:
         return soft_threshold_denoise(y, r)
     p, n = y.p, y.n
+    s0, t = _relative(y.gram[0])
     return SignalEstimate(
         xhat=np.zeros((p, n)),
         rank=0,
         soft_singular_values=np.zeros(0),
-        tau=float(np.sum(y.svd[1] ** 2) / (n * p)),
+        tau=_squared(s0, float(np.sum(t**2) / (n * p))),
         left_vectors=np.zeros((p, 0)),
         right_vectors=np.zeros((n, 0)),
     )
@@ -311,7 +397,15 @@ def select_ranks(
     selected by ``mdl_select_r12`` when both are nonzero and the
     correlation screen at level ``alpha`` finds a correlated pair, and is
     0 otherwise.  Returns the ranks, the two signal estimates at ``r1``
-    and ``r2``, and the screen result.  Each dataset's SVD is taken once.
+    and ``r2``, and the screen result.
+
+    Each dataset is factored once, by ``eigh`` of its short-side Gram
+    matrix (``ObservedMatrix.gram``): ED reads the singular values, MDL
+    the top right singular vectors, and the denoiser forms the other side
+    of its top-r vectors from them.  When the kept energy ``s_r**2`` or
+    the tail energy ``sum_{l>r} s_l**2`` is within ``1e3 * m * eps *
+    s_0**2`` of zero, where the Gram route cannot resolve it, that
+    dataset is refactored once by a thin SVD.
     """
     if y1.n != y2.n:
         raise InputError(f"datasets have different sample counts: {y1.n} vs {y2.n}")
@@ -330,14 +424,16 @@ def compute_diagnostics(
     """Signal-to-noise ratios and the clamped rate quantity.
 
     ``snr_k`` is the signal covariance trace over the noise covariance
-    trace estimate; the rate quantity is
+    trace estimate, floored at ``1e-12`` times the signal trace so that
+    the ratio does not depend on the scale of the data (0 for a zero
+    signal); the rate quantity is
     ``min(1/sqrt(n) + sum_k sqrt(log(p_k) / (n * snr_k)), 1)``.
     """
     n = x1.n
     snr = []
     for x, tr_noise in zip((x1, x2), noise_traces):
         tr_signal = float(np.sum(x.soft_singular_values**2) / n)
-        snr.append(tr_signal / max(tr_noise, 1e-12))
+        snr.append(tr_signal / max(tr_noise, 1e-12 * tr_signal) if tr_signal > 0 else 0.0)
     delta = 1.0 / np.sqrt(n)
     for x, s in zip((x1, x2), snr):
         delta += np.sqrt(np.log(x.p) / (n * max(s, 1e-300)))
@@ -345,5 +441,14 @@ def compute_diagnostics(
 
 
 def noise_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:
-    """Residual-based noise covariance trace estimate ||Y - xhat||_F^2 / n."""
-    return float(np.sum((y.values - xhat.xhat) ** 2) / y.n)
+    """Residual-based noise covariance trace estimate ``||Y - xhat||_F^2 / n``.
+
+    ``xhat`` is ``y``'s own soft-threshold estimate, so the residual
+    norm has the closed form ``sum_{l>r} s_l^2 + sum_{l<=r} (s_l -
+    s_soft,l)^2`` on the singular values of the route that gave it,
+    formed relative to ``s_0``.
+    """
+    r = xhat.rank
+    s0, t = _relative(y.factors(r, left=False)[0])
+    t_soft = xhat.soft_singular_values / s0 if s0 > 0 else xhat.soft_singular_values
+    return _squared(s0, float(np.sum(t[r:] ** 2) + np.sum((t[:r] - t_soft) ** 2)) / y.n)

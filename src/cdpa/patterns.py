@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import fix_signs, pad_rows
+from ._linalg import fix_signs, pad_rows, svd
 from .align import (
     PermutationPlan,
     SignChoice,
@@ -207,7 +207,7 @@ def population_cdpa(
     involved.  The population channels ``B_k`` go through the fit's
     bases and common-loadings step.
     """
-    u1, svals, v2t = np.linalg.svd(z_cross, full_matrices=True)
+    u1, svals, v2t = svd(z_cross, full_matrices=True)
     u1, v2t = fix_signs(u1, v2t)
     u2 = v2t.T
     rho_all = np.clip(svals, 0.0, 1.0)

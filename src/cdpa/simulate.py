@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from ._linalg import orthonormal_complement, pad_rows, random_orthonormal
+from ._linalg import orthonormal_complement, pad_rows, random_orthonormal, svd
 from .align import match_objective
 from .dcca import common_factor_coefficients
 from .denoise import ObservedMatrix, RankProfile
@@ -308,7 +308,7 @@ def _spectral_norm(left: np.ndarray, right: np.ndarray) -> float:
     if left.shape[1] == 0:
         return 0.0
     core = np.linalg.qr(left, mode="r") @ np.linalg.qr(right.T, mode="r").T
-    return float(np.linalg.norm(core, 2))
+    return float(svd(core, compute_uv=False)[0])
 
 
 def error_metrics(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import clip_correlations, fix_signs
+from ._linalg import clip_correlations, fix_signs, svd
 from .align import as_permutation
 from .dcca import common_factor_coefficients
 from .errors import ChannelRankDeficient, InputError
@@ -43,7 +43,7 @@ def orthonormal_basis(channel: np.ndarray) -> np.ndarray:
     ChannelRankDeficient
         If the channel's smallest singular value is negligible.
     """
-    u, s, _ = np.linalg.svd(channel, full_matrices=False)
+    u, s, _ = svd(channel)
     if s[-1] <= 1e-10 * s[0]:
         raise ChannelRankDeficient(
             f"channel singular values span [{s[-1]:.3e}, {s[0]:.3e}]"
@@ -63,7 +63,7 @@ def principal_angles(
         raise InputError(f"basis shapes differ: {q1.shape} vs {q2a.shape}")
     perm = as_permutation(permutation, q1.shape[0])
     q2p = q2a[perm]
-    u1, svals, v2t = np.linalg.svd(q1.T @ q2p)
+    u1, svals, v2t = svd(q1.T @ q2p, full_matrices=True)
     u1, v2t = fix_signs(u1, v2t)
     return ChannelSubspacePair(
         q1=q1,

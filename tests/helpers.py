@@ -113,5 +113,20 @@ def dense_match_problem(q1, q2a):
     )
 
 
+def record_linalg(monkeypatch):
+    """Record the shape of every matrix passed to ``np.linalg.svd`` and
+    ``np.linalg.eigh``; returns ``{"svd": [...], "eigh": [...]}``."""
+    shapes = {"svd": [], "eigh": []}
+    for name, calls in shapes.items():
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, _calls=calls, **kwargs):
+            _calls.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)

@@ -3,9 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from cdpa import SimulationConfig, generate_setup, write_matrix_binary
+from cdpa import (
+    NumericalError,
+    ObservedMatrix,
+    SimulationConfig,
+    estimate_cdpa,
+    generate_setup,
+    read_matrix_binary,
+    write_matrix_binary,
+)
 from cdpa.cli import main
 from cdpa._linalg import random_orthonormal
+
+from helpers import record_linalg
 
 
 @pytest.fixture()
@@ -66,20 +76,14 @@ def test_ranks_benchmark_files(tmp_path, capsys, monkeypatch):
     p2 = tmp_path / "y2.cdpm"
     write_matrix_binary(p1, y1.values)
     write_matrix_binary(p2, y2.values)
-    shapes = []
-    svd = np.linalg.svd
-
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    shapes = record_linalg(monkeypatch)
     code, out, _ = _run(capsys, ["ranks", str(p1), str(p2), "--no-center"])
     assert code == 0
     payload = json.loads(out)
     assert (payload["r1"], payload["r2"], payload["r12"]) == (5, 5, 5)
-    # one SVD per dataset serves ED, denoising and MDL
-    assert [s for s in shapes if min(s) > 10] == [(300, 300), (300, 300)]
+    # one Gram eigh per dataset serves ED, denoising and MDL; no SVD fallback
+    assert shapes["eigh"] == [(300, 300), (300, 300)]
+    assert [s for s in shapes["svd"] if min(s) > 10] == []
 
 
 # ------------------------------------------------------------- decompose
@@ -205,6 +209,20 @@ def test_decompose_numerical_failure_exit_code(tmp_path, capsys):
         ["decompose", str(a), str(a), "--ranks", "3,3,2", "--no-center",
          "--out", str(tmp_path / "x")],
     )
+    assert code == 3
+    assert "numerical failure" in err
+
+
+def test_eigh_failure_is_a_numerical_error(bench_files, tmp_path, capsys, monkeypatch):
+    def failing_eigh(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    p1, p2, _ = bench_files
+    y1, y2 = (ObservedMatrix(read_matrix_binary(p)) for p in (p1, p2))
+    with pytest.raises(NumericalError, match="did not converge"):
+        estimate_cdpa(y1, y2)
+    code, _, err = _run(capsys, ["decompose", p1, p2, "--auto-ranks", "--out", str(tmp_path / "x")])
     assert code == 3
     assert "numerical failure" in err
 

@@ -19,7 +19,9 @@ from cdpa import (
     center_rows,
     compute_diagnostics,
     correlation_screen,
+    denoise_at_rank,
     ed_select_rank,
+    estimate_cdpa,
     generate_setup,
     mdl_select_r12,
     noise_trace,
@@ -28,7 +30,7 @@ from cdpa import (
 from cdpa._linalg import random_orthonormal
 from cdpa.denoise import _max_correlation
 
-from helpers import estimates_from, exact_signal_pair
+from helpers import estimates_from, exact_signal_pair, record_linalg
 
 
 # ------------------------------------------------------------ ObservedMatrix
@@ -390,6 +392,19 @@ def test_diagnostics_noiseless_limit():
     np.testing.assert_allclose(diag.delta_theta, 1 / np.sqrt(100), rtol=1e-4)
 
 
+def test_diagnostics_do_not_depend_on_scale():
+    # at 1e-8 the noise trace is about 3e-14, below any absolute floor
+    y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=30.0, p1=300, n=300, seed=3))
+    diags = []
+    for scale in (1.0, 1e-8):
+        ys = [ObservedMatrix(scale * y.values) for y in (y1, y2)]
+        xs = [soft_threshold_denoise(y, 5) for y in ys]
+        diags.append(compute_diagnostics(*xs, tuple(noise_trace(y, x) for y, x in zip(ys, xs))))
+    np.testing.assert_allclose(diags[1].snr, diags[0].snr, rtol=1e-10)
+    np.testing.assert_allclose(diags[1].delta_theta, diags[0].delta_theta, rtol=1e-10)
+    assert 4.0 < diags[0].snr[0] < 6.0
+
+
 def test_diagnostics_formula_value():
     # p1 = p2 = 300, n = 300, snr = 5 on both: value computed directly
     rng = np.random.default_rng(17)
@@ -421,3 +436,92 @@ def test_noise_trace_residual():
     np.testing.assert_allclose(
         noise_trace(y, est), np.sum((y.values - est.xhat) ** 2) / 70, rtol=1e-12
     )
+
+
+@pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
+@pytest.mark.parametrize("r", [0, 3])
+def test_noise_trace_closed_form_matches_residual(shape, r):
+    rng = np.random.default_rng(20)
+    y = ObservedMatrix(rng.standard_normal(shape) + 5.0 * rng.standard_normal((shape[0], 1)))
+    est = denoise_at_rank(y, r)
+    np.testing.assert_allclose(
+        noise_trace(y, est), np.sum((y.values - est.xhat) ** 2) / shape[1], rtol=1e-12
+    )
+
+
+# ------------------------------------------------- Gram route and its fallback
+
+
+@pytest.mark.parametrize("shape", [(300, 120), (120, 300), (150, 150)])
+def test_gram_route_matches_svd(shape):
+    rng = np.random.default_rng(21)
+    y = ObservedMatrix(rng.standard_normal(shape) @ np.diag(np.linspace(1.0, 3.0, shape[1])))
+    u, s, vt = np.linalg.svd(y.values, full_matrices=False)
+    # the energies s**2 agree to round-off relative to the largest one
+    np.testing.assert_allclose(y.gram[0] ** 2, s**2, rtol=0, atol=1e-12 * s[0] ** 2)
+    est = soft_threshold_denoise(y, 4)
+    assert y.resolves(4)
+    # the same vectors, up to the joint sign of each pair
+    signs = np.sign(np.sum(est.left_vectors * u[:, :4], axis=0))
+    np.testing.assert_allclose(est.left_vectors, u[:, :4] * signs, atol=1e-10)
+    np.testing.assert_allclose(est.right_vectors, vt[:4].T * signs, atol=1e-10)
+
+
+def _svd_reference(y, r):
+    """``soft_threshold_denoise`` computed directly from ``np.linalg.svd``."""
+    p, n = y.shape
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    tau = np.sum(s[r:] ** 2) / (n * p - n * r - p * r)
+    s_soft = np.sqrt(np.maximum(s[:r] ** 2 - tau * p, 0.0))
+    return tau, (u[:, :r] * s_soft) @ vt[:r]
+
+
+def test_gram_fallback_rank_one_data(monkeypatch):
+    rng = np.random.default_rng(22)
+    x = np.outer(rng.standard_normal(60), rng.standard_normal(40))
+    shapes = record_linalg(monkeypatch)
+    y = ObservedMatrix(x)
+    est = soft_threshold_denoise(y, 1)
+    assert not y.resolves(1)  # the tail energy is round-off
+    assert shapes == {"eigh": [(40, 40)], "svd": [(60, 40)]}
+    tau, xhat = _svd_reference(x, 1)
+    assert est.tau <= 1e-28 * np.sum(x**2)
+    np.testing.assert_allclose(est.tau, tau, rtol=1e-6, atol=1e-300)
+    assert np.linalg.norm(est.xhat - xhat) <= 1e-13 * np.linalg.norm(x)
+    assert np.linalg.norm(est.xhat - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_gram_fallback_exact_low_rank_wide(monkeypatch):
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 30))
+    shapes = record_linalg(monkeypatch)
+    y = ObservedMatrix(x)
+    est = soft_threshold_denoise(y, 3)
+    assert shapes == {"eigh": [(12, 12)], "svd": [(12, 30)]}
+    assert est.tau <= 1e-20
+    assert np.linalg.norm(est.xhat - x) <= 1e-12 * np.linalg.norm(x)
+    # the kept vectors are resolved below the rank, so those ranks stay on the Gram route
+    assert y.resolves(2) and not y.resolves(3)
+
+
+def test_gram_fallback_constant_rows(monkeypatch):
+    rng = np.random.default_rng(24)
+    y1, y2 = (ObservedMatrix(np.outer(rng.standard_normal(p), np.full(50, 2.5))) for p in (30, 20))
+    shapes = record_linalg(monkeypatch)
+    x1, x2 = soft_threshold_denoise(y1, 1), soft_threshold_denoise(y2, 1)
+    assert shapes["svd"] == [(30, 50), (20, 50)]
+    for x, y in ((x1, y1), (x2, y2)):
+        assert np.linalg.norm(x.xhat - y.values) <= 1e-12 * np.linalg.norm(y.values)
+        assert noise_trace(y, x) <= 1e-24 * np.sum(y.values**2)
+    # centred, every row is zero up to round-off: the fit is finite
+    fit = estimate_cdpa(y1, y2)
+    assert all(np.all(np.isfinite(m)) for m in (fit.patterns.c, *fit.patterns.delta))
+    assert np.isfinite(fit.patterns.explained) and np.all(np.isfinite(fit.diagnostics.snr))
+
+
+def test_gram_zero_matrix():
+    y = ObservedMatrix(np.zeros((8, 30)))
+    est = denoise_at_rank(y, 1)
+    assert est.tau == 0.0 and not np.any(est.xhat)
+    assert noise_trace(y, est) == 0.0
+    assert noise_trace(y, denoise_at_rank(y, 0)) == 0.0

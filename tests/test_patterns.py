@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cdpa import (
     BadConfig,
     CdpaConfig,
+    NumericalError,
     ObservedMatrix,
     PermutationPlan,
     RankProfile,
@@ -35,6 +37,7 @@ from cdpa.simulate import EIGENVALUES, TOTAL_VARIANCE, planted_correlations
 from helpers import (
     estimates_from,
     exact_signal_pair,
+    record_linalg,
     rel_err,
     rotate_pair,
     rotate_system,
@@ -426,6 +429,27 @@ def test_estimate_scale_invariance():
     )
 
 
+@lru_cache(maxsize=None)
+def _scale_draw():
+    y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=30.0, p1=300, n=300, seed=3))
+    return y1.values, y2.values, estimate_cdpa(y1, y2)
+
+
+@pytest.mark.parametrize("k", [-150, -100, 0, 100, 150])
+def test_estimate_does_not_depend_on_extreme_scale(k):
+    y1, y2, base = _scale_draw()
+    fit = estimate_cdpa(ObservedMatrix(10.0**k * y1), ObservedMatrix(10.0**k * y2))
+    assert fit.ranks == base.ranks == RankProfile(5, 5, 5)
+    assert abs(fit.patterns.explained - base.patterns.explained) <= 1e-10 * base.patterns.explained
+
+
+def test_estimate_overflowing_scale_is_a_numerical_error():
+    # every squared singular value exceeds the largest float64
+    y1, y2, _ = _scale_draw()
+    with pytest.raises(NumericalError, match="overflows"):
+        estimate_cdpa(ObservedMatrix(1e155 * y1), ObservedMatrix(1e155 * y2))
+
+
 def test_estimate_joint_sign_flip_antisymmetry():
     cfg = SimulationConfig(
         setup=1, theta_deg=30.0, p1=50, n=120, noise_var=0.5, seed=16
@@ -477,21 +501,16 @@ def test_estimate_rejects_invalid_provided_permutation(r12):
     assert fit.permutation.method == ("identity" if r12 == 0 else "provided")
 
 
-def test_estimate_auto_ranks_takes_one_svd_per_dataset(monkeypatch):
+def test_estimate_auto_ranks_takes_one_gram_eigh_per_dataset(monkeypatch):
     y1, y2, _ = generate_setup(
         SimulationConfig(setup=2, theta_deg=30.0, p1=300, n=300, seed=61)
     )
-    shapes = []
-    svd = np.linalg.svd
-
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    shapes = record_linalg(monkeypatch)
     result = estimate_cdpa(y1, y2)
     assert result.ranks.r12 >= 1 and result.sign_choice is not None
-    assert sorted(s for s in shapes if min(s) > 10) == [(300, 300), (900, 300)]
+    # both datasets have p >= n, so each Gram matrix is n x n; no SVD fallback
+    assert shapes["eigh"] == [(300, 300), (300, 300)]
+    assert [s for s in shapes["svd"] if min(s) > 10] == []
 
 
 def _pattern_arrays(p):
