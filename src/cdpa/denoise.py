@@ -199,11 +199,11 @@ def _relative(s: np.ndarray) -> tuple[float, np.ndarray]:
 def _squared(s0: float, rel: float) -> float:
     """``s0**2 * rel``, a variance of the estimate in the data's units.
 
-    Raises ``NumericalError`` when ``s0**2`` or the product overflows.
+    Raises ``NumericalError`` when ``s0**2`` or the product overflows
+    (``inf * 0`` is NaN, so one finiteness check covers both).
     """
-    sq = s0 * s0
-    value = sq * rel
-    if not (math.isfinite(sq) and math.isfinite(value)):
+    value = s0 * s0 * rel
+    if not math.isfinite(value):
         raise NumericalError(f"squared singular value {s0:.3e}**2 overflows; rescale the data")
     return value
 

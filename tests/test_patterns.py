@@ -3,6 +3,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdpa import (
     BadConfig,
@@ -435,7 +437,13 @@ def _scale_draw():
     return y1.values, y2.values, estimate_cdpa(y1, y2)
 
 
-@pytest.mark.parametrize("k", [-150, -100, 0, 100, 150])
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(min_value=-150, max_value=150))
+@example(k=-150)
+@example(k=-100)
+@example(k=0)
+@example(k=100)
+@example(k=150)
 def test_estimate_does_not_depend_on_extreme_scale(k):
     y1, y2, base = _scale_draw()
     fit = estimate_cdpa(ObservedMatrix(10.0**k * y1), ObservedMatrix(10.0**k * y2))
