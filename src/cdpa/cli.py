@@ -20,13 +20,14 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .align import PermutationPlan, build_match_problem, dspfp_match, exhaustive_match
 from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
 from .errors import BadConfig, InputError, NumericalError
-from .matrixio import read_matrix, write_matrix_binary
+from .matrixio import ColumnBlocks, read_matrix, write_matrix_binary
 from .patterns import CdpaConfig, bootstrap_ci, check_bootstrap, estimate_cdpa
 from .simulate import SimulationConfig, oracle_explained_variance, run_replications
 from .subspace import orthonormal_basis
@@ -107,19 +108,20 @@ def cmd_ranks(args) -> int:
 # ------------------------------------------------------------ decompose
 
 
-_OUTPUT_MATRICES = {
-    "c": lambda res: res.patterns.c,
-    "c_scaled_1": lambda res: res.patterns.c_scaled[0],
-    "c_scaled_2": lambda res: res.patterns.c_scaled[1],
-    "delta_1": lambda res: res.patterns.delta[0],
-    "delta_2": lambda res: res.patterns.delta[1],
-    "h_1": lambda res: res.patterns.h[0],
-    "h_2": lambda res: res.patterns.h[1],
-    "source_c_1": lambda res: res.sources[0].c,
-    "source_c_2": lambda res: res.sources[1].c,
-    "source_d_1": lambda res: res.sources[0].d,
-    "source_d_2": lambda res: res.sources[1].d,
-}
+def _output_matrices(result) -> dict[str, ColumnBlocks]:
+    """The written matrices, each formed a block of columns at a time by the
+    column-block function that also gives its dense property."""
+    pat = result.patterns
+    out = {"c": ColumnBlocks(pat.shape, pat.c_block)}
+    for k, src in enumerate(result.sources):
+        out.update({
+            f"c_scaled_{k + 1}": ColumnBlocks(pat.shape, partial(pat.c_scaled_block, k)),
+            f"delta_{k + 1}": ColumnBlocks(pat.shape, partial(pat.delta_block, k)),
+            f"h_{k + 1}": ColumnBlocks(pat.shape, partial(pat.h_block, k)),
+            f"source_c_{k + 1}": ColumnBlocks(src.shape, src.c_block),
+            f"source_d_{k + 1}": ColumnBlocks(src.shape, src.d_block),
+        })
+    return out
 
 
 def cmd_decompose(args) -> int:
@@ -142,9 +144,10 @@ def cmd_decompose(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {}
-    for name, getter in _OUTPUT_MATRICES.items():
+    matrices = _output_matrices(result)
+    for name in sorted(matrices):
         path = out / f"{name}.cdpm"
-        write_matrix_binary(path, getter(result))
+        write_matrix_binary(path, matrices[name])
         artifacts[name] = path.name
     interval = None
     if args.bootstrap:

@@ -10,6 +10,7 @@ part and a distinctive-source remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +44,37 @@ class CanonicalSystem:
 
 @dataclass(frozen=True)
 class SourceDecomposition:
-    """Additive split of a signal estimate: ``c + d`` equals the signal."""
+    """Additive split of a signal estimate: ``c + d`` equals the signal.
 
-    c: np.ndarray
-    d: np.ndarray
+    Kept as the estimate, its p x r12 mixing channel and the r12 x n common
+    factor scores ``c0``.  The common source ``c = channel @ c0`` and the
+    distinctive source ``d = xhat - c`` are formed only when read, a block
+    of columns at a time by ``c_block`` and ``d_block``.
+    """
+
+    estimate: SignalEstimate
+    channel: np.ndarray
+    c0: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.estimate.p, self.estimate.n
+
+    def c_block(self, cols: slice = slice(None)) -> np.ndarray:
+        """Columns ``cols`` of the common source."""
+        return self.channel @ self.c0[:, cols]
+
+    def d_block(self, cols: slice = slice(None)) -> np.ndarray:
+        """Columns ``cols`` of the distinctive source."""
+        return self.estimate.xhat_block(cols) - self.c_block(cols)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self.c_block()
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return self.d_block()
 
 
 def canonical_system(
@@ -57,7 +85,8 @@ def canonical_system(
     Each estimate is whitened on the strictly positive eigenvalues
     ``lam_k = soft_singular_values**2 / n`` of ``xhat @ xhat.T / n`` and
     their left singular vectors ``v_k``.  The whitened scores ``z_k* =
-    lam_k^(-1/2) v_k' xhat_k`` are rotated by the left/right singular
+    lam_k^(-1/2) (v_k' U_k) S_k V_k'``, with ``xhat_k = U_k S_k V_k'``,
+    are formed from the factors and rotated by the left/right singular
     vectors of their cross-covariance; the first ``r12`` singular values
     (clipped to [0, 1]) are the sample canonical correlations.
 
@@ -87,7 +116,9 @@ def canonical_system(
     if r12 > min(rank1, rank2):
         raise RankDeficiency(f"r12 = {r12} exceeds available ranks ({rank1}, {rank2})")
     z1s, z2s = (
-        (v.T @ x.xhat) / np.sqrt(lam)[:, None] for (v, lam), x in zip(spectra, (x1, x2))
+        ((v.T @ x.left_vectors) * x.soft_singular_values) @ x.right_vectors.T
+        / np.sqrt(lam)[:, None]
+        for (v, lam), x in zip(spectra, (x1, x2))
     )
     theta = z1s @ z2s.T / n
     u1, svals, v2t = svd(theta, full_matrices=True)
@@ -118,11 +149,13 @@ def common_factor_scores(
 
 
 def mixing_channel(xhat: SignalEstimate, system: CanonicalSystem, k: int) -> np.ndarray:
-    """Mixing channel ``b_k = xhat @ z_k[:r12].T / n`` (p_k x r12) of dataset ``k``."""
+    """Mixing channel ``b_k = xhat @ z_k[:r12].T / n`` (p_k x r12) of dataset ``k``,
+    formed from the factors as ``(U s)(V' z_k[:r12]') / n``."""
     if k not in (1, 2):
         raise InputError(f"dataset index must be 1 or 2, got {k}")
     z = system.z1 if k == 1 else system.z2
-    return xhat.xhat @ z[: system.r12].T / system.n
+    load = xhat.left_vectors * xhat.soft_singular_values
+    return load @ (xhat.right_vectors.T @ z[: system.r12].T) / system.n
 
 
 def source_decomposition(
@@ -132,7 +165,7 @@ def source_decomposition(
 
     The common source is ``b_k @ c0`` for the dataset's mixing channel
     ``b_k`` and the common factor scores ``c0``; the distinctive source is
-    the remainder, so additivity is exact by construction.
+    the remainder, so additivity is exact by construction.  Both stay
+    factored until read.
     """
-    c = channel @ c0
-    return SourceDecomposition(c=c, d=xhat.xhat - c)
+    return SourceDecomposition(estimate=xhat, channel=channel, c0=c0)

@@ -115,19 +115,37 @@ class ObservedMatrix:
         """``(s, u_r, v_r)``: all singular values and the top-``r`` left
         (p x r) and right (n x r) singular vectors, with unresolved signs.
 
-        They come from the Gram route when it resolves rank ``r``, the
-        other side formed as ``Y v_r / s_r`` or ``Y.T u_r / s_r``, and
-        from ``svd`` otherwise.  When p >= n the Gram route forms ``u_r``
-        only if ``left`` is set (None otherwise).
+        They come from the Gram route when it resolves rank ``r`` and from
+        ``svd`` otherwise.  On the Gram route the top-``r`` vectors ``q_r``
+        of the short side are refined by one Rayleigh-Ritz step: with
+        ``m = Y`` (p >= n) or ``Y.T`` (p < n), the thin QR ``m q_r = o t``
+        and the SVD ``t = a diag(s_r) b.T`` give the long-side vectors
+        ``o a``, the short-side vectors ``q_r b`` and the top ``r``
+        singular values ``s_r``, so both sides are orthonormal to round-off
+        and ``s_r`` does not carry the Gram round-off.  The step is taken
+        once per rank, so the denoiser and the noise trace read the same
+        values.  When p >= n and ``left`` is unset, ``u_r`` is None and
+        ``q_r`` and the Gram values are returned unrefined.
         """
         if not self.resolves(r):
             u, s, vt = self.svd
             return s, u[:, :r], vt[:r].T
         s, q = self.gram
         q = q[:, :r]
-        if self.p < self.n:
-            return s, q, self.values.T @ q / s[:r]
-        return s, (self.values @ q / s[:r] if left else None), q
+        tall = self.p >= self.n
+        if tall and not left:
+            return s, None, q
+        if r not in self._refined:
+            o, t = np.linalg.qr(self.values @ q if tall else self.values.T @ q)
+            a, s_r, bt = svd(t)
+            u, v = (o @ a, q @ bt.T) if tall else (q @ bt.T, o @ a)
+            self._refined[r] = np.concatenate([s_r, s[r:]]), u, v
+        return self._refined[r]
+
+    @cached_property
+    def _refined(self) -> dict:
+        """The Rayleigh-Ritz ``factors`` of the Gram route, by rank."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -147,13 +165,13 @@ class RankProfile:
 
 @dataclass(frozen=True)
 class SignalEstimate:
-    """Soft-thresholded low-rank signal estimate with its SVD factors.
+    """Soft-thresholded low-rank signal estimate, kept as its SVD factors.
 
-    ``xhat`` reconstructs as ``left_vectors @ diag(soft_singular_values)
-    @ right_vectors.T``.
+    The p x n estimate ``xhat = left_vectors @ diag(soft_singular_values)
+    @ right_vectors.T`` is formed only when it is read, a block of columns
+    at a time by ``xhat_block``.
     """
 
-    xhat: np.ndarray
     rank: int
     soft_singular_values: np.ndarray
     tau: float
@@ -162,11 +180,20 @@ class SignalEstimate:
 
     @property
     def p(self) -> int:
-        return self.xhat.shape[0]
+        return self.left_vectors.shape[0]
 
     @property
     def n(self) -> int:
-        return self.xhat.shape[1]
+        return self.right_vectors.shape[0]
+
+    def xhat_block(self, cols: slice = slice(None)) -> np.ndarray:
+        """Columns ``cols`` of ``xhat``."""
+        return (self.left_vectors * self.soft_singular_values) @ self.right_vectors[cols].T
+
+    @cached_property
+    def xhat(self) -> np.ndarray:
+        """The dense p x n estimate."""
+        return self.xhat_block()
 
     @property
     def trace(self) -> float:
@@ -185,8 +212,13 @@ class Diagnostics:
 
 
 def center_rows(y: ObservedMatrix) -> ObservedMatrix:
-    """Subtract the mean of each row."""
+    """Subtract the mean of each row.
+
+    Constant rows become exact zeros: their round-off residual would be an
+    exactly rank-1 pattern that rank selection reads as signal.
+    """
     v = y.values - y.values.mean(axis=1, keepdims=True)
+    v[np.ptp(y.values, axis=1) == 0] = 0.0
     return ObservedMatrix(v, row_centered=True)
 
 
@@ -241,7 +273,6 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
     s_soft = s0 * np.sqrt(np.maximum(t[:r] ** 2 - tau_rel * p, 0.0))
     u, vt = fix_signs(u, v.T)
     return SignalEstimate(
-        xhat=(u * s_soft) @ vt,
         rank=r,
         soft_singular_values=s_soft,
         tau=tau,
@@ -294,7 +325,7 @@ def ed_select_rank(y: ObservedMatrix) -> int:
     return int(r or 0)
 
 
-_SCREEN_ROWS = 1024  # rows of the p1 x p2 correlation matrix formed at a time
+_SCREEN_ROWS = 128  # rows of the p1 x p2 correlation matrix formed at a time
 
 
 def correlation_screen(
@@ -379,7 +410,6 @@ def denoise_at_rank(y: ObservedMatrix, r: int) -> SignalEstimate:
     p, n = y.p, y.n
     s0, t = _relative(y.gram[0])
     return SignalEstimate(
-        xhat=np.zeros((p, n)),
         rank=0,
         soft_singular_values=np.zeros(0),
         tau=_squared(s0, float(np.sum(t**2) / (n * p))),
@@ -446,9 +476,10 @@ def noise_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:
     ``xhat`` is ``y``'s own soft-threshold estimate, so the residual
     norm has the closed form ``sum_{l>r} s_l^2 + sum_{l<=r} (s_l -
     s_soft,l)^2`` on the singular values of the route that gave it,
-    formed relative to ``s_0``.
+    formed relative to ``s_0``; ``y.factors`` gives them, as it gave
+    them to the denoiser.
     """
     r = xhat.rank
-    s0, t = _relative(y.factors(r, left=False)[0])
+    s0, t = _relative(y.factors(r)[0])
     t_soft = xhat.soft_singular_values / s0 if s0 > 0 else xhat.soft_singular_values
     return _squared(s0, float(np.sum(t[r:] ** 2) + np.sum((t[:r] - t_soft) ** 2)) / y.n)

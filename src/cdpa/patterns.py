@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,31 +61,80 @@ from .subspace import (
 class PatternDecomposition:
     """Common/distinctive pattern split of the aligned signal estimates.
 
-    All matrices live in the padded row space.  The common pattern is
-    kept both dense and as its rank-r12 factors ``c_factors = (loadings,
-    scores)``: the pmax x r12 loadings ``c_b @ s`` and the r12 x n
-    common factor scores ``c0``, with ``c == loadings @ scores`` bitwise.
-    When r12 is 0 both factors have zero width, ``c``, ``c_scaled`` and
-    ``h`` are zero and ``r12_zero`` is set.  ``scales`` holds the square
-    roots of the two signal-covariance traces.  Exact identities:
+    Kept as factors: the common pattern's ``c_factors = (loadings,
+    scores)``, the pmax x r12 loadings ``c_b @ s`` and the r12 x n common
+    factor scores ``c0``; ``scales``, the square roots of the two
+    signal-covariance traces; the two source splits (each a signal
+    estimate, its mixing channel and ``c0``); and the row alignment
+    ``permutation`` of dataset 2.  ``explained`` is ``sum(c**2) / n``.
+
+    Every dense matrix lives in the padded row space and is formed only
+    when read, by its ``*_block`` function of a column slice, which also
+    serves the writer of ``cdpa decompose``.  When r12 is 0 both factors
+    have zero width, ``c``, ``c_scaled`` and ``h`` are zero and
+    ``r12_zero`` is set.  Exact identities: ``c == loadings @ scores``,
     ``c_scaled[k] = scales[k] * c``,
     ``aligned_x[k] = c_scaled[k] + delta[k]``, and
-    ``delta[k] = h[k] + aligned_d[k]``.
+    ``delta[k] = h[k] + aligned_d[k]``, where ``aligned_*`` is a source
+    zero-padded to pmax rows, with dataset 2's rows permuted.
     """
 
-    c: np.ndarray
     c_factors: tuple[np.ndarray, np.ndarray]
     scales: tuple[float, float]
-    c_scaled: tuple[np.ndarray, np.ndarray]
-    h: tuple[np.ndarray, np.ndarray]
-    delta: tuple[np.ndarray, np.ndarray]
-    aligned_x: tuple[np.ndarray, np.ndarray]
+    sources: tuple[SourceDecomposition, SourceDecomposition]
+    permutation: PermutationPlan
     explained: float
 
     @property
     def r12_zero(self) -> bool:
         """True when the common pattern has zero width (no shared rank)."""
         return self.c_factors[0].shape[1] == 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(pmax, n)``, the shape of every pattern."""
+        return self.c_factors[0].shape[0], self.c_factors[1].shape[1]
+
+    def _aligned(self, k: int, block: np.ndarray) -> np.ndarray:
+        """Dataset ``k``'s (0-based) rows padded to pmax, permuted for dataset 2."""
+        block = pad_rows(block, self.shape[0])
+        return block[self.permutation.perm] if k == 1 else block
+
+    def c_block(self, cols: slice = slice(None)) -> np.ndarray:
+        loadings, scores = self.c_factors
+        return loadings @ scores[:, cols]
+
+    def c_scaled_block(self, k: int, cols: slice = slice(None)) -> np.ndarray:
+        return self.scales[k] * self.c_block(cols)
+
+    def h_block(self, k: int, cols: slice = slice(None)) -> np.ndarray:
+        return self._aligned(k, self.sources[k].c_block(cols)) - self.c_scaled_block(k, cols)
+
+    def delta_block(self, k: int, cols: slice = slice(None)) -> np.ndarray:
+        return self.h_block(k, cols) + self._aligned(k, self.sources[k].d_block(cols))
+
+    def aligned_x_block(self, k: int, cols: slice = slice(None)) -> np.ndarray:
+        return self._aligned(k, self.sources[k].estimate.xhat_block(cols))
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self.c_block()
+
+    @cached_property
+    def c_scaled(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.c_scaled_block(0), self.c_scaled_block(1)
+
+    @cached_property
+    def h(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.h_block(0), self.h_block(1)
+
+    @cached_property
+    def delta(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.delta_block(0), self.delta_block(1)
+
+    @cached_property
+    def aligned_x(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.aligned_x_block(0), self.aligned_x_block(1)
 
 
 @dataclass(frozen=True)
@@ -146,7 +196,6 @@ class DecompositionResult:
 
 
 def pattern_decomposition(
-    xhat_pair: tuple[SignalEstimate, SignalEstimate],
     source_pair: tuple[SourceDecomposition, SourceDecomposition],
     c_factors: tuple[np.ndarray, np.ndarray],
     traces: tuple[float, float],
@@ -155,39 +204,19 @@ def pattern_decomposition(
     """Assemble the rescaled common patterns and distinctive remainders.
 
     The common pattern is the product of its factors ``(loadings,
-    scores)``.  The smaller dataset is zero-padded to the common row
+    scores)``; it is formed once here, squared in place, for ``explained``
+    and not kept.  The smaller dataset is zero-padded to the common row
     dimension and the permutation is applied to dataset 2's rows before
-    the split.
+    the split, when a pattern is read.
     """
     loadings, scores = c_factors
     c = loadings @ scores
-    pmax = max(xhat_pair[0].p, xhat_pair[1].p)
-    n = xhat_pair[0].n
-    aligned_x = []
-    aligned_c = []
-    aligned_d = []
-    for k, (xh, src) in enumerate(zip(xhat_pair, source_pair), start=1):
-        x = pad_rows(xh.xhat, pmax)
-        cs = pad_rows(src.c, pmax)
-        ds = pad_rows(src.d, pmax)
-        if k == 2:
-            x, cs, ds = x[permutation.perm], cs[permutation.perm], ds[permutation.perm]
-        aligned_x.append(x)
-        aligned_c.append(cs)
-        aligned_d.append(ds)
-    scales = (float(np.sqrt(traces[0])), float(np.sqrt(traces[1])))
-    c_scaled = tuple(s * c for s in scales)
-    h = tuple(aligned_c[k] - c_scaled[k] for k in range(2))
-    delta = tuple(h[k] + aligned_d[k] for k in range(2))
     return PatternDecomposition(
-        c=c,
         c_factors=c_factors,
-        scales=scales,
-        c_scaled=c_scaled,
-        h=h,
-        delta=delta,
-        aligned_x=tuple(aligned_x),
-        explained=float(np.sum(c**2) / n),
+        scales=(float(np.sqrt(traces[0])), float(np.sqrt(traces[1]))),
+        sources=source_pair,
+        permutation=permutation,
+        explained=float(np.sum(np.square(c, out=c)) / scores.shape[1]),
     )
 
 
@@ -327,11 +356,10 @@ def _signed_loadings(channels, bases, traces: tuple[float, float], perm: np.ndar
     return pair, dict(zip((1, -1), common_loadings(pair, *padded, traces)))
 
 
-def _dense_stage(x, channels, c0: np.ndarray, loadings, traces, perm):
-    """Sources and dense patterns from the factors: the only p x n stage."""
+def _pattern_stage(x, channels, c0: np.ndarray, loadings, traces, perm) -> PatternDecomposition:
+    """Sources and patterns, kept as factors."""
     sources = tuple(source_decomposition(xk, ch, c0) for xk, ch in zip(x, channels))
-    patterns = pattern_decomposition(x, sources, (loadings, c0), traces, perm)
-    return patterns, sources
+    return pattern_decomposition(sources, (loadings, c0), traces, perm)
 
 
 def assemble_patterns(
@@ -350,8 +378,8 @@ def assemble_patterns(
     """
     c0, channels, bases = _channel_stage(x1, x2, system)
     pair, loadings = _signed_loadings(channels, bases, traces, perm.perm)
-    patterns, sources = _dense_stage((x1, x2), channels, c0, loadings[1], traces, perm)
-    return patterns, sources, channels, pair
+    patterns = _pattern_stage((x1, x2), channels, c0, loadings[1], traces, perm)
+    return patterns, patterns.sources, channels, pair
 
 
 def estimate_cdpa(
@@ -361,17 +389,18 @@ def estimate_cdpa(
 
     Steps: optional row centering, rank selection (or configured ranks),
     soft-threshold denoising, one canonical system, the mixing channels
-    and their row alignment, sign resolution, and one dense assembly.
-    Each dataset is factored by one SVD.  Negating dataset 2 leaves the
+    and their row alignment, sign resolution, and one assembly of the
+    patterns' factors.  Each dataset is factored once, through its Gram
+    matrix.  Negating dataset 2 leaves the
     canonical system, the common factor scores, the channel bases and
     the principal angles unchanged and negates only its dual weight, so
     sign ``auto`` compares the explained variance of both orientations
     on the common pattern's factors.  When ``-1`` is chosen, dataset 2
     and its channel, and with them its sources, are negated before the
-    dense stage.  Deterministic given the configuration.
+    assembly.  Deterministic given the configuration.
 
     When the correlation screen finds no cross-dataset correlation (or a
-    zero shared rank is configured), the same dense stage runs on
+    zero shared rank is configured), the same assembly runs on
     zero-width channels and factors: the common pattern is zero,
     ``r12_zero`` is set, the alignment is the identity (a provided
     permutation is still checked), the sign is 1, and ``system``,
@@ -417,15 +446,15 @@ def estimate_cdpa(
             sign = -1
         loadings = signed[sign]
         if sign == -1:
-            x2 = replace(x2, xhat=-x2.xhat, left_vectors=-x2.left_vectors)
+            x2 = replace(x2, left_vectors=-x2.left_vectors)
             channels = (channels[0], -channels[1])
         if perm.method in ("identity", "provided"):
             # fill in the exactly evaluated objective for the plan in effect
             perm = replace(perm, objective=float(np.sum(pair.cosines**2)))
-    patterns, sources = _dense_stage((x1, x2), channels, c0, loadings, traces, perm)
+    patterns = _pattern_stage((x1, x2), channels, c0, loadings, traces, perm)
     return DecompositionResult(
         patterns=patterns,
-        sources=sources,
+        sources=patterns.sources,
         channels=channels,
         system=system,
         pair=pair,

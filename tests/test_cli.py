@@ -1,21 +1,26 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdpa import (
+    CdpaConfig,
     NumericalError,
     ObservedMatrix,
+    RankProfile,
     SimulationConfig,
     estimate_cdpa,
     generate_setup,
     read_matrix_binary,
     write_matrix_binary,
 )
-from cdpa.cli import main
+from cdpa.cli import _perm_argument, main
 from cdpa._linalg import random_orthonormal
 
-from helpers import record_linalg
+from helpers import exact_signal_pair, record_linalg
+from test_reference_panel import ATOL, RTOL
 
 
 @pytest.fixture()
@@ -225,6 +230,99 @@ def test_eigh_failure_is_a_numerical_error(bench_files, tmp_path, capsys, monkey
     code, _, err = _run(capsys, ["decompose", p1, p2, "--auto-ranks", "--out", str(tmp_path / "x")])
     assert code == 3
     assert "numerical failure" in err
+
+
+def _paired_files(tmp_path, p1, p2, n=101, seed=6):
+    """Two noisy rank-3 datasets with planted shared structure, written to files."""
+    rng = np.random.default_rng(seed)
+    x1, x2, _ = exact_signal_pair(rng, p1, p2, [9.0, 6.0, 4.0], [0.9, 0.7, 0.5], n)
+    paths = []
+    for k, x in enumerate((x1, x2), start=1):
+        paths.append(tmp_path / f"y{k}.cdpm")
+        write_matrix_binary(paths[-1], x + 0.05 * rng.standard_normal(x.shape))
+    return [str(p) for p in paths]
+
+
+def _outputs(out_dir):
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    return manifest, {
+        name: read_matrix_binary(out_dir / file) for name, file in manifest["artifacts"].items()
+    }
+
+
+@pytest.mark.parametrize("shape", [(40, 55), (55, 40)])
+@pytest.mark.parametrize("perm, ranks", [("dspfp", "3,3,3"), ("file", "3,3,2"), ("dspfp", "3,3,0")])
+def test_decompose_written_files_are_additive_and_match_the_library(
+    tmp_path, capsys, shape, perm, ranks
+):
+    paths = _paired_files(tmp_path, *shape)
+    pmax = max(shape)
+    if perm == "file":
+        perm = str(tmp_path / "perm.json")
+        Path(perm).write_text(json.dumps(np.random.default_rng(7).permutation(pmax).tolist()))
+    out_dir = tmp_path / "run"
+    code, _, _ = _run(
+        capsys,
+        ["decompose", *paths, "--ranks", ranks, "--perm", perm, "--sign", "minus",
+         "--out", str(out_dir)],
+    )
+    assert code == 0
+    manifest, files = _outputs(out_dir)
+    plan = np.array(manifest["permutation"]["indices"])
+    assert manifest["sign"] == (1 if ranks.endswith(",0") else -1)
+    for k, rows in ((1, np.arange(pmax)), (2, plan)):
+        d = np.zeros((pmax, files[f"source_d_{k}"].shape[1]))
+        d[: files[f"source_d_{k}"].shape[0]] = files[f"source_d_{k}"]
+        assert np.array_equal(files[f"delta_{k}"], files[f"h_{k}"] + d[rows])
+    # the same fit in the library, read through the dense properties
+    r1, r2, r12 = (int(r) for r in ranks.split(","))
+    fit = estimate_cdpa(
+        *(ObservedMatrix(read_matrix_binary(p)) for p in paths),
+        CdpaConfig(ranks=RankProfile(r1, r2, r12), perm=_perm_argument(perm), sign="minus"),
+    )
+    pat = fit.patterns
+    want = {"c": pat.c}
+    for k in range(2):
+        want.update({
+            f"c_scaled_{k + 1}": pat.c_scaled[k],
+            f"delta_{k + 1}": pat.delta[k],
+            f"h_{k + 1}": pat.h[k],
+            f"source_c_{k + 1}": fit.sources[k].c,
+            f"source_d_{k + 1}": fit.sources[k].d,
+        })
+    assert files.keys() == want.keys()
+    for name, m in want.items():
+        assert files[name].shape == m.shape, name
+        fro = np.linalg.norm(m)
+        assert np.max(np.abs(files[name] - m), initial=0.0) <= RTOL * fro + ATOL, name
+
+
+def test_decompose_writes_each_output_without_forming_it(tmp_path, capsys, monkeypatch):
+    import cdpa.cli
+
+    paths = _paired_files(tmp_path, 300, 200, n=400)
+    write = cdpa.cli.write_matrix_binary
+    calls = []
+
+    def measured(path, a):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        np.asarray(a)  # as the benchmark's tracer does
+        write(path, a)
+        calls.append((tracemalloc.get_traced_memory()[1] - before, a.shape))
+
+    monkeypatch.setattr(cdpa.cli, "write_matrix_binary", measured)
+    tracemalloc.start()
+    try:
+        code, _, _ = _run(
+            capsys, ["decompose", *paths, "--ranks", "3,3,3", "--perm", "dspfp",
+                     "--out", str(tmp_path / "run")],
+        )
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(calls) == 11
+    for peak, (rows, cols) in calls:
+        assert peak < 8 * rows * cols / 4, (peak, rows, cols)
 
 
 def test_missing_input_file_exit_code(tmp_path, capsys):

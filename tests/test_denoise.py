@@ -72,6 +72,17 @@ def test_center_rows_small_example():
     np.testing.assert_allclose(y.values, [[-1, 0, 1], [-1, 0, 1]], atol=1e-12)
 
 
+def test_center_rows_constant_rows_are_exact_zeros():
+    # rows 2.5 * c_i leave a constant round-off residual after subtracting
+    # the mean, an exactly rank-1 pattern that ED would select
+    rng = np.random.default_rng(24)
+    y1, y2 = (ObservedMatrix(np.outer(rng.standard_normal(p), np.full(50, 2.5))) for p in (30, 20))
+    assert not np.any(center_rows(y1).values) and not np.any(center_rows(y2).values)
+    fit = estimate_cdpa(y1, y2)
+    assert (fit.ranks.r1, fit.ranks.r2, fit.ranks.r12) == (0, 0, 0)
+    assert fit.diagnostics.snr == (0.0, 0.0)
+
+
 # ---------------------------------------------------- soft_threshold_denoise
 
 
@@ -326,8 +337,7 @@ def _with_constant_rows(x, n):
     u = x.left_vectors.copy()
     u[3] = np.eye(x.rank)[0]
     u[7] = 0.0
-    xhat = (u * x.soft_singular_values) @ v.T
-    return replace(x, xhat=xhat, left_vectors=u, right_vectors=v)
+    return replace(x, left_vectors=u, right_vectors=v)
 
 
 def test_screen_agrees_with_dense_correlations():
@@ -517,6 +527,25 @@ def test_gram_fallback_constant_rows(monkeypatch):
     fit = estimate_cdpa(y1, y2)
     assert all(np.all(np.isfinite(m)) for m in (fit.patterns.c, *fit.patterns.delta))
     assert np.isfinite(fit.patterns.explained) and np.all(np.isfinite(fit.diagnostics.snr))
+
+
+def test_gram_route_refines_vectors_near_the_resolution_floor():
+    # s_5**2 / s_0**2 = 1e-10 clears the floor 1e3 * m * eps (6.7e-11), so
+    # rank 6 stays on the Gram route; u_r = Y v_r / s_r alone is orthonormal
+    # only to ~2e-8 here, and s_5 is ~1e-8 off the thin SVD
+    rng = np.random.default_rng(0)
+    p, n, r = 600, 300, 6
+    u, v = random_orthonormal(rng, p, n), random_orthonormal(rng, n, n)
+    s = np.concatenate([[1.0, 0.8, 0.6, 0.4, 0.2, 1e-5], 3e-6 * np.linspace(1.0, 0.5, n - r)])
+    y = ObservedMatrix((u * s) @ v.T)
+    assert y.resolves(r)
+    s_route, left, right = y.factors(r)
+    want = np.linalg.svd(y.values, compute_uv=False)
+    assert np.max(np.abs(left.T @ left - np.eye(r))) <= 1e-12
+    assert np.max(np.abs(right.T @ right - np.eye(r))) <= 1e-12
+    assert np.max(np.abs(s_route[:r] - want[:r]) / want[:r]) <= 1e-12
+    est = soft_threshold_denoise(y, r)
+    assert np.max(np.abs(est.left_vectors.T @ est.left_vectors - np.eye(r))) <= 1e-12
 
 
 def test_gram_zero_matrix():

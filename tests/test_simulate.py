@@ -7,6 +7,7 @@ from cdpa import (
     BadConfig,
     CdpaConfig,
     PatternDecomposition,
+    PermutationPlan,
     RankProfile,
     SimulationConfig,
     closed_form_explained_variance,
@@ -152,24 +153,21 @@ def test_oracle_out_of_sweep_angle():
 # --------------------------------------------------------------- error_metrics
 
 
-def _estimate(truth, c, c_factors, c_scaled, explained):
+def _estimate(c_factors, explained):
     """An estimate with the given common pattern.  ``error_metrics`` reads
-    no distinctive pattern, so ``h`` and ``delta`` are left at zero."""
-    zeros = np.zeros_like(c)
+    no distinctive pattern, so the estimate has no sources."""
+    pmax = c_factors[0].shape[0]
     return PatternDecomposition(
-        c=c,
         c_factors=c_factors,
         scales=(np.sqrt(TOTAL_VARIANCE), np.sqrt(TOTAL_VARIANCE)),
-        c_scaled=c_scaled,
-        h=(zeros, zeros),
-        delta=(zeros, zeros),
-        aligned_x=(truth.x1, truth.x2),
+        sources=(),
+        permutation=PermutationPlan(perm=np.arange(pmax), objective=0.0, method="identity"),
         explained=explained,
     )
 
 
 def _perfect_estimate(truth):
-    return _estimate(truth, truth.c, truth.c_factors, truth.c_scaled, truth.explained)
+    return _estimate(truth.c_factors, truth.explained)
 
 
 def test_error_metrics_zero_for_perfect_estimate():
@@ -186,10 +184,7 @@ def test_error_metrics_zero_estimate_recovers_population_trace():
     _, _, truth = generate_setup(cfg, exact_moments=True)
     zeros = np.zeros_like(truth.c)
     fake = _estimate(
-        truth,
-        c=zeros,
         c_factors=(np.zeros((zeros.shape[0], 0)), np.zeros((0, zeros.shape[1]))),
-        c_scaled=(zeros, zeros),
         explained=0.0,
     )
     report = error_metrics(fake, truth)
