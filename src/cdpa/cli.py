@@ -42,9 +42,8 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _load(path: str, center: bool) -> ObservedMatrix:
-    m = ObservedMatrix(read_matrix(path))
-    return center_rows(m) if center else m
+def _load(path: str) -> ObservedMatrix:
+    return ObservedMatrix(read_matrix(path))
 
 
 def _threads(text: str, source: str = "--threads") -> int:
@@ -98,8 +97,9 @@ def _perm_argument(value: str):
 
 
 def cmd_ranks(args) -> int:
-    y1 = _load(args.y1, not args.no_center)
-    y2 = _load(args.y2, not args.no_center)
+    y1, y2 = _load(args.y1), _load(args.y2)
+    if not args.no_center:
+        y1, y2 = center_rows(y1), center_rows(y2)
     ranks, _, _, screen = select_ranks(y1, y2, args.alpha)
     _emit({"r1": ranks.r1, "r2": ranks.r2, "r12": ranks.r12, "screen": screen})
     return 0
@@ -126,8 +126,7 @@ def _output_matrices(result) -> dict[str, ColumnBlocks]:
 
 def cmd_decompose(args) -> int:
     t0 = time.time()
-    y1 = _load(args.y1, not args.no_center)
-    y2 = _load(args.y2, not args.no_center)
+    y1, y2 = _load(args.y1), _load(args.y2)
     ranks = _parse_ranks(args.ranks) if args.ranks else None
     if ranks is None and not args.auto_ranks:
         raise BadConfig("pass --ranks r1,r2,r12 or --auto-ranks")
@@ -135,7 +134,7 @@ def cmd_decompose(args) -> int:
         ranks=ranks,
         perm=_perm_argument(args.perm),
         sign=args.sign,
-        center=False,  # centering already applied at load time
+        center=not args.no_center,
     )
     if args.bootstrap:
         check_bootstrap(args.bootstrap, args.level, args.seed)
@@ -188,8 +187,9 @@ def cmd_decompose(args) -> int:
         "artifacts": artifacts,
         "timings": {"seconds": time.time() - t0},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
-    _emit(manifest)
+    text = json.dumps(manifest, sort_keys=True, indent=2)
+    (out / "manifest.json").write_text(text)
+    print(text)
     return 0
 
 
@@ -307,13 +307,12 @@ def cmd_match(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    y1 = _load(args.y1, not args.no_center)
-    y2 = _load(args.y2, not args.no_center)
+    y1, y2 = _load(args.y1), _load(args.y2)
     config = CdpaConfig(
         ranks=_parse_ranks(args.ranks),
         perm=_perm_argument(args.perm),
         sign="plus",
-        center=False,
+        center=not args.no_center,
     )
     ci = bootstrap_ci(
         y1,

@@ -40,12 +40,9 @@ class ObservedMatrix:
     ----------
     values : ndarray, shape (p, n)
         Data with rows as variables and columns as samples.
-    row_centered : bool
-        True when every row has (numerically) zero mean.
     """
 
     values: np.ndarray
-    row_centered: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -57,10 +54,6 @@ class ObservedMatrix:
         if not np.all(np.isfinite(v)):
             raise InputError("matrix contains non-finite entries")
         object.__setattr__(self, "values", v)
-        if self.row_centered:
-            scale = np.abs(v).mean(axis=1) + 1e-300
-            if np.any(np.abs(v.mean(axis=1)) > 1e-10 * np.maximum(scale, 1.0)):
-                raise InputError("row_centered is set but row means are not zero")
 
     @property
     def p(self) -> int:
@@ -111,7 +104,7 @@ class ObservedMatrix:
         floor = _RESOLVE * min(self.p, self.n) * np.finfo(np.float64).eps
         return bool(t[r - 1] > floor and np.sum(t[r:]) > floor)
 
-    def factors(self, r: int, left: bool = True):
+    def factors(self, r: int):
         """``(s, u_r, v_r)``: all singular values and the top-``r`` left
         (p x r) and right (n x r) singular vectors, with unresolved signs.
 
@@ -123,9 +116,8 @@ class ObservedMatrix:
         ``o a``, the short-side vectors ``q_r b`` and the top ``r``
         singular values ``s_r``, so both sides are orthonormal to round-off
         and ``s_r`` does not carry the Gram round-off.  The step is taken
-        once per rank, so the denoiser and the noise trace read the same
-        values.  When p >= n and ``left`` is unset, ``u_r`` is None and
-        ``q_r`` and the Gram values are returned unrefined.
+        once per rank, so the denoiser, the noise trace and the shared-rank
+        criterion read the same values.
         """
         if not self.resolves(r):
             u, s, vt = self.svd
@@ -133,8 +125,6 @@ class ObservedMatrix:
         s, q = self.gram
         q = q[:, :r]
         tall = self.p >= self.n
-        if tall and not left:
-            return s, None, q
         if r not in self._refined:
             o, t = np.linalg.qr(self.values @ q if tall else self.values.T @ q)
             a, s_r, bt = svd(t)
@@ -219,7 +209,7 @@ def center_rows(y: ObservedMatrix) -> ObservedMatrix:
     """
     v = y.values - y.values.mean(axis=1, keepdims=True)
     v[np.ptp(y.values, axis=1) == 0] = 0.0
-    return ObservedMatrix(v, row_centered=True)
+    return ObservedMatrix(v)
 
 
 def _relative(s: np.ndarray) -> tuple[float, np.ndarray]:
@@ -385,14 +375,15 @@ def mdl_select_r12(
     ``s_l`` are the singular values of the product of the two top right
     singular subspaces; the criterion ``n * sum_{l<=r} log(1 - s_l^2) +
     r * (r1 + r2 - r) * log(n)`` is minimized over ``r in [1, min(r1, r2)]``.
-    Only the right singular vectors are read.
+    It reads the top right singular vectors of ``factors``, which the
+    denoiser has already refined at the same ranks in ``select_ranks``.
     """
     if y1.n != y2.n:
         raise InputError("datasets have different sample counts")
     if min(r1, r2) < 1:
         raise InputError("mdl_select_r12 requires r1, r2 >= 1")
     n = y1.n
-    v1, v2 = y1.factors(r1, left=False)[2], y2.factors(r2, left=False)[2]
+    v1, v2 = y1.factors(r1)[2], y2.factors(r2)[2]
     s = svd(v1.T @ v2, compute_uv=False)
     s2 = np.minimum(s**2, 1.0 - 1e-12)  # guard against coincident subspaces
     rmax = min(r1, r2)
@@ -430,12 +421,12 @@ def select_ranks(
     and ``r2``, and the screen result.
 
     Each dataset is factored once, by ``eigh`` of its short-side Gram
-    matrix (``ObservedMatrix.gram``): ED reads the singular values, MDL
-    the top right singular vectors, and the denoiser forms the other side
-    of its top-r vectors from them.  When the kept energy ``s_r**2`` or
-    the tail energy ``sum_{l>r} s_l**2`` is within ``1e3 * m * eps *
-    s_0**2`` of zero, where the Gram route cannot resolve it, that
-    dataset is refactored once by a thin SVD.
+    matrix (``ObservedMatrix.gram``): ED reads the singular values, and
+    the denoiser refines the top-r vectors of both sides from it, which
+    MDL then reads.  When the kept energy ``s_r**2`` or the tail energy
+    ``sum_{l>r} s_l**2`` is within ``1e3 * m * eps * s_0**2`` of zero,
+    where the Gram route cannot resolve it, that dataset is refactored
+    once by a thin SVD.
     """
     if y1.n != y2.n:
         raise InputError(f"datasets have different sample counts: {y1.n} vs {y2.n}")

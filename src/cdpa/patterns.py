@@ -66,7 +66,8 @@ class PatternDecomposition:
     factor scores ``c0``; ``scales``, the square roots of the two
     signal-covariance traces; the two source splits (each a signal
     estimate, its mixing channel and ``c0``); and the row alignment
-    ``permutation`` of dataset 2.  ``explained`` is ``sum(c**2) / n``.
+    ``permutation`` of dataset 2.  ``explained`` is ``sum(c**2) / n``, taken
+    from the factors.
 
     Every dense matrix lives in the padded row space and is formed only
     when read, by its ``*_block`` function of a column slice, which also
@@ -203,20 +204,18 @@ def pattern_decomposition(
 ) -> PatternDecomposition:
     """Assemble the rescaled common patterns and distinctive remainders.
 
-    The common pattern is the product of its factors ``(loadings,
-    scores)``; it is formed once here, squared in place, for ``explained``
-    and not kept.  The smaller dataset is zero-padded to the common row
-    dimension and the permutation is applied to dataset 2's rows before
-    the split, when a pattern is read.
+    The common pattern is kept as its factors ``(loadings, scores)``, and
+    ``explained`` comes from their r12 x r12 Gram matrices, as sign
+    ``auto`` takes it.  The smaller dataset is zero-padded to the common
+    row dimension and the permutation is applied to dataset 2's rows
+    before the split, when a pattern is read.
     """
-    loadings, scores = c_factors
-    c = loadings @ scores
     return PatternDecomposition(
         c_factors=c_factors,
         scales=(float(np.sqrt(traces[0])), float(np.sqrt(traces[1]))),
         sources=source_pair,
         permutation=permutation,
-        explained=float(np.sum(np.square(c, out=c)) / scores.shape[1]),
+        explained=_factor_explained(*c_factors),
     )
 
 
@@ -412,8 +411,7 @@ def estimate_cdpa(
             f"datasets have different sample counts: {y1.n} vs {y2.n}"
         )
     if config.center:
-        y1 = center_rows(y1) if not y1.row_centered else y1
-        y2 = center_rows(y2) if not y2.row_centered else y2
+        y1, y2 = center_rows(y1), center_rows(y2)
 
     if config.ranks is None:
         ranks, x1, x2, _ = select_ranks(y1, y2)

@@ -11,6 +11,7 @@ from cdpa import (
     ObservedMatrix,
     RankProfile,
     SimulationConfig,
+    bootstrap_ci,
     estimate_cdpa,
     generate_setup,
     read_matrix_binary,
@@ -108,9 +109,9 @@ def test_decompose_writes_outputs_and_manifest(bench_files, tmp_path, capsys):
         ],
     )
     assert code == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    stdout_manifest = json.loads(out)
-    assert manifest == stdout_manifest
+    text = (out_dir / "manifest.json").read_text()
+    assert out == text + "\n"  # one encoding, written to both
+    manifest = json.loads(text)
     for name in manifest["artifacts"].values():
         assert (out_dir / name).exists()
     assert manifest["ranks"] == [5, 5, 5]
@@ -471,6 +472,31 @@ def test_bootstrap_command(bench_files, capsys):
     payload = json.loads(out)
     assert payload["lower"] <= payload["upper"]
     assert payload["replicates"] == 100
+
+
+def test_cli_bootstrap_intervals_equal_the_library(tmp_path, capsys):
+    # rows with large offsets: each replicate must be centred again, as
+    # the library's replicates are
+    cfg = SimulationConfig(setup=1, theta_deg=30.0, p1=60, n=80, seed=3)
+    rng = np.random.default_rng(3)
+    paths = []
+    for k, y in enumerate(generate_setup(cfg)[:2], start=1):
+        paths.append(str(tmp_path / f"y{k}.cdpm"))
+        write_matrix_binary(paths[-1], y.values + 5.0 * rng.standard_normal((y.p, 1)))
+    y1, y2 = (ObservedMatrix(read_matrix_binary(p)) for p in paths)
+    fit = estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 5, 5), sign="plus"))
+    want = bootstrap_ci(y1, y2, fit, replicates=200, seed=1)
+    runs = [
+        ["decompose", *paths, "--ranks", "5,5,5", "--sign", "plus", "--bootstrap", "200",
+         "--seed", "1", "--out", str(tmp_path / "dec")],
+        ["bootstrap", *paths, "--ranks", "5,5,5", "--replicates", "200", "--seed", "1"],
+    ]
+    for argv in runs:
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        got = payload.get("confidence_interval", payload)
+        assert (got["point"], got["lower"], got["upper"]) == (want.point, want.lower, want.upper)
 
 
 @pytest.mark.parametrize("bad", [["--bootstrap", "50"], ["--bootstrap", "100", "--level", "1.5"]])

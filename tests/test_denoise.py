@@ -46,17 +46,11 @@ def test_observed_matrix_rejects_single_sample():
         ObservedMatrix(np.ones((3, 1)))
 
 
-def test_observed_matrix_checks_centering_claim():
-    with pytest.raises(InputError, match="row means"):
-        ObservedMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), row_centered=True)
-
-
 # -------------------------------------------------------------- center_rows
 
 
 def test_center_rows_constant_matrix():
     y = center_rows(ObservedMatrix(np.full((4, 5), 3.0)))
-    assert y.row_centered
     np.testing.assert_array_equal(y.values, np.zeros((4, 5)))
 
 

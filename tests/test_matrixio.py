@@ -11,6 +11,8 @@ def test_binary_roundtrip(tmp_path):
     write_matrix_binary(path, a)
     b = read_matrix_binary(path)
     np.testing.assert_array_equal(a, b)
+    # the file's column-major layout is kept, in a buffer of its own
+    assert b.flags.f_contiguous and b.flags.writeable and b.flags.owndata
 
 
 def test_binary_header(tmp_path):

@@ -206,7 +206,10 @@ def test_patterns_keep_common_factors():
         assert loadings.shape == (max(y1.p, y2.p), r12)
         assert scores.shape == (r12, 60)
         assert np.array_equal(pat.c, loadings @ scores)
-        assert pat.explained == np.sum(pat.c**2) / 60
+        np.testing.assert_allclose(pat.explained, np.sum(pat.c**2) / 60, rtol=1e-12)
+        if r12:
+            choice = fit.sign_choice
+            assert pat.explained == (choice.trace_plus if fit.sign == 1 else choice.trace_minus)
         for k in range(2):
             assert np.array_equal(pat.c_scaled[k], pat.scales[k] * pat.c)
     assert 0 in shared_ranks and len(shared_ranks) > 1
