@@ -42,13 +42,6 @@ def eigh(a: np.ndarray):
         raise NumericalError(f"eigendecomposition of a {a.shape} matrix failed: {exc}") from exc
 
 
-def det_svd(a: np.ndarray, full_matrices: bool = False):
-    """SVD with descending singular values and the package sign convention."""
-    u, s, vt = svd(a, full_matrices=full_matrices)
-    u, vt = fix_signs(u, vt)
-    return u, s, vt
-
-
 def random_orthonormal(rng: np.random.Generator, p: int, r: int) -> np.ndarray:
     """Random p x r matrix with orthonormal columns, sign-normalized."""
     q, _ = np.linalg.qr(rng.standard_normal((p, r)))

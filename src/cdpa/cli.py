@@ -100,7 +100,7 @@ def cmd_ranks(args) -> int:
     y1, y2 = _load(args.y1), _load(args.y2)
     if not args.no_center:
         y1, y2 = center_rows(y1), center_rows(y2)
-    ranks, _, _, screen = select_ranks(y1, y2, args.alpha)
+    ranks, _, _, screen = select_ranks(y1, y2)
     _emit({"r1": ranks.r1, "r2": ranks.r2, "r12": ranks.r12, "screen": screen})
     return 0
 
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     ranks = sub.add_parser("ranks", help="select signal ranks and the shared rank")
     ranks.add_argument("y1")
     ranks.add_argument("y2")
-    ranks.add_argument("--alpha", type=float, default=0.05)
     ranks.add_argument("--no-center", action="store_true")
     ranks.set_defaults(func=cmd_ranks)
 

@@ -6,20 +6,21 @@ a noise-calibrated constant, the per-dataset signal ranks are selected
 from eigenvalue gaps, and the shared rank is selected by a penalized
 log-likelihood criterion over the affinity of the right singular
 subspaces.  Each dataset is factored once, through the eigendecomposition
-of its short-side Gram matrix, with a thin SVD only for ranks that the
-Gram route cannot resolve.
+of its short-side Gram matrix; for ranks that the Gram spectrum cannot
+resolve, the spectrum comes from the SVD of the triangular factor of a
+thin QR instead, and one Rayleigh-Ritz step gives the vectors either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.stats import norm
 
-from ._linalg import det_svd, eigh, fix_signs, svd
+from ._linalg import eigh, fix_signs, svd
 from .errors import (
     DegenerateThreshold,
     InputError,
@@ -43,6 +44,8 @@ class ObservedMatrix:
     """
 
     values: np.ndarray
+    # not cached_property: before Python 3.12 its lock is shared by all instances
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -63,7 +66,7 @@ class ObservedMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    @cached_property
+    @property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
         """Singular values and short-side singular vectors from one ``eigh``.
 
@@ -76,16 +79,12 @@ class ObservedMatrix:
         once and shared by rank selection, denoising and the shared-rank
         criterion.
         """
-        k = int(np.frexp(np.max(np.abs(self.values)))[1])
-        a = np.ldexp(self.values, -k)
-        w, q = eigh(a.T @ a if self.p >= self.n else a @ a.T)
-        return np.ldexp(np.sqrt(np.maximum(w[::-1], 0.0)), k), q[:, ::-1]
-
-    @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD ``(u, s, vt)`` of the values, taken only for a rank
-        that the Gram route does not resolve."""
-        return det_svd(self.values)
+        if "gram" not in self._cache:
+            k = int(np.frexp(np.max(np.abs(self.values)))[1])
+            a = np.ldexp(self.values, -k)
+            w, q = eigh(a.T @ a if self.p >= self.n else a @ a.T)
+            self._cache["gram"] = np.ldexp(np.sqrt(np.maximum(w[::-1], 0.0)), k), q[:, ::-1]
+        return self._cache["gram"]
 
     def resolves(self, r: int) -> bool:
         """Whether the Gram route resolves rank ``r``.
@@ -108,34 +107,30 @@ class ObservedMatrix:
         """``(s, u_r, v_r)``: all singular values and the top-``r`` left
         (p x r) and right (n x r) singular vectors, with unresolved signs.
 
-        They come from the Gram route when it resolves rank ``r`` and from
-        ``svd`` otherwise.  On the Gram route the top-``r`` vectors ``q_r``
-        of the short side are refined by one Rayleigh-Ritz step: with
-        ``m = Y`` (p >= n) or ``Y.T`` (p < n), the thin QR ``m q_r = o t``
-        and the SVD ``t = a diag(s_r) b.T`` give the long-side vectors
-        ``o a``, the short-side vectors ``q_r b`` and the top ``r``
-        singular values ``s_r``, so both sides are orthonormal to round-off
-        and ``s_r`` does not carry the Gram round-off.  The step is taken
-        once per rank, so the denoiser, the noise trace and the shared-rank
-        criterion read the same values.
+        With ``m = Y`` (p >= n) or ``Y.T`` (p < n), the short-side spectrum
+        ``(s, q)`` is ``gram`` when it resolves rank ``r``; otherwise it is
+        the SVD of the min(n, p)-square triangular factor of the thin QR of
+        ``m``, whose spectrum is free of the Gram round-off.  One
+        Rayleigh-Ritz step then refines the top-``r`` vectors ``q_r``: the
+        thin QR ``m q_r = o t`` and the SVD ``t = a diag(s_r) b.T`` give the
+        long-side vectors ``o a``, the short-side vectors ``q_r b`` and the
+        top ``r`` singular values ``s_r``, so both sides are orthonormal to
+        round-off.  The step is taken once per rank, so the denoiser, the
+        noise trace and the shared-rank criterion read the same values.
         """
-        if not self.resolves(r):
-            u, s, vt = self.svd
-            return s, u[:, :r], vt[:r].T
-        s, q = self.gram
-        q = q[:, :r]
-        tall = self.p >= self.n
-        if r not in self._refined:
-            o, t = np.linalg.qr(self.values @ q if tall else self.values.T @ q)
+        if r not in self._cache:
+            tall = self.p >= self.n
+            m = self.values if tall else self.values.T
+            s, q = self.gram
+            if not self.resolves(r):
+                _, s, vt = svd(np.linalg.qr(m, mode="r"))
+                q = vt.T
+            q = q[:, :r]
+            o, t = np.linalg.qr(m @ q)
             a, s_r, bt = svd(t)
             u, v = (o @ a, q @ bt.T) if tall else (q @ bt.T, o @ a)
-            self._refined[r] = np.concatenate([s_r, s[r:]]), u, v
-        return self._refined[r]
-
-    @cached_property
-    def _refined(self) -> dict:
-        """The Rayleigh-Ritz ``factors`` of the Gram route, by rank."""
-        return {}
+            self._cache[r] = np.concatenate([s_r, s[r:]]), u, v
+        return self._cache[r]
 
 
 @dataclass(frozen=True)
@@ -316,22 +311,21 @@ def ed_select_rank(y: ObservedMatrix) -> int:
 
 
 _SCREEN_ROWS = 128  # rows of the p1 x p2 correlation matrix formed at a time
+_SCREEN_ALPHA = 0.05  # family-wise level of the correlation screen
 
 
-def correlation_screen(
-    x1: SignalEstimate, x2: SignalEstimate, alpha: float = 0.05
-) -> bool:
+def correlation_screen(x1: SignalEstimate, x2: SignalEstimate) -> bool:
     """Test whether any cross-dataset variable pair is correlated.
 
-    Applies the Fisher z normal-approximation test to every pair of
-    denoised variables with a Bonferroni correction over all p1 * p2
-    pairs.  A True result licenses a nonzero shared rank.  The test is
-    monotone in |r|, so only the largest |r| is compared with the
+    Applies the Fisher z normal-approximation test at level 0.05 to every
+    pair of denoised variables with a Bonferroni correction over all
+    p1 * p2 pairs.  A True result licenses a nonzero shared rank.  The
+    test is monotone in |r|, so only the largest |r| is compared with the
     critical value.
     """
     r_max = _max_correlation(x1, x2)
     z = np.arctanh(min(r_max, 1.0 - 1e-15)) * np.sqrt(x1.n - 3)
-    return bool(z >= norm.isf(alpha / (2.0 * x1.p * x2.p)))
+    return bool(z >= norm.isf(_SCREEN_ALPHA / (2.0 * x1.p * x2.p)))
 
 
 def _max_correlation(x1: SignalEstimate, x2: SignalEstimate) -> float:
@@ -410,13 +404,13 @@ def denoise_at_rank(y: ObservedMatrix, r: int) -> SignalEstimate:
 
 
 def select_ranks(
-    y1: ObservedMatrix, y2: ObservedMatrix, alpha: float = 0.05
+    y1: ObservedMatrix, y2: ObservedMatrix
 ) -> tuple[RankProfile, SignalEstimate, SignalEstimate, bool]:
     """Select the ranks and denoise both datasets.
 
     ``r1`` and ``r2`` come from ``ed_select_rank``; the shared rank is
     selected by ``mdl_select_r12`` when both are nonzero and the
-    correlation screen at level ``alpha`` finds a correlated pair, and is
+    correlation screen at level 0.05 finds a correlated pair, and is
     0 otherwise.  Returns the ranks, the two signal estimates at ``r1``
     and ``r2``, and the screen result.
 
@@ -425,14 +419,15 @@ def select_ranks(
     the denoiser refines the top-r vectors of both sides from it, which
     MDL then reads.  When the kept energy ``s_r**2`` or the tail energy
     ``sum_{l>r} s_l**2`` is within ``1e3 * m * eps * s_0**2`` of zero,
-    where the Gram route cannot resolve it, that dataset is refactored
-    once by a thin SVD.
+    where the Gram route cannot resolve it, the spectrum of that dataset
+    is taken once more, from the triangular factor of its thin QR, before
+    the same refinement (``ObservedMatrix.factors``).
     """
     if y1.n != y2.n:
         raise InputError(f"datasets have different sample counts: {y1.n} vs {y2.n}")
     r1, r2 = ed_select_rank(y1), ed_select_rank(y2)
     x1, x2 = denoise_at_rank(y1, r1), denoise_at_rank(y2, r2)
-    screen = min(r1, r2) >= 1 and correlation_screen(x1, x2, alpha)
+    screen = min(r1, r2) >= 1 and correlation_screen(x1, x2)
     r12 = mdl_select_r12(y1, y2, r1, r2) if screen else 0
     return RankProfile(r1=r1, r2=r2, r12=r12), x1, x2, screen
 

@@ -417,16 +417,16 @@ def test_simulate_setup2_autoset_p2(tmp_path, capsys):
 
 
 def test_simulate_deterministic(tmp_path, capsys):
+    # byte-identical outputs on one worker and on two concurrent ones
     argv = [
-        "simulate", "--setup", "1", "--theta", "15", "--p1", "30",
+        "simulate", "--setup", "1", "--theta", "15,60", "--p1", "30",
         "--noise", "0.5", "--n", "60", "--reps", "3", "--seed", "5",
     ]
-    _, out_a, _ = _run(capsys, argv + ["--out", str(tmp_path / "a")])
-    _, out_b, _ = _run(capsys, argv + ["--out", str(tmp_path / "b")])
+    _, out_a, _ = _run(capsys, argv + ["--threads", "1", "--out", str(tmp_path / "a")])
+    _, out_b, _ = _run(capsys, argv + ["--threads", "2", "--out", str(tmp_path / "b")])
     assert out_a == out_b
-    assert (tmp_path / "a" / "replications.csv").read_text() == (
-        tmp_path / "b" / "replications.csv"
-    ).read_text()
+    for name in ("aggregate.json", "replications.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import lru_cache
 
@@ -27,6 +29,7 @@ from cdpa import (
     noise_trace,
     soft_threshold_denoise,
 )
+import cdpa.denoise
 from cdpa._linalg import random_orthonormal
 from cdpa.denoise import _max_correlation
 
@@ -276,7 +279,7 @@ def test_screen_identical_signals():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 60))
     e1, e2 = estimates_from(x, x.copy(), 3, 3)
-    assert correlation_screen(e1, e2, 0.05)
+    assert correlation_screen(e1, e2)
 
 
 def test_screen_independent_signals_mostly_negative():
@@ -292,7 +295,7 @@ def test_screen_independent_signals_mostly_negative():
         y2 = x2 + np.random.default_rng(8000 + i).standard_normal(x2.shape)
         e1 = soft_threshold_denoise(ObservedMatrix(y1), 5)
         e2 = soft_threshold_denoise(ObservedMatrix(y2), 5)
-        hits += correlation_screen(e1, e2, 0.05)
+        hits += correlation_screen(e1, e2)
     assert hits <= 2  # false positives in at most 10 percent of seeds
 
 
@@ -305,7 +308,7 @@ def test_screen_benchmark_signals_positive():
         y1, y2, _ = generate_setup(cfg)
         e1 = soft_threshold_denoise(y1, 5)
         e2 = soft_threshold_denoise(y2, 5)
-        hits += correlation_screen(e1, e2, 0.05)
+        hits += correlation_screen(e1, e2)
     assert hits == 20
 
 
@@ -356,7 +359,7 @@ def test_screen_agrees_with_dense_correlations():
     decisions = []
     for e1, e2 in pairs:
         want, want_max = _dense_screen(e1, e2, 0.05)
-        assert correlation_screen(e1, e2, 0.05) == want
+        assert correlation_screen(e1, e2) == want
         assert abs(_max_correlation(e1, e2) - want_max) <= 1e-12
         decisions.append(want)
     assert True in decisions and False in decisions
@@ -487,7 +490,7 @@ def test_gram_fallback_rank_one_data(monkeypatch):
     y = ObservedMatrix(x)
     est = soft_threshold_denoise(y, 1)
     assert not y.resolves(1)  # the tail energy is round-off
-    assert shapes == {"eigh": [(40, 40)], "svd": [(60, 40)]}
+    assert shapes == {"eigh": [(40, 40)], "svd": [(40, 40), (1, 1)]}
     tau, xhat = _svd_reference(x, 1)
     assert est.tau <= 1e-28 * np.sum(x**2)
     np.testing.assert_allclose(est.tau, tau, rtol=1e-6, atol=1e-300)
@@ -501,7 +504,7 @@ def test_gram_fallback_exact_low_rank_wide(monkeypatch):
     shapes = record_linalg(monkeypatch)
     y = ObservedMatrix(x)
     est = soft_threshold_denoise(y, 3)
-    assert shapes == {"eigh": [(12, 12)], "svd": [(12, 30)]}
+    assert shapes == {"eigh": [(12, 12)], "svd": [(12, 12), (3, 3)]}
     assert est.tau <= 1e-20
     assert np.linalg.norm(est.xhat - x) <= 1e-12 * np.linalg.norm(x)
     # the kept vectors are resolved below the rank, so those ranks stay on the Gram route
@@ -513,7 +516,7 @@ def test_gram_fallback_constant_rows(monkeypatch):
     y1, y2 = (ObservedMatrix(np.outer(rng.standard_normal(p), np.full(50, 2.5))) for p in (30, 20))
     shapes = record_linalg(monkeypatch)
     x1, x2 = soft_threshold_denoise(y1, 1), soft_threshold_denoise(y2, 1)
-    assert shapes["svd"] == [(30, 50), (20, 50)]
+    assert shapes["svd"] == [(30, 30), (1, 1), (20, 20), (1, 1)]
     for x, y in ((x1, y1), (x2, y2)):
         assert np.linalg.norm(x.xhat - y.values) <= 1e-12 * np.linalg.norm(y.values)
         assert noise_trace(y, x) <= 1e-24 * np.sum(y.values**2)
@@ -521,6 +524,44 @@ def test_gram_fallback_constant_rows(monkeypatch):
     fit = estimate_cdpa(y1, y2)
     assert all(np.all(np.isfinite(m)) for m in (fit.patterns.c, *fit.patterns.delta))
     assert np.isfinite(fit.patterns.explained) and np.all(np.isfinite(fit.diagnostics.snr))
+
+
+@pytest.mark.parametrize("shape", [(80, 40), (40, 80)])
+def test_gram_fallback_above_the_true_rank(shape):
+    # rank-3 data at r = 5: the kept energies s_4**2 and s_5**2 are round-off
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+    y = ObservedMatrix(x)
+    assert not y.resolves(5)
+    _, left, right = y.factors(5)
+    assert left.shape == (shape[0], 5) and right.shape == (shape[1], 5)
+    for f in (left, right):
+        assert np.max(np.abs(f.T @ f - np.eye(5))) <= 1e-12
+    est = soft_threshold_denoise(y, 5)
+    energy = np.sum(x**2)
+    assert np.linalg.norm(est.xhat - x) <= 1e-12 * np.linalg.norm(x)
+    assert est.tau <= 1e-24 * energy
+    assert noise_trace(y, est) <= 1e-24 * energy
+
+
+def test_gram_factorizations_run_concurrently(monkeypatch):
+    # each eigh waits for the other: a lock shared by all instances would
+    # hold the second thread back until the barrier times out
+    barrier = threading.Barrier(2, timeout=5)
+    real = cdpa.denoise.eigh
+
+    def waiting(a):
+        barrier.wait()
+        return real(a)
+
+    monkeypatch.setattr(cdpa.denoise, "eigh", waiting)
+    rng = np.random.default_rng(26)
+    ys = [ObservedMatrix(rng.standard_normal((30, 20))) for _ in range(2)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        grams = list(pool.map(lambda y: y.gram, ys))
+    for y, (s, _) in zip(ys, grams):
+        np.testing.assert_allclose(s, np.linalg.svd(y.values, compute_uv=False), rtol=1e-10)
+        assert y.gram[0] is s
 
 
 def test_gram_route_refines_vectors_near_the_resolution_floor():

@@ -352,6 +352,14 @@ def test_bootstrap_width_shrinks_with_sample_size():
     assert widths[200] < widths[100]
 
 
+def test_bootstrap_does_not_depend_on_threads():
+    cfg = SimulationConfig(setup=1, theta_deg=30.0, p1=40, n=80, noise_var=0.5, seed=12)
+    y1, y2, truth = generate_setup(cfg)
+    fit = _fixed_fit(y1, y2, RankProfile(5, 5, truth.r12))
+    one, two = (bootstrap_ci(y1, y2, fit, replicates=100, seed=3, threads=t) for t in (1, 2))
+    assert one == two
+
+
 def test_bootstrap_guards():
     rng = np.random.default_rng(11)
     y = ObservedMatrix(rng.standard_normal((10, 40)))
