@@ -3,13 +3,15 @@
 Maximizing the summed squared cosines of the principal angles over row
 permutations of the padded second basis is a quadratic assignment
 problem.  A Frank-Wolfe assignment ascent solves it approximately; an
-exhaustive oracle is available for small problems.
+exhaustive oracle is available for small problems.  Both read only the
+padded p x r bases; no p x p projector is kept.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -20,23 +22,21 @@ from .errors import InputError, TooLarge
 
 @dataclass(frozen=True)
 class MatchProblem:
-    """Projector-derived matrices of the row-matching objective.
+    """The padded p x r bases of the row-matching objective.
 
-    ``m1`` and ``m2`` are the basis projectors; ``diag1`` and ``diag2``
-    are their diagonals after both are shifted to nonnegativity by their
-    joint minimum entry, and seed one start of the matcher.
+    ``diag1`` and ``diag2`` are the diagonals of the projectors
+    ``q1 @ q1.T`` and ``q2a @ q2a.T``, shifted to nonnegativity by their
+    joint minimum entry; they seed one start of the matcher.
     """
 
-    m1: np.ndarray
-    m2: np.ndarray
-    diag1: np.ndarray
-    diag2: np.ndarray
     q1: np.ndarray
     q2a: np.ndarray
+    diag1: np.ndarray
+    diag2: np.ndarray
 
     @property
     def p(self) -> int:
-        return self.m1.shape[0]
+        return self.q1.shape[0]
 
 
 @dataclass(frozen=True)
@@ -113,26 +113,24 @@ def as_permutation(perm, p: int | None = None) -> np.ndarray:
     return arr.astype(np.intp)
 
 
+def _check_bases(q1: np.ndarray, q2a: np.ndarray) -> None:
+    if q1.shape != q2a.shape:
+        raise InputError(f"basis shapes differ: {q1.shape} vs {q2a.shape}")
+
+
 def match_objective(q1: np.ndarray, q2a: np.ndarray, perm) -> float:
     """Exact trace objective ``||q1.T @ q2a[perm]||_F^2`` for one alignment."""
+    _check_bases(q1, q2a)
     return float(np.sum((q1.T @ q2a[as_permutation(perm, q2a.shape[0])]) ** 2))
 
 
 def build_match_problem(q1: np.ndarray, q2a: np.ndarray) -> MatchProblem:
-    """Projector matrices and their shifted diagonals."""
-    if q1.shape != q2a.shape:
-        raise InputError(f"basis shapes differ: {q1.shape} vs {q2a.shape}")
+    """The bases and the shifted diagonals of their projectors, not kept."""
+    _check_bases(q1, q2a)
     m1 = q1 @ q1.T
     m2 = q2a @ q2a.T
     shift = min(m1.min(), m2.min())
-    return MatchProblem(
-        m1=m1,
-        m2=m2,
-        diag1=np.diag(m1) - shift,
-        diag2=np.diag(m2) - shift,
-        q1=q1,
-        q2a=q2a,
-    )
+    return MatchProblem(q1, q2a, np.diag(m1) - shift, np.diag(m2) - shift)
 
 
 def _assign(score: np.ndarray) -> np.ndarray:
@@ -159,26 +157,38 @@ def _ascend(q1, q2a, perm, max_iter):
     return perm, max_iter, False
 
 
-def _swap_deltas(m1: np.ndarray, p2g: np.ndarray) -> np.ndarray:
-    """Objective change for every pairwise swap, given gathered m2[perm][:, perm]."""
-    g = m1 @ p2g
-    gd = np.diag(g)
-    base = g + g.T - gd[:, None] - gd[None, :]
-    a_ii = np.diag(m1)
-    b_ii = np.diag(p2g)
-    corr = (a_ii[:, None] - m1) * (p2g - b_ii[:, None])
-    diag_term = (a_ii[:, None] - a_ii[None, :]) * (b_ii[None, :] - b_ii[:, None])
-    return 2.0 * (base - corr - corr.T) + diag_term
+def _squared_row_distances(q: np.ndarray) -> np.ndarray:
+    """``|q[i] - q[j]|^2`` for every pair of rows, from their Gram matrix."""
+    g = q @ q.T
+    norms = np.diag(g).copy()
+    g *= -2.0
+    g += norms[:, None]
+    g += norms
+    return g
 
 
-def _two_opt(m1, m2, perm):
+def _swap_gains(q1: np.ndarray, q2p: np.ndarray) -> np.ndarray:
+    """Objective gain of swapping rows i and j of ``q2p = q2a[perm]``.
+
+    The swap changes ``K = q1.T @ q2p`` by ``-a b^T``, with
+    ``a = q1[i] - q1[j]`` and ``b = q2p[i] - q2p[j]``, so the gain is
+    ``|a|^2 |b|^2 - 2 a^T K b``.  With ``H = q1 K q2p.T`` the cross term
+    ``a^T K b`` is ``H_ii + H_jj - H_ij - H_ji``.
+    """
+    h = q1 @ (q1.T @ q2p) @ q2p.T
+    hd = np.diag(h)
+    cross = hd[:, None] + hd - h - h.T
+    return _squared_row_distances(q1) * _squared_row_distances(q2p) - 2.0 * cross
+
+
+def _two_opt(q1, q2a, perm):
     """Best-improvement pairwise swaps, at most ``4 p`` of them."""
     perm = perm.copy()
     for _ in range(4 * perm.shape[0]):
-        deltas = _swap_deltas(m1, m2[np.ix_(perm, perm)])
-        np.fill_diagonal(deltas, -np.inf)
-        i, j = np.unravel_index(np.argmax(deltas), deltas.shape)
-        if deltas[i, j] <= 1e-12:
+        gains = _swap_gains(q1, q2a[perm])
+        np.fill_diagonal(gains, -np.inf)
+        i, j = np.unravel_index(np.argmax(gains), gains.shape)
+        if gains[i, j] <= 1e-12:
             break
         perm[i], perm[j] = perm[j], perm[i]
     return perm
@@ -191,33 +201,34 @@ def dspfp_match(problem: MatchProblem, max_iter: int = 120) -> PermutationPlan:
     Frank-Wolfe step over the doubly stochastic matrices always goes the
     full length to the vertex that maximizes the linearization: the
     permutation solving a linear assignment on the rank-r gradient
-    ``q1 @ q1.T @ P @ q2a @ q2a.T``.  Each start X0 is first mapped to a
-    permutation by one such assignment, then ascends one assignment per
-    step until the objective stops rising or ``max_iter`` steps are
+    ``q1 @ q1.T @ P @ q2a @ q2a.T``.  A start X0 enters only through its
+    r x r core ``q1.T @ X0 @ q2a``, mapped to a permutation by one
+    assignment on ``q1 @ core @ q2a.T``; each then ascends one assignment
+    per step until the objective stops rising or ``max_iter`` steps are
     taken.  Each start's result is polished by pairwise swaps, and the
     best permutation is returned, never worse than the identity.
     """
     p = problem.p
     q1, q2a = problem.q1, problem.q2a
-    # for orthonormal bases the start m1 @ m2 has the identity's gradient,
-    # so it would only repeat the identity start
-    starts = [
-        np.full((p, p), 1.0 / p),
-        np.outer(problem.diag1, problem.diag2),
-        np.eye(p),
+    # for orthonormal bases the start q1 q1.T q2a q2a.T has the identity's
+    # core, so it would only repeat the identity start
+    cores = [
+        np.outer(q1.sum(0), q2a.sum(0)) / p,
+        np.outer(q1.T @ problem.diag1, problem.diag2 @ q2a),
+        q1.T @ q2a,
     ]
     if p <= SMALL_P:
         rng = np.random.default_rng(INIT_SEED)
-        starts += [rng.random((p, p)) for _ in range(SEEDED_INITS)]
+        cores += [q1.T @ rng.random((p, p)) @ q2a for _ in range(SEEDED_INITS)]
     best_perm = identity_permutation(p)
     best_obj = match_objective(q1, q2a, best_perm)
     iterations, converged = 0, True
-    for x0 in starts:
-        perm = _assign(q1 @ (q1.T @ x0 @ q2a) @ q2a.T)
+    for core in cores:
+        perm = _assign(q1 @ core @ q2a.T)
         perm, steps, stopped = _ascend(q1, q2a, perm, max_iter)
         iterations += steps
         converged &= stopped
-        perm = _two_opt(problem.m1, problem.m2, perm)
+        perm = _two_opt(q1, q2a, perm)
         obj = match_objective(q1, q2a, perm)
         if obj > best_obj + 1e-12:
             best_perm, best_obj = perm, obj
@@ -230,35 +241,24 @@ def dspfp_match(problem: MatchProblem, max_iter: int = 120) -> PermutationPlan:
     )
 
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def _all_permutations(p: int) -> np.ndarray:
-    cached = _PERM_CACHE.get(p)
-    if cached is None:
-        cached = np.array(list(permutations(range(p))), dtype=np.intp)
-        _PERM_CACHE[p] = cached
-    return cached
+    return np.array(list(permutations(range(p))), dtype=np.intp)
 
 
 def exhaustive_match(q1: np.ndarray, q2a: np.ndarray) -> PermutationPlan:
     """Globally optimal row alignment by enumeration; limited to p <= 9."""
+    _check_bases(q1, q2a)
     p = q1.shape[0]
     if p > 9:
         raise TooLarge(f"exhaustive search limited to p <= 9, got {p}")
-    m1 = q1 @ q1.T
-    m2 = q2a @ q2a.T
     perms = _all_permutations(p)
-    best = -np.inf
-    best_perm = None
-    for start in range(0, perms.shape[0], 20000):
-        block = perms[start : start + 20000]
-        gathered = m2[block[:, :, None], block[:, None, :]]
-        objs = np.einsum("ij,nij->n", m1, gathered)
-        i = int(np.argmax(objs))
-        if objs[i] > best:
-            best = float(objs[i])
-            best_perm = block[i]
+    # blocks of 20000 permutations bound the gathered copies of q2a
+    objs = [
+        (np.einsum("ik,nil->nkl", q1, q2a[perms[s : s + 20000]]) ** 2).sum((1, 2))
+        for s in range(0, perms.shape[0], 20000)
+    ]
+    best_perm = perms[int(np.argmax(np.concatenate(objs)))]
     return PermutationPlan(
         perm=best_perm,
         objective=match_objective(q1, q2a, best_perm),

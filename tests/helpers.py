@@ -90,19 +90,22 @@ def rotate_pair(pair: ChannelSubspacePair, start: int, stop: int, rng):
 
 
 def dense_match_problem(q1, q2a):
-    """``build_match_problem`` plus the dense matrices of the objective chain.
+    """The dense matrices of the objective chain, which the library never keeps.
 
-    ``shift`` is the joint minimum entry of the two projectors, ``m*_plus``
-    the projectors shifted by it to nonnegativity, and ``offdiag*`` their
-    off-diagonal parts; the shifted diagonals come from the library.
+    ``m1`` and ``m2`` are the basis projectors, ``shift`` their joint
+    minimum entry, ``m*_plus`` the projectors shifted by it to
+    nonnegativity, and ``offdiag*`` their off-diagonal parts; the shifted
+    diagonals come from ``build_match_problem``.
     """
     prob = build_match_problem(q1, q2a)
-    shift = float(min(prob.m1.min(), prob.m2.min()))
-    m1_plus = prob.m1 - shift
-    m2_plus = prob.m2 - shift
+    m1 = q1 @ q1.T
+    m2 = q2a @ q2a.T
+    shift = float(min(m1.min(), m2.min()))
+    m1_plus = m1 - shift
+    m2_plus = m2 - shift
     return SimpleNamespace(
-        m1=prob.m1,
-        m2=prob.m2,
+        m1=m1,
+        m2=m2,
         m1_plus=m1_plus,
         m2_plus=m2_plus,
         offdiag1=m1_plus - np.diag(prob.diag1),

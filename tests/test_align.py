@@ -1,8 +1,13 @@
+import dataclasses
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdpa import (
     CdpaConfig,
+    InputError,
     RankProfile,
     SimulationConfig,
     TooLarge,
@@ -15,7 +20,7 @@ from cdpa import (
     match_objective,
 )
 from cdpa._linalg import random_orthonormal
-from cdpa.align import _all_permutations
+from cdpa.align import _all_permutations, _swap_gains
 
 from helpers import dense_match_problem
 
@@ -26,11 +31,29 @@ from helpers import dense_match_problem
 def test_match_problem_identical_bases():
     rng = np.random.default_rng(1)
     q = random_orthonormal(rng, 8, 3)
-    prob = build_match_problem(q, q.copy())
+    prob = dense_match_problem(q, q.copy())
     np.testing.assert_allclose(prob.m1, prob.m2, atol=1e-12)
     np.testing.assert_allclose(prob.m1, prob.m1.T, atol=1e-12)
     np.testing.assert_allclose(prob.m1 @ prob.m1, prob.m1, atol=1e-8)
     np.testing.assert_allclose(np.trace(prob.m1), 3.0, atol=1e-10)
+    # the library's problem keeps no p x p matrix
+    q = random_orthonormal(rng, 2000, 3)
+    big = build_match_problem(q, q.copy())
+    assert all(np.size(getattr(big, f.name)) <= 2000 * 3 for f in dataclasses.fields(big))
+
+
+def test_matchers_reject_mismatched_bases():
+    rng = np.random.default_rng(36)
+    q = random_orthonormal(rng, 5, 2)
+    matchers = (
+        build_match_problem,
+        exhaustive_match,
+        lambda a, b: match_objective(a, b, np.arange(b.shape[0])),
+    )
+    for other in (random_orthonormal(rng, 6, 2), random_orthonormal(rng, 5, 3)):
+        for matcher in matchers:
+            with pytest.raises(InputError, match="basis shapes differ"):
+                matcher(q, other)
 
 
 def test_match_problem_shift_is_joint_minimum():
@@ -87,6 +110,37 @@ def test_trace_objective_equals_summed_squared_cosines():
     for perm in perms[::60]:
         cos = np.linalg.svd(q1.T @ q2[perm], compute_uv=False)
         assert abs(match_objective(q1, q2, perm) - np.sum(cos**2)) <= 1e-10
+
+
+def _padded_basis(rng, p, r, zeros):
+    """A p x r orthonormal basis with ``zeros`` zero rows at random places."""
+    q = np.vstack([random_orthonormal(rng, p - zeros, r), np.zeros((zeros, r))])
+    return q[rng.permutation(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 12),
+    r=st.integers(1, 4),
+    zeros1=st.integers(0, 11),
+    zeros2=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swap_gains_are_exact_objective_differences(p, r, zeros1, zeros2, seed):
+    assume(r <= p)
+    rng = np.random.default_rng(seed)
+    q1 = _padded_basis(rng, p, r, min(zeros1, p - r))
+    q2p = _padded_basis(rng, p, r, min(zeros2, p - r))
+    gains = _swap_gains(q1, q2p)
+    base = match_objective(q1, q2p, np.arange(p))
+    for i, j in combinations(range(p), 2):
+        swap = np.arange(p)
+        swap[[i, j]] = [j, i]
+        diff = match_objective(q1, q2p, swap) - base
+        assert abs(gains[i, j] - diff) <= 1e-12
+        assert abs(gains[j, i] - diff) <= 1e-12
+        if not q1[[i, j]].any() or not q2p[[i, j]].any():
+            assert gains[i, j] == 0.0 and gains[j, i] == 0.0
 
 
 # ------------------------------------------------------------------ dspfp
