@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError
 
@@ -34,12 +35,29 @@ def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
         raise NumericalError(f"SVD of a {a.shape} matrix failed: {exc}") from exc
 
 
-def eigh(a: np.ndarray):
-    """``np.linalg.eigh``, with a failure to converge raised as ``NumericalError``."""
+def eigh_top(a: np.ndarray, r: int):
+    """The ``r`` largest eigenvalues of the symmetric ``a`` in descending
+    order and their eigenvectors as columns, by LAPACK's MRRR solver
+    (``scipy.linalg.eigh`` with ``driver="evr"``), which computes no other
+    eigenpair.  A failure to converge is raised as ``NumericalError``.
+    """
+    m = a.shape[0]
+    if r == 0:
+        return np.zeros(0), np.zeros((m, 0))
     try:
-        return np.linalg.eigh(a)
+        w, q = scipy.linalg.eigh(a, subset_by_index=[m - r, m - 1], driver="evr")
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition of a {a.shape} matrix failed: {exc}") from exc
+        raise NumericalError(f"top-{r} eigensolve of a {a.shape} matrix failed: {exc}") from exc
+    return w[::-1], q[:, ::-1]
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the symmetric ``a`` in ascending order, without
+    eigenvectors; a failure to converge is raised as ``NumericalError``."""
+    try:
+        return scipy.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalues of a {a.shape} matrix failed: {exc}") from exc
 
 
 def random_orthonormal(rng: np.random.Generator, p: int, r: int) -> np.ndarray:

@@ -124,13 +124,26 @@ def match_objective(q1: np.ndarray, q2a: np.ndarray, perm) -> float:
     return float(np.sum((q1.T @ q2a[as_permutation(perm, q2a.shape[0])]) ** 2))
 
 
+_PROJECTOR_ROWS = 256  # rows of a p x p projector formed at a time
+
+
 def build_match_problem(q1: np.ndarray, q2a: np.ndarray) -> MatchProblem:
-    """The bases and the shifted diagonals of their projectors, not kept."""
+    """The bases and the shifted diagonals of their projectors.
+
+    The projectors are formed a block of rows at a time, for their joint
+    minimum entry and their diagonals, and are never held whole.
+    """
     _check_bases(q1, q2a)
-    m1 = q1 @ q1.T
-    m2 = q2a @ q2a.T
-    shift = min(m1.min(), m2.min())
-    return MatchProblem(q1, q2a, np.diag(m1) - shift, np.diag(m2) - shift)
+    shift = np.inf
+    diags = []
+    for q in (q1, q2a):
+        diag = np.empty(q.shape[0])
+        for start in range(0, q.shape[0], _PROJECTOR_ROWS):
+            block = q[start : start + _PROJECTOR_ROWS] @ q.T
+            shift = min(shift, block.min())
+            diag[start : start + block.shape[0]] = np.diagonal(block, offset=start)
+        diags.append(diag)
+    return MatchProblem(q1, q2a, diags[0] - shift, diags[1] - shift)
 
 
 def _assign(score: np.ndarray) -> np.ndarray:

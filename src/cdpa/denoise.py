@@ -5,10 +5,12 @@ signal is recovered by soft-thresholding the squared singular values with
 a noise-calibrated constant, the per-dataset signal ranks are selected
 from eigenvalue gaps, and the shared rank is selected by a penalized
 log-likelihood criterion over the affinity of the right singular
-subspaces.  Each dataset is factored once, through the eigendecomposition
-of its short-side Gram matrix; for ranks that the Gram spectrum cannot
-resolve, the spectrum comes from the SVD of the triangular factor of a
-thin QR instead, and one Rayleigh-Ritz step gives the vectors either way.
+subspaces.  Each dataset's short-side Gram matrix is formed once.  Rank
+selection reads its eigenvalues alone; each rank reads only its top-r
+eigenpairs, with the tail energy taken as the trace minus their sum.  For
+ranks that the Gram spectrum cannot resolve, the spectrum comes from the
+SVD of the triangular factor of a thin QR instead, and one Rayleigh-Ritz
+step gives the vectors either way.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.stats import norm
 
-from ._linalg import eigh, fix_signs, svd
+from ._linalg import eigh_top, eigvalsh, fix_signs, svd
 from .errors import (
     DegenerateThreshold,
     InputError,
@@ -67,69 +69,92 @@ class ObservedMatrix:
         return self.values.shape[1]
 
     @property
-    def gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values and short-side singular vectors from one ``eigh``.
+    def gram(self) -> tuple[np.ndarray, int]:
+        """``(g, k)``: the short-side Gram matrix of ``a = values / 2**k``.
 
-        With ``a = values / 2**k`` (a power of two, so exact), ``eigh``
-        factors ``a.T @ a`` when p >= n, whose eigenvectors are the right
-        singular vectors, or ``a @ a.T`` when p < n, whose eigenvectors are
-        the left ones.  Returns ``(s, q)``: the min(n, p) singular values
-        ``sqrt(w) * 2**k`` in descending order, negative eigenvalues
-        clamped to zero, and the matching eigenvectors as columns.  Taken
-        once and shared by rank selection, denoising and the shared-rank
-        criterion.
+        ``2**k`` is the power of two just above the largest ``|value|``, so
+        the scaling is exact and no entry of ``g`` overflows.  ``g`` is
+        ``a.T @ a`` when p >= n, whose eigenvectors are the right singular
+        vectors, or ``a @ a.T`` when p < n, whose eigenvectors are the left
+        ones; its eigenvalues are the squared singular values over
+        ``4**k``.  Formed once and read by ``spectrum`` and by the top-r
+        solve of every rank.
         """
         if "gram" not in self._cache:
             k = int(np.frexp(np.max(np.abs(self.values)))[1])
             a = np.ldexp(self.values, -k)
-            w, q = eigh(a.T @ a if self.p >= self.n else a @ a.T)
-            self._cache["gram"] = np.ldexp(np.sqrt(np.maximum(w[::-1], 0.0)), k), q[:, ::-1]
+            self._cache["gram"] = (a.T @ a if self.p >= self.n else a @ a.T), k
         return self._cache["gram"]
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """All min(n, p) singular values in descending order, from one
+        values-only eigensolve of ``gram``, negative eigenvalues clamped to
+        zero.  Only rank selection (``ed_select_rank``) reads it."""
+        if "spectrum" not in self._cache:
+            g, k = self.gram
+            w = eigvalsh(g)[::-1]
+            self._cache["spectrum"] = np.ldexp(np.sqrt(np.maximum(w, 0.0)), k)
+        return self._cache["spectrum"]
+
+    def _top(self, r: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(w, q, tail)``: the top ``r`` eigenpairs of ``gram``, descending,
+        and its tail energy ``trace(g) - sum(w)``, in the units of ``gram``."""
+        if ("top", r) not in self._cache:
+            g, _ = self.gram
+            w, q = eigh_top(g, r)
+            self._cache["top", r] = w, q, float(np.trace(g) - np.sum(w))
+        return self._cache["top", r]
 
     def resolves(self, r: int) -> bool:
         """Whether the Gram route resolves rank ``r``.
 
-        The Gram eigenvalues carry a round-off of about ``m * eps * s_0**2``
-        (m = min(n, p)).  Rank ``r >= 1`` is resolved when both the kept
-        energy ``s_r**2`` and the tail energy ``sum_{l>r} s_l**2`` exceed
-        ``1e3 * m * eps * s_0**2``; rank 0 reads only the total energy.
+        The eigenvalues of ``gram`` carry a round-off of about
+        ``m * eps * w_0`` (m = min(n, p), ``w_0`` the largest).  Rank
+        ``r >= 1`` is resolved when both the kept energy ``w_{r-1}``
+        (``s_r**2``) and the tail energy ``trace - sum of the top r``
+        (``sum_{l>r} s_l**2``) exceed ``1e3 * m * eps * w_0``; the top-r
+        solve gives all three.  Rank 0 reads only the total energy.
         """
         if r == 0:
             return True
-        s = self.gram[0]
-        if s[0] == 0:
-            return False
-        t = (s / s[0]) ** 2
-        floor = _RESOLVE * min(self.p, self.n) * np.finfo(np.float64).eps
-        return bool(t[r - 1] > floor and np.sum(t[r:]) > floor)
+        w, _, tail = self._top(r)
+        floor = _RESOLVE * min(self.p, self.n) * np.finfo(np.float64).eps * w[0]
+        return bool(w[0] > 0 and w[-1] > floor and tail > floor)
 
     def factors(self, r: int):
-        """``(s, u_r, v_r)``: all singular values and the top-``r`` left
-        (p x r) and right (n x r) singular vectors, with unresolved signs.
+        """``(s_r, residual, u_r, v_r)``: the top ``r`` singular values, the
+        residual norm ``||Y - Y_r||_F = sqrt(sum_{l>r} s_l**2)``, and the
+        top-``r`` left (p x r) and right (n x r) singular vectors, with
+        unresolved signs.
 
-        With ``m = Y`` (p >= n) or ``Y.T`` (p < n), the short-side spectrum
-        ``(s, q)`` is ``gram`` when it resolves rank ``r``; otherwise it is
-        the SVD of the min(n, p)-square triangular factor of the thin QR of
-        ``m``, whose spectrum is free of the Gram round-off.  One
-        Rayleigh-Ritz step then refines the top-``r`` vectors ``q_r``: the
-        thin QR ``m q_r = o t`` and the SVD ``t = a diag(s_r) b.T`` give the
-        long-side vectors ``o a``, the short-side vectors ``q_r b`` and the
-        top ``r`` singular values ``s_r``, so both sides are orthonormal to
-        round-off.  The step is taken once per rank, so the denoiser, the
-        noise trace and the shared-rank criterion read the same values.
+        With ``m = Y`` (p >= n) or ``Y.T`` (p < n), the short-side vectors
+        ``q_r`` are the top-``r`` eigenvectors of ``gram`` and the tail
+        energy is its trace minus its top ``r`` eigenvalues, when that
+        resolves rank ``r``; otherwise both come from the SVD of the
+        min(n, p)-square triangular factor of the thin QR of ``m``, whose
+        spectrum is free of the Gram round-off.  One Rayleigh-Ritz step then
+        refines ``q_r``: the thin QR ``m q_r = o t`` and the SVD
+        ``t = a diag(s_r) b.T`` give the long-side vectors ``o a``, the
+        short-side vectors ``q_r b`` and the top ``r`` singular values
+        ``s_r``, so both sides are orthonormal to round-off.  The step is
+        taken once per rank and reads nothing that depends on which ranks
+        or spectra were read before, so the denoiser, the noise trace and
+        the shared-rank criterion read the same values in every call order.
         """
         if r not in self._cache:
             tall = self.p >= self.n
             m = self.values if tall else self.values.T
-            s, q = self.gram
-            if not self.resolves(r):
+            if self.resolves(r):
+                _, q, tail = self._top(r)
+                residual = math.ldexp(math.sqrt(max(tail, 0.0)), self.gram[1])
+            else:
                 _, s, vt = svd(np.linalg.qr(m, mode="r"))
-                q = vt.T
-            q = q[:, :r]
+                q, residual = vt[:r].T, math.hypot(*s[r:])
             o, t = np.linalg.qr(m @ q)
             a, s_r, bt = svd(t)
             u, v = (o @ a, q @ bt.T) if tall else (q @ bt.T, o @ a)
-            self._cache[r] = np.concatenate([s_r, s[r:]]), u, v
+            self._cache[r] = s_r, residual, u, v
         return self._cache[r]
 
 
@@ -231,8 +256,10 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
     The threshold ``tau * p`` is calibrated from the residual spectrum:
     ``tau = sum_{l>r} sigma_l^2 / (n*p - n*r - p*r)``.  The top ``r``
     squared singular values are shrunk by ``tau * p`` and floored at zero
-    before reconstruction.  Both are formed from the singular values
-    relative to the largest one, so no step squares the raw values.
+    before reconstruction.  The residual energy ``sum_{l>r} sigma_l^2`` is
+    the squared residual norm of ``y.factors(r)``.  Both are formed
+    relative to the largest singular value, so no step squares the raw
+    values.
 
     Raises
     ------
@@ -251,9 +278,9 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
         raise DegenerateThreshold(
             f"n*p - n*r - p*r = {denom} <= 0 for (n, p, r) = ({n}, {p}, {r})"
         )
-    s, u, v = y.factors(r)
-    s0, t = _relative(s)
-    tau_rel = float(np.sum(t[r:] ** 2) / denom)
+    s, residual, u, v = y.factors(r)
+    s0, t = _relative(np.append(s, residual))
+    tau_rel = float(t[r] ** 2 / denom)
     tau = _squared(s0, tau_rel)
     s_soft = s0 * np.sqrt(np.maximum(t[:r] ** 2 - tau_rel * p, 0.0))
     u, vt = fix_signs(u, v.T)
@@ -278,13 +305,14 @@ def ed_select_rank(y: ObservedMatrix) -> int:
     Every threshold is linear in the eigenvalues, so they are taken
     relative to the largest one and the rank does not depend on the scale
     of ``y``.  Returns 0 for a zero matrix and when no eigenvalue gap
-    clears the calibrated threshold.
+    clears the calibrated threshold.  It is the only step that reads the
+    whole spectrum (``ObservedMatrix.spectrum``, values only).
     """
     p, n = y.p, y.n
     if n < 20:
         raise TooFewSamples(f"need n >= 20 to calibrate, got {n}")
     m = min(n, p)
-    s = y.gram[0]
+    s = y.spectrum
     if s[0] == 0:
         return 0
     lam = (s / s[0]) ** 2
@@ -377,7 +405,7 @@ def mdl_select_r12(
     if min(r1, r2) < 1:
         raise InputError("mdl_select_r12 requires r1, r2 >= 1")
     n = y1.n
-    v1, v2 = y1.factors(r1)[2], y2.factors(r2)[2]
+    v1, v2 = y1.factors(r1)[3], y2.factors(r2)[3]
     s = svd(v1.T @ v2, compute_uv=False)
     s2 = np.minimum(s**2, 1.0 - 1e-12)  # guard against coincident subspaces
     rmax = min(r1, r2)
@@ -393,11 +421,11 @@ def denoise_at_rank(y: ObservedMatrix, r: int) -> SignalEstimate:
     if r >= 1:
         return soft_threshold_denoise(y, r)
     p, n = y.p, y.n
-    s0, t = _relative(y.gram[0])
+    norm = y.factors(0)[1]  # ||Y||_F, from the trace of the Gram matrix
     return SignalEstimate(
         rank=0,
         soft_singular_values=np.zeros(0),
-        tau=_squared(s0, float(np.sum(t**2) / (n * p))),
+        tau=_squared(norm, 1.0 / (n * p)),
         left_vectors=np.zeros((p, 0)),
         right_vectors=np.zeros((n, 0)),
     )
@@ -414,14 +442,18 @@ def select_ranks(
     0 otherwise.  Returns the ranks, the two signal estimates at ``r1``
     and ``r2``, and the screen result.
 
-    Each dataset is factored once, by ``eigh`` of its short-side Gram
-    matrix (``ObservedMatrix.gram``): ED reads the singular values, and
-    the denoiser refines the top-r vectors of both sides from it, which
-    MDL then reads.  When the kept energy ``s_r**2`` or the tail energy
-    ``sum_{l>r} s_l**2`` is within ``1e3 * m * eps * s_0**2`` of zero,
-    where the Gram route cannot resolve it, the spectrum of that dataset
-    is taken once more, from the triangular factor of its thin QR, before
-    the same refinement (``ObservedMatrix.factors``).
+    Each dataset forms its short-side Gram matrix once
+    (``ObservedMatrix.gram``).  ED reads all its singular values from one
+    values-only eigensolve (``ObservedMatrix.spectrum``).  The denoiser
+    reads the selected rank from one top-r eigensolve of the same matrix,
+    with the tail energy ``sum_{l>r} s_l**2`` taken as its trace minus the
+    top ``r`` eigenvalues, and refines the top-r vectors of both sides,
+    which MDL then reads (``ObservedMatrix.factors``); a fixed-rank fit
+    takes that top-r solve alone.  When the kept energy ``s_r**2`` or the
+    tail energy is within ``1e3 * m * eps * s_0**2`` of zero, where the
+    Gram route cannot resolve it, the spectrum of that dataset is taken
+    once more, from the triangular factor of its thin QR, before the same
+    refinement.
     """
     if y1.n != y2.n:
         raise InputError(f"datasets have different sample counts: {y1.n} vs {y2.n}")
@@ -461,11 +493,12 @@ def noise_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:
 
     ``xhat`` is ``y``'s own soft-threshold estimate, so the residual
     norm has the closed form ``sum_{l>r} s_l^2 + sum_{l<=r} (s_l -
-    s_soft,l)^2`` on the singular values of the route that gave it,
-    formed relative to ``s_0``; ``y.factors`` gives them, as it gave
-    them to the denoiser.
+    s_soft,l)^2``, formed relative to the largest value; ``y.factors``
+    gives the top ``r`` singular values and the residual norm
+    ``sqrt(sum_{l>r} s_l^2)``, as it gave them to the denoiser.
     """
     r = xhat.rank
-    s0, t = _relative(y.factors(r)[0])
+    s, residual, _, _ = y.factors(r)
+    s0, t = _relative(np.append(s, residual))
     t_soft = xhat.soft_singular_values / s0 if s0 > 0 else xhat.soft_singular_values
-    return _squared(s0, float(np.sum(t[r:] ** 2) + np.sum((t[:r] - t_soft) ** 2)) / y.n)
+    return _squared(s0, float(t[r] ** 2 + np.sum((t[:r] - t_soft) ** 2)) / y.n)

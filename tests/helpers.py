@@ -4,6 +4,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 
 from cdpa import (
     CanonicalSystem,
@@ -117,17 +118,39 @@ def dense_match_problem(q1, q2a):
 
 
 def record_linalg(monkeypatch):
-    """Record the shape of every matrix passed to ``np.linalg.svd`` and
-    ``np.linalg.eigh``; returns ``{"svd": [...], "eigh": [...]}``."""
-    shapes = {"svd": [], "eigh": []}
-    for name, calls in shapes.items():
-        original = getattr(np.linalg, name)
+    """Record every matrix passed to a dense decomposition kernel.
 
-        def recording(a, *args, _original=original, _calls=calls, **kwargs):
-            _calls.append(np.shape(a))
+    Returns ``{"svd": [...], "eigh": [...], "top": [...], "eigvalsh": [...]}``:
+    the shapes passed to ``np.linalg.svd``, to a full eigendecomposition
+    (``np.linalg.eigh``, or ``scipy.linalg.eigh`` without a subset) and to
+    a values-only one (``np.linalg.eigvalsh``, ``scipy.linalg.eigvalsh``),
+    and ``(shape, k)`` for each ``scipy.linalg.eigh`` that computes only
+    ``k`` eigenpairs.
+    """
+    shapes = {"svd": [], "eigh": [], "top": [], "eigvalsh": []}
+
+    def eigh_entry(shape, kwargs):
+        subset = kwargs.get("subset_by_index")
+        if subset is None:
+            return "eigh", shape
+        return "top", (shape, subset[1] - subset[0] + 1)
+
+    kernels = [
+        (np.linalg, "svd", lambda shape, _: ("svd", shape)),
+        (np.linalg, "eigh", eigh_entry),
+        (scipy.linalg, "eigh", eigh_entry),
+        (np.linalg, "eigvalsh", lambda shape, _: ("eigvalsh", shape)),
+        (scipy.linalg, "eigvalsh", lambda shape, _: ("eigvalsh", shape)),
+    ]
+    for module, name, entry in kernels:
+        original = getattr(module, name)
+
+        def recording(a, *args, _original=original, _entry=entry, **kwargs):
+            key, value = _entry(np.shape(a), kwargs)
+            shapes[key].append(value)
             return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, recording)
+        monkeypatch.setattr(module, name, recording)
     return shapes
 
 

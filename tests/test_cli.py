@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cdpa import (
     CdpaConfig,
@@ -87,8 +88,11 @@ def test_ranks_benchmark_files(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert (payload["r1"], payload["r2"], payload["r12"]) == (5, 5, 5)
-    # one Gram eigh per dataset serves ED, denoising and MDL; no SVD fallback
-    assert shapes["eigh"] == [(300, 300), (300, 300)]
+    # per dataset, ED reads one values-only Gram eigensolve and denoising
+    # and MDL one top-5 solve; no full eigendecomposition, no SVD fallback
+    assert shapes["eigvalsh"] == [(300, 300), (300, 300)]
+    assert shapes["top"] == [((300, 300), 5), ((300, 300), 5)]
+    assert shapes["eigh"] == []
     assert [s for s in shapes["svd"] if min(s) > 10] == []
 
 
@@ -220,17 +224,21 @@ def test_decompose_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_eigh_failure_is_a_numerical_error(bench_files, tmp_path, capsys, monkeypatch):
-    def failing_eigh(a, *args, **kwargs):
+    def failing(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    # the values-only solve of rank selection and the top-r solve of a rank
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", failing)
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
     p1, p2, _ = bench_files
     y1, y2 = (ObservedMatrix(read_matrix_binary(p)) for p in (p1, p2))
-    with pytest.raises(NumericalError, match="did not converge"):
-        estimate_cdpa(y1, y2)
-    code, _, err = _run(capsys, ["decompose", p1, p2, "--auto-ranks", "--out", str(tmp_path / "x")])
-    assert code == 3
-    assert "numerical failure" in err
+    for config in (CdpaConfig(), CdpaConfig(ranks=RankProfile(5, 5, 5))):
+        with pytest.raises(NumericalError, match="did not converge"):
+            estimate_cdpa(y1, y2, config)
+    for ranks in (["--auto-ranks"], ["--ranks", "5,5,5"]):
+        code, _, err = _run(capsys, ["decompose", p1, p2, *ranks, "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "numerical failure" in err
 
 
 def _paired_files(tmp_path, p1, p2, n=101, seed=6):

@@ -465,13 +465,40 @@ def test_gram_route_matches_svd(shape):
     y = ObservedMatrix(rng.standard_normal(shape) @ np.diag(np.linspace(1.0, 3.0, shape[1])))
     u, s, vt = np.linalg.svd(y.values, full_matrices=False)
     # the energies s**2 agree to round-off relative to the largest one
-    np.testing.assert_allclose(y.gram[0] ** 2, s**2, rtol=0, atol=1e-12 * s[0] ** 2)
+    np.testing.assert_allclose(y.spectrum**2, s**2, rtol=0, atol=1e-12 * s[0] ** 2)
     est = soft_threshold_denoise(y, 4)
     assert y.resolves(4)
     # the same vectors, up to the joint sign of each pair
     signs = np.sign(np.sum(est.left_vectors * u[:, :4], axis=0))
     np.testing.assert_allclose(est.left_vectors, u[:, :4] * signs, atol=1e-10)
     np.testing.assert_allclose(est.right_vectors, vt[:4].T * signs, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "shape, offset", [((300, 120), 0.0), ((120, 300), 0.0), ((150, 150), 0.0), ((300, 120), 5.0)]
+)
+@pytest.mark.parametrize("r", [1, 4, 20])
+def test_trace_tail_matches_svd(shape, offset, r):
+    # the tail energy is the Gram trace minus the top-r eigenvalues; with
+    # uncentred rows the offsets dominate the trace
+    rng = np.random.default_rng(27)
+    y = ObservedMatrix(rng.standard_normal(shape) + offset * rng.standard_normal((shape[0], 1)))
+    assert y.resolves(r)
+    s = np.linalg.svd(y.values, compute_uv=False)
+    np.testing.assert_allclose(y.factors(r)[1] ** 2, np.sum(s[r:] ** 2), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_factors_do_not_depend_on_call_order(k):
+    # rank selection reads its own values-only spectrum, so a rank's factors
+    # are the same bits whether or not it ran first (wide and tall data)
+    y = generate_setup(SimulationConfig(setup=2, theta_deg=30.0, p1=100, n=300, seed=28))[k]
+    fresh = ObservedMatrix(y.values.copy())
+    r = ed_select_rank(y)
+    assert r >= 1
+    for a, b in zip(y.factors(r), fresh.factors(r)):
+        np.testing.assert_array_equal(a, b)
+    assert ed_select_rank(fresh) == r
 
 
 def _svd_reference(y, r):
@@ -490,7 +517,7 @@ def test_gram_fallback_rank_one_data(monkeypatch):
     y = ObservedMatrix(x)
     est = soft_threshold_denoise(y, 1)
     assert not y.resolves(1)  # the tail energy is round-off
-    assert shapes == {"eigh": [(40, 40)], "svd": [(40, 40), (1, 1)]}
+    assert shapes == {"svd": [(40, 40), (1, 1)], "eigh": [], "top": [((40, 40), 1)], "eigvalsh": []}
     tau, xhat = _svd_reference(x, 1)
     assert est.tau <= 1e-28 * np.sum(x**2)
     np.testing.assert_allclose(est.tau, tau, rtol=1e-6, atol=1e-300)
@@ -504,7 +531,7 @@ def test_gram_fallback_exact_low_rank_wide(monkeypatch):
     shapes = record_linalg(monkeypatch)
     y = ObservedMatrix(x)
     est = soft_threshold_denoise(y, 3)
-    assert shapes == {"eigh": [(12, 12)], "svd": [(12, 12), (3, 3)]}
+    assert shapes == {"svd": [(12, 12), (3, 3)], "eigh": [], "top": [((12, 12), 3)], "eigvalsh": []}
     assert est.tau <= 1e-20
     assert np.linalg.norm(est.xhat - x) <= 1e-12 * np.linalg.norm(x)
     # the kept vectors are resolved below the rank, so those ranks stay on the Gram route
@@ -533,7 +560,7 @@ def test_gram_fallback_above_the_true_rank(shape):
     x = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
     y = ObservedMatrix(x)
     assert not y.resolves(5)
-    _, left, right = y.factors(5)
+    _, _, left, right = y.factors(5)
     assert left.shape == (shape[0], 5) and right.shape == (shape[1], 5)
     for f in (left, right):
         assert np.max(np.abs(f.T @ f - np.eye(5))) <= 1e-12
@@ -545,23 +572,23 @@ def test_gram_fallback_above_the_true_rank(shape):
 
 
 def test_gram_factorizations_run_concurrently(monkeypatch):
-    # each eigh waits for the other: a lock shared by all instances would
-    # hold the second thread back until the barrier times out
+    # each eigensolve waits for the other: a lock shared by all instances
+    # would hold the second thread back until the barrier times out
     barrier = threading.Barrier(2, timeout=5)
-    real = cdpa.denoise.eigh
+    real = cdpa.denoise.eigh_top
 
-    def waiting(a):
+    def waiting(a, r):
         barrier.wait()
-        return real(a)
+        return real(a, r)
 
-    monkeypatch.setattr(cdpa.denoise, "eigh", waiting)
+    monkeypatch.setattr(cdpa.denoise, "eigh_top", waiting)
     rng = np.random.default_rng(26)
     ys = [ObservedMatrix(rng.standard_normal((30, 20))) for _ in range(2)]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        grams = list(pool.map(lambda y: y.gram, ys))
-    for y, (s, _) in zip(ys, grams):
-        np.testing.assert_allclose(s, np.linalg.svd(y.values, compute_uv=False), rtol=1e-10)
-        assert y.gram[0] is s
+        factors = list(pool.map(lambda y: y.factors(2), ys))
+    for y, (s, *_) in zip(ys, factors):
+        np.testing.assert_allclose(s, np.linalg.svd(y.values, compute_uv=False)[:2], rtol=1e-10)
+        assert y.factors(2)[0] is s
 
 
 def test_gram_route_refines_vectors_near_the_resolution_floor():
@@ -574,11 +601,11 @@ def test_gram_route_refines_vectors_near_the_resolution_floor():
     s = np.concatenate([[1.0, 0.8, 0.6, 0.4, 0.2, 1e-5], 3e-6 * np.linspace(1.0, 0.5, n - r)])
     y = ObservedMatrix((u * s) @ v.T)
     assert y.resolves(r)
-    s_route, left, right = y.factors(r)
+    s_route, _, left, right = y.factors(r)
     want = np.linalg.svd(y.values, compute_uv=False)
     assert np.max(np.abs(left.T @ left - np.eye(r))) <= 1e-12
     assert np.max(np.abs(right.T @ right - np.eye(r))) <= 1e-12
-    assert np.max(np.abs(s_route[:r] - want[:r]) / want[:r]) <= 1e-12
+    assert np.max(np.abs(s_route - want[:r]) / want[:r]) <= 1e-12
     est = soft_threshold_denoise(y, r)
     assert np.max(np.abs(est.left_vectors.T @ est.left_vectors - np.eye(r))) <= 1e-12
 

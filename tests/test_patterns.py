@@ -528,8 +528,24 @@ def test_estimate_auto_ranks_takes_one_gram_eigh_per_dataset(monkeypatch):
     shapes = record_linalg(monkeypatch)
     result = estimate_cdpa(y1, y2)
     assert result.ranks.r12 >= 1 and result.sign_choice is not None
-    # both datasets have p >= n, so each Gram matrix is n x n; no SVD fallback
-    assert shapes["eigh"] == [(300, 300), (300, 300)]
+    # both datasets have p >= n, so each Gram matrix is n x n: ED reads its
+    # values alone, the selected rank one top-r solve; no SVD fallback
+    assert shapes["eigvalsh"] == [(300, 300), (300, 300)]
+    assert shapes["top"] == [((300, 300), result.ranks.r1), ((300, 300), result.ranks.r2)]
+    assert shapes["eigh"] == []
+    assert [s for s in shapes["svd"] if min(s) > 10] == []
+
+
+@pytest.mark.parametrize("p1", [100, 300])
+def test_estimate_fixed_ranks_takes_one_top_r_solve_per_dataset(monkeypatch, p1):
+    y1, y2, _ = generate_setup(
+        SimulationConfig(setup=1, theta_deg=30.0, p1=p1, n=300, seed=61)
+    )
+    shapes = record_linalg(monkeypatch)
+    estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 4, 3)))
+    m = min(p1, 300)
+    assert shapes["top"] == [((m, m), 5), ((m, m), 4)]
+    assert shapes["eigh"] == [] and shapes["eigvalsh"] == []
     assert [s for s in shapes["svd"] if min(s) > 10] == []
 
 
