@@ -33,7 +33,6 @@ from .denoise import (
     center_rows,
     compute_diagnostics,
     correlation_screen,
-    denoise_at_rank,
     ed_select_rank,
     mdl_select_r12,
     noise_trace,

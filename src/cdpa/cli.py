@@ -113,7 +113,7 @@ def _output_matrices(result) -> dict[str, ColumnBlocks]:
     column-block function that also gives its dense property."""
     pat = result.patterns
     out = {"c": ColumnBlocks(pat.shape, pat.c_block)}
-    for k, src in enumerate(result.sources):
+    for k, src in enumerate(pat.sources):
         out.update({
             f"c_scaled_{k + 1}": ColumnBlocks(pat.shape, partial(pat.c_scaled_block, k)),
             f"delta_{k + 1}": ColumnBlocks(pat.shape, partial(pat.delta_block, k)),

@@ -259,20 +259,21 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
     before reconstruction.  The residual energy ``sum_{l>r} sigma_l^2`` is
     the squared residual norm of ``y.factors(r)``.  Both are formed
     relative to the largest singular value, so no step squares the raw
-    values.
+    values.  Rank 0 is the zero-width case: the estimate is zero and
+    ``tau = ||Y||_F^2 / (n*p)``.
 
     Raises
     ------
     RankTooLarge
-        If ``r`` exceeds ``min(n, p)``.
+        If ``r`` is outside ``[0, min(n, p)]``.
     DegenerateThreshold
         If ``n*p - n*r - p*r <= 0`` so the calibration is undefined.
     NumericalError
         If the squared largest singular value overflows.
     """
     p, n = y.p, y.n
-    if not 1 <= r <= min(n, p):
-        raise RankTooLarge(f"rank {r} outside [1, {min(n, p)}]")
+    if not 0 <= r <= min(n, p):
+        raise RankTooLarge(f"rank {r} outside [0, {min(n, p)}]")
     denom = n * p - n * r - p * r
     if denom <= 0:
         raise DegenerateThreshold(
@@ -416,21 +417,6 @@ def mdl_select_r12(
     return int(np.argmin(crit)) + 1
 
 
-def denoise_at_rank(y: ObservedMatrix, r: int) -> SignalEstimate:
-    """``soft_threshold_denoise(y, r)``, or a zero estimate when ``r`` is 0."""
-    if r >= 1:
-        return soft_threshold_denoise(y, r)
-    p, n = y.p, y.n
-    norm = y.factors(0)[1]  # ||Y||_F, from the trace of the Gram matrix
-    return SignalEstimate(
-        rank=0,
-        soft_singular_values=np.zeros(0),
-        tau=_squared(norm, 1.0 / (n * p)),
-        left_vectors=np.zeros((p, 0)),
-        right_vectors=np.zeros((n, 0)),
-    )
-
-
 def select_ranks(
     y1: ObservedMatrix, y2: ObservedMatrix
 ) -> tuple[RankProfile, SignalEstimate, SignalEstimate, bool]:
@@ -458,7 +444,7 @@ def select_ranks(
     if y1.n != y2.n:
         raise InputError(f"datasets have different sample counts: {y1.n} vs {y2.n}")
     r1, r2 = ed_select_rank(y1), ed_select_rank(y2)
-    x1, x2 = denoise_at_rank(y1, r1), denoise_at_rank(y2, r2)
+    x1, x2 = soft_threshold_denoise(y1, r1), soft_threshold_denoise(y2, r2)
     screen = min(r1, r2) >= 1 and correlation_screen(x1, x2)
     r12 = mdl_select_r12(y1, y2, r1, r2) if screen else 0
     return RankProfile(r1=r1, r2=r2, r12=r12), x1, x2, screen
@@ -480,7 +466,7 @@ def compute_diagnostics(
     n = x1.n
     snr = []
     for x, tr_noise in zip((x1, x2), noise_traces):
-        tr_signal = float(np.sum(x.soft_singular_values**2) / n)
+        tr_signal = x.trace
         snr.append(tr_signal / max(tr_noise, 1e-12 * tr_signal) if tr_signal > 0 else 0.0)
     delta = 1.0 / np.sqrt(n)
     for x, s in zip((x1, x2), snr):

@@ -44,9 +44,9 @@ from .denoise import (
     SignalEstimate,
     center_rows,
     compute_diagnostics,
-    denoise_at_rank,
     noise_trace,
     select_ranks,
+    soft_threshold_denoise,
 )
 from .errors import BadConfig, InputError, RankDeficiency
 from .subspace import (
@@ -181,11 +181,13 @@ class CdpaConfig:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Full output of ``estimate_cdpa``: patterns plus run metadata."""
+    """Full output of ``estimate_cdpa``: patterns plus run metadata.
+
+    The sources and their mixing channels are read from
+    ``patterns.sources`` (each source's ``channel``).
+    """
 
     patterns: PatternDecomposition
-    sources: tuple[SourceDecomposition, SourceDecomposition]
-    channels: tuple[np.ndarray, np.ndarray]
     system: CanonicalSystem | None
     pair: ChannelSubspacePair | None
     ranks: RankProfile
@@ -417,7 +419,7 @@ def estimate_cdpa(
         ranks, x1, x2, _ = select_ranks(y1, y2)
     else:
         ranks = config.ranks
-        x1, x2 = denoise_at_rank(y1, ranks.r1), denoise_at_rank(y2, ranks.r2)
+        x1, x2 = soft_threshold_denoise(y1, ranks.r1), soft_threshold_denoise(y2, ranks.r2)
 
     diagnostics = compute_diagnostics(x1, x2, (noise_trace(y1, x1), noise_trace(y2, x2)))
     pmax, n = max(y1.p, y2.p), y1.n
@@ -452,8 +454,6 @@ def estimate_cdpa(
     patterns = _pattern_stage((x1, x2), channels, c0, loadings, traces, perm)
     return DecompositionResult(
         patterns=patterns,
-        sources=patterns.sources,
-        channels=channels,
         system=system,
         pair=pair,
         ranks=ranks,

@@ -11,13 +11,13 @@ variables.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields, replace
-from typing import Any
+import math
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from ._linalg import orthonormal_complement, pad_rows, random_orthonormal, svd
-from .align import match_objective
 from .dcca import common_factor_coefficients
 from .denoise import ObservedMatrix, RankProfile
 from .errors import BadConfig
@@ -76,11 +76,13 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Planted structure and the per-replication true matrices.
+    """Planted structure and the per-replication true signals.
 
-    ``c_factors = (b_c, c0_true)`` holds the true common pattern's
-    pmax x r12 loadings and r12 x n common factor scores, with
-    ``c == b_c @ c0_true``.
+    The true signals are ``x_k = v_k @ (sqrt(EIGENVALUES) * z_k)``.  The
+    true common pattern is kept as its factors ``c_factors = (b_c,
+    c0_true)``, the pmax x r12 loadings and the r12 x n common factor
+    scores; ``c = b_c @ c0_true`` is formed only when read, and both
+    rescaled true patterns are ``sqrt(TOTAL_VARIANCE) * c``.
     """
 
     v1: np.ndarray
@@ -90,14 +92,16 @@ class GroundTruth:
     x2: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
-    c: np.ndarray
     c_factors: tuple[np.ndarray, np.ndarray]
-    c_scaled: tuple[np.ndarray, np.ndarray]
     population: PopulationPatterns
 
     @property
     def explained(self) -> float:
         return self.population.explained
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self.c_factors[0] @ self.c_factors[1]
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,10 @@ class ErrorReport:
     scaled_sq_error_c2_spec: float
     trace_abs_error: float
     trace_rel_error: float
-    match_objective_abs_error: float | None = None
-    match_objective_rel_error: float | None = None
 
     def as_dict(self) -> dict[str, float]:
-        """The errors in field order; the alignment errors only when set."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: float(v) for k, v in values.items() if v is not None}
+        """The errors in field order."""
+        return asdict(self)
 
 
 def planted_correlations(theta_deg: float) -> np.ndarray:
@@ -239,8 +240,6 @@ def generate_setup(
 
     a = common_factor_coefficients(rho[:r12])
     c0_true = a[:, None] * (z1[:r12] + z2[:r12])
-    c_true = structure.b_c @ c0_true
-    c_scaled = np.sqrt(TOTAL_VARIANCE) * c_true
     truth = GroundTruth(
         v1=structure.v1,
         v2=structure.v2,
@@ -249,9 +248,7 @@ def generate_setup(
         x2=x2,
         z1=z1,
         z2=z2,
-        c=c_true,
         c_factors=(structure.b_c, c0_true),
-        c_scaled=(c_scaled, c_scaled),
         population=structure.population,
     )
     return (
@@ -299,80 +296,57 @@ def oracle_explained_variance(theta_deg: float) -> float:
     return closed
 
 
-def _spectral_norm(left: np.ndarray, right: np.ndarray) -> float:
-    """``||left @ right||_2`` from the factors, without forming the product.
+def _factor_norms(left: np.ndarray, right: np.ndarray) -> tuple[float, float]:
+    """``(||left @ right||_F, ||left @ right||_2)`` from the factors,
+    without forming the product.
 
     With thin QRs ``left = Q_L R_L`` and ``right.T = Q_R R_R`` the product
-    is ``Q_L (R_L R_R.T) Q_R.T``, so its norm is that of the small core.
+    is ``Q_L (R_L R_R.T) Q_R.T``, so both norms are those of the small
+    core, read off its singular values ``s`` as ``hypot(*s)`` and
+    ``s[0]``; no value is squared.
     """
     if left.shape[1] == 0:
-        return 0.0
+        return 0.0, 0.0
     core = np.linalg.qr(left, mode="r") @ np.linalg.qr(right.T, mode="r").T
-    return float(svd(core, compute_uv=False)[0])
+    s = svd(core, compute_uv=False)
+    return math.hypot(*s), float(s[0])
 
 
-def error_metrics(
-    estimate: PatternDecomposition,
-    truth: GroundTruth,
-    estimated_perm: np.ndarray | None = None,
-) -> ErrorReport:
+def error_metrics(estimate: PatternDecomposition, truth: GroundTruth) -> ErrorReport:
     """Scaled squared errors of the estimated patterns against the truth.
 
     The common-pattern error is scaled by the average squared norm of the
     trace-normalized signals; the rescaled patterns are scaled by each
     signal's own squared norm.  Spectral-norm variants accompany the
-    Frobenius ones.  The Frobenius and trace errors are taken from the
-    dense matrices.  Every spectral norm is taken from low-rank factors
-    (``x_k = v_k @ (sqrt(lam) * z_k)``, and each pattern difference
-    ``[loadings | b_c] @ [scores; -c0_true]`` with the scales on the two
-    row blocks) by two thin QRs and an SVD of their small triangular core.
-    When the estimated alignment ``estimated_perm`` is supplied, the
-    alignment-objective error of that alignment on the true bases is
-    included.
+    Frobenius ones.  Every norm is taken from low-rank factors by
+    ``_factor_norms``: the signals ``x_k`` from ``(v_k, sqrt(lam) *
+    z_k)``, and each pattern difference from ``[loadings | b_c] @
+    [scale * scores; -true_scale * c0_true]``.  No p x n matrix is formed
+    and nothing is cached on ``estimate`` or ``truth``.
     """
-    pmax = estimate.c.shape[0]
-    c_true = pad_rows(truth.c, pmax)
     root = np.sqrt(EIGENVALUES)[:, None]
-    x_sq_spec = [
-        _spectral_norm(v, root * z) ** 2
+    x_sq = [
+        np.square(_factor_norms(v, root * z))
         for v, z in ((truth.v1, truth.z1), (truth.v2, truth.z2))
     ]
-    denom_fro = 0.5 * (np.sum(truth.x1**2) + np.sum(truth.x2**2)) / TOTAL_VARIANCE
-    denom_spec = 0.5 * (x_sq_spec[0] + x_sq_spec[1]) / TOTAL_VARIANCE
+    mean_sq = 0.5 * (x_sq[0] + x_sq[1]) / TOTAL_VARIANCE
     loadings, scores = estimate.c_factors
     b_c, c0_true = truth.c_factors
-    left = np.hstack([loadings, pad_rows(b_c, pmax)])
-
-    def diff_sq_spec(scale: float, true_scale: float) -> float:
-        right = np.vstack([scale * scores, -true_scale * c0_true])
-        return _spectral_norm(left, right) ** 2
-
-    diff = estimate.c - c_true
-    report: dict[str, Any] = {
-        "scaled_sq_error_c_fro": float(np.sum(diff**2) / denom_fro),
-        "scaled_sq_error_c_spec": float(diff_sq_spec(1.0, 1.0) / denom_spec),
-    }
-    for k, (x_true, c_scaled_true) in enumerate(
-        zip((truth.x1, truth.x2), truth.c_scaled), start=1
+    left = np.hstack([loadings, b_c])
+    true_scale = math.sqrt(TOTAL_VARIANCE)
+    report: dict[str, float] = {}
+    for name, scale, scale_true, denom in (
+        ("c", 1.0, 1.0, mean_sq),
+        ("c1", estimate.scales[0], true_scale, x_sq[0]),
+        ("c2", estimate.scales[1], true_scale, x_sq[1]),
     ):
-        d = estimate.c_scaled[k - 1] - c_scaled_true
-        report[f"scaled_sq_error_c{k}_fro"] = float(
-            np.sum(d**2) / np.sum(x_true**2)
-        )
-        report[f"scaled_sq_error_c{k}_spec"] = float(
-            diff_sq_spec(estimate.scales[k - 1], np.sqrt(TOTAL_VARIANCE))
-            / x_sq_spec[k - 1]
-        )
+        right = np.vstack([scale * scores, -scale_true * c0_true])
+        fro, spec = np.square(_factor_norms(left, right)) / denom
+        report[f"scaled_sq_error_{name}_fro"] = float(fro)
+        report[f"scaled_sq_error_{name}_spec"] = float(spec)
     trace_abs = abs(estimate.explained - truth.explained)
     report["trace_abs_error"] = float(trace_abs)
     report["trace_rel_error"] = float(trace_abs / truth.explained)
-    if estimated_perm is not None:
-        q1 = pad_rows(truth.v1[:, : truth.r12], pmax)
-        q2 = pad_rows(truth.v2[:, : truth.r12], pmax)
-        ref = match_objective(q1, q2, np.arange(pmax))
-        got = match_objective(q1, q2, estimated_perm)
-        report["match_objective_abs_error"] = float(abs(got - ref))
-        report["match_objective_rel_error"] = float(abs(got - ref) / max(ref, 1e-12))
     return ErrorReport(**report)
 
 
@@ -411,7 +385,7 @@ def run_replications(config: SimulationConfig) -> ReplicationStudy:
         row["replication"] = float(i)
         row["explained"] = fit.patterns.explained
         if fit.pair is not None:
-            cos1 = float(np.clip(fit.pair.cosines[0], 0.0, 1.0))
+            cos1 = float(fit.pair.cosines[0])
             row["first_cosine"] = cos1
             row["first_angle_deg"] = float(np.degrees(np.arccos(cos1)))
         rows.append(row)

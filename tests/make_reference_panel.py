@@ -39,10 +39,10 @@ from cdpa import (
     RankProfile,
     SimulationConfig,
     center_rows,
-    denoise_at_rank,
     estimate_cdpa,
     generate_setup,
     select_ranks,
+    soft_threshold_denoise,
 )
 
 PATH = Path(__file__).resolve().parent / "data" / "reference_panel.json"
@@ -135,7 +135,7 @@ def summarize(case: dict) -> dict:
         sign=fit.sign,
         perm=None if np.array_equal(perm, np.arange(perm.shape[0])) else perm.tolist(),
     )
-    estimates = (denoise_at_rank(y1, fit.ranks.r1), denoise_at_rank(y2, fit.ranks.r2))
+    estimates = (soft_threshold_denoise(y1, fit.ranks.r1), soft_threshold_denoise(y2, fit.ranks.r2))
     pat = fit.patterns
     scalars = {
         "explained": [pat.explained],
@@ -156,8 +156,8 @@ def summarize(case: dict) -> dict:
             f"h_{k + 1}": pat.h[k],
             f"delta_{k + 1}": pat.delta[k],
             f"aligned_x_{k + 1}": pat.aligned_x[k],
-            f"source_c_{k + 1}": fit.sources[k].c,
-            f"source_d_{k + 1}": fit.sources[k].d,
+            f"source_c_{k + 1}": fit.patterns.sources[k].c,
+            f"source_d_{k + 1}": fit.patterns.sources[k].d,
         })
     dense = {name: {"probes": _probes(m), "fro": float(np.linalg.norm(m))} for name, m in matrices.items()}
     return {"discrete": discrete, "scalars": scalars, "dense": dense}

@@ -296,8 +296,8 @@ def test_decompose_written_files_are_additive_and_match_the_library(
             f"c_scaled_{k + 1}": pat.c_scaled[k],
             f"delta_{k + 1}": pat.delta[k],
             f"h_{k + 1}": pat.h[k],
-            f"source_c_{k + 1}": fit.sources[k].c,
-            f"source_d_{k + 1}": fit.sources[k].d,
+            f"source_c_{k + 1}": fit.patterns.sources[k].c,
+            f"source_d_{k + 1}": fit.patterns.sources[k].d,
         })
     assert files.keys() == want.keys()
     for name, m in want.items():

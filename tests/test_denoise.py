@@ -21,7 +21,6 @@ from cdpa import (
     center_rows,
     compute_diagnostics,
     correlation_screen,
-    denoise_at_rank,
     ed_select_rank,
     estimate_cdpa,
     generate_setup,
@@ -134,10 +133,16 @@ def test_soft_threshold_rank_monotone_energy():
 def test_soft_threshold_guards():
     rng = np.random.default_rng(7)
     y = ObservedMatrix(rng.standard_normal((5, 6)))
-    with pytest.raises(RankTooLarge):
-        soft_threshold_denoise(y, 6)
+    for r in (-1, 6):
+        with pytest.raises(RankTooLarge):
+            soft_threshold_denoise(y, r)
     with pytest.raises(DegenerateThreshold):
         soft_threshold_denoise(y, 3)  # 30 - 18 - 15 < 0
+    # rank 0 is the zero-width estimate, calibrated on the whole energy
+    est = soft_threshold_denoise(y, 0)
+    assert est.left_vectors.shape == (5, 0) and est.right_vectors.shape == (6, 0)
+    assert not np.any(est.xhat)
+    np.testing.assert_allclose(est.tau, np.sum(y.values**2) / 30, rtol=1e-14)
 
 
 def test_soft_threshold_monte_carlo_error():
@@ -450,7 +455,7 @@ def test_noise_trace_residual():
 def test_noise_trace_closed_form_matches_residual(shape, r):
     rng = np.random.default_rng(20)
     y = ObservedMatrix(rng.standard_normal(shape) + 5.0 * rng.standard_normal((shape[0], 1)))
-    est = denoise_at_rank(y, r)
+    est = soft_threshold_denoise(y, r)
     np.testing.assert_allclose(
         noise_trace(y, est), np.sum((y.values - est.xhat) ** 2) / shape[1], rtol=1e-12
     )
@@ -612,7 +617,7 @@ def test_gram_route_refines_vectors_near_the_resolution_floor():
 
 def test_gram_zero_matrix():
     y = ObservedMatrix(np.zeros((8, 30)))
-    est = denoise_at_rank(y, 1)
+    est = soft_threshold_denoise(y, 1)
     assert est.tau == 0.0 and not np.any(est.xhat)
     assert noise_trace(y, est) == 0.0
-    assert noise_trace(y, denoise_at_rank(y, 0)) == 0.0
+    assert noise_trace(y, soft_threshold_denoise(y, 0)) == 0.0

@@ -24,7 +24,6 @@ from cdpa import (
     common_factor_coefficients,
     common_factor_scores,
     common_loadings,
-    denoise_at_rank,
     estimate_cdpa,
     generate_setup,
     mixing_channel,
@@ -32,6 +31,7 @@ from cdpa import (
     population_cdpa,
     principal_angles,
     select_ranks,
+    soft_threshold_denoise,
     source_decomposition,
 )
 from cdpa._linalg import pad_rows, random_orthonormal
@@ -260,7 +260,7 @@ def test_pattern_decomposition_additivity_exact():
             scale = np.sum(pat.c_scaled[k] * pat.c) / np.sum(pat.c * pat.c)
             assert rel_err(pat.c_scaled[k], scale * pat.c) <= 1e-12
         # h + aligned distinctive source equals delta
-        src = fit.sources
+        src = pat.sources
         pmax = max(p1, p2)
         d1 = pad_rows(src[0].d, pmax)
         d2 = pad_rows(src[1].d, pmax)[fit.permutation.perm]
@@ -617,7 +617,10 @@ def test_sign_auto_matches_two_dense_assemblies(setup):
             for got, ref in zip(_pattern_arrays(result.patterns), _pattern_arrays(chosen)):
                 assert np.array_equal(got, ref)
             assert result.patterns.explained == chosen.explained
-            got = _orientation_arrays(result.system, result.sources, result.channels, result.pair)
+            fitted = result.patterns.sources
+            got = _orientation_arrays(
+                result.system, fitted, [src.channel for src in fitted], result.pair
+            )
             ref = _orientation_arrays(system, sources, channels, pair)
             assert len(got) == len(ref)
             assert all(_same_bits(a, b) for a, b in zip(got, ref))
@@ -679,10 +682,10 @@ def test_zero_shared_rank_is_the_zero_width_case(case):
     assert result.permutation.method == "identity"
     assert result.sign == 1 and result.sign_choice is None
     for k, (y, r) in enumerate(((y1, result.ranks.r1), (y2, result.ranks.r2))):
-        xhat = denoise_at_rank(center_rows(y), r).xhat
-        assert not np.any(result.sources[k].c)
-        assert _same_bits(result.sources[k].d, xhat)
-        assert result.channels[k].shape == (y.p, 0)
+        xhat = soft_threshold_denoise(center_rows(y), r).xhat
+        assert not np.any(p.sources[k].c)
+        assert _same_bits(p.sources[k].d, xhat)
+        assert p.sources[k].channel.shape == (y.p, 0)
         assert not np.any(p.h[k])
         assert _same_bits(p.delta[k], p.aligned_x[k])
     assert p.c_factors[0].shape == (90, 0) and p.c_factors[1].shape == (0, 300)
