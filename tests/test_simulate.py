@@ -173,6 +173,18 @@ def _perfect_estimate(truth):
     return _estimate(truth.c_factors, truth.explained)
 
 
+def test_error_metrics_zero_for_perfect_estimate():
+    cfg = SimulationConfig(setup=1, theta_deg=30.0, p1=30, n=60, noise_var=0.5, seed=10)
+    _, _, truth = generate_setup(cfg)
+    fake = _perfect_estimate(truth)
+    # the difference of identical dense patterns is exactly zero; the
+    # factored route reaches it up to rounding in the core's singular values
+    assert _dense_metrics(fake, truth)["scaled_sq_error_c_fro"] == 0.0
+    report = error_metrics(fake, truth)
+    assert report.scaled_sq_error_c_fro <= (16 * np.finfo(float).eps) ** 2
+    assert report.trace_abs_error == 0.0
+
+
 def test_error_metrics_zero_estimate_recovers_population_trace():
     cfg = SimulationConfig(setup=1, theta_deg=15.0, p1=40, n=100, noise_var=0.5, seed=11)
     _, _, truth = generate_setup(cfg, exact_moments=True)
