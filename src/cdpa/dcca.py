@@ -139,12 +139,12 @@ def common_factor_coefficients(correlations: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - np.sqrt((1.0 - rho) / (1.0 + rho)))
 
 
-def common_factor_scores(
-    system: CanonicalSystem, coefficients: np.ndarray
-) -> np.ndarray:
-    """Common factor scores ``c0`` (r12 x n): the coefficient-scaled sum of
-    the two score blocks."""
+def common_factor_scores(system: CanonicalSystem) -> np.ndarray:
+    """Common factor scores ``c0`` (r12 x n): the sum of the two score
+    blocks, each pair scaled by ``common_factor_coefficients`` of its
+    canonical correlation."""
     r12 = system.r12
+    coefficients = common_factor_coefficients(system.correlations)
     return coefficients[:, None] * (system.z1[:r12] + system.z2[:r12])
 
 

@@ -29,6 +29,7 @@ from .errors import (
     NumericalError,
     RankTooLarge,
     TooFewSamples,
+    check_count,
 )
 
 # the Gram route resolves energies above _RESOLVE * m * eps * s_0**2
@@ -50,7 +51,10 @@ class ObservedMatrix:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values)
+        if v.dtype.kind not in "biuf":
+            raise InputError(f"expected bool, integer or float data, got dtype {v.dtype}")
+        v = v.astype(np.float64, copy=False)
         if v.ndim != 2:
             raise InputError(f"expected a 2-d matrix, got shape {v.shape}")
         p, n = v.shape
@@ -167,6 +171,8 @@ class RankProfile:
     r12: int
 
     def __post_init__(self):
+        for name in ("r1", "r2", "r12"):
+            check_count(getattr(self, name), name)
         if not (0 <= self.r12 <= min(self.r1, self.r2)):
             raise InputError(
                 f"need 0 <= r12 <= min(r1, r2), got ({self.r1}, {self.r2}, {self.r12})"

@@ -5,6 +5,8 @@ code 2); ``NumericalError`` subclasses indicate a numerical failure inside
 an otherwise valid computation (CLI exit code 3).
 """
 
+from numbers import Integral
+
 
 class CdpaError(Exception):
     """Base class for all package errors."""
@@ -48,3 +50,9 @@ class TooLarge(InputError):
 
 class BadConfig(InputError):
     """Invalid configuration values."""
+
+
+def check_count(value, name: str, error: type[InputError] = InputError) -> None:
+    """Raise ``error`` unless ``value`` is an integer; booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")

@@ -48,7 +48,7 @@ from .denoise import (
     select_ranks,
     soft_threshold_denoise,
 )
-from .errors import BadConfig, InputError, RankDeficiency
+from .errors import BadConfig, InputError, RankDeficiency, check_count
 from .subspace import (
     ChannelSubspacePair,
     common_loadings,
@@ -201,20 +201,21 @@ class DecompositionResult:
 def pattern_decomposition(
     source_pair: tuple[SourceDecomposition, SourceDecomposition],
     c_factors: tuple[np.ndarray, np.ndarray],
-    traces: tuple[float, float],
     permutation: PermutationPlan,
 ) -> PatternDecomposition:
     """Assemble the rescaled common patterns and distinctive remainders.
 
     The common pattern is kept as its factors ``(loadings, scores)``, and
     ``explained`` comes from their r12 x r12 Gram matrices, as sign
-    ``auto`` takes it.  The smaller dataset is zero-padded to the common
-    row dimension and the permutation is applied to dataset 2's rows
-    before the split, when a pattern is read.
+    ``auto`` takes it.  ``scales`` are the square roots of the two
+    sources' signal traces, which negating dataset 2 leaves unchanged.
+    The smaller dataset is zero-padded to the common row dimension and
+    the permutation is applied to dataset 2's rows before the split, when
+    a pattern is read.
     """
     return PatternDecomposition(
         c_factors=c_factors,
-        scales=(float(np.sqrt(traces[0])), float(np.sqrt(traces[1]))),
+        scales=tuple(float(np.sqrt(src.estimate.trace)) for src in source_pair),
         sources=source_pair,
         permutation=permutation,
         explained=_factor_explained(*c_factors),
@@ -255,7 +256,8 @@ def population_cdpa(
     )
     bases = tuple(pad_rows(orthonormal_basis(b), pmax) for b in (b1, b2))
     traces = (float(np.sum(lam1)), float(np.sum(lam2)))
-    b_c = _signed_loadings((b1, b2), bases, traces, perm)[1][1]
+    padded = (pad_rows(b1, pmax), pad_rows(b2, pmax)[perm])
+    b_c = common_loadings(principal_angles(*bases, perm), *padded, traces)[0]
     a = common_factor_coefficients(rho)
     var_c0 = a**2 * (2.0 + 2.0 * rho)  # factor scores are uncorrelated across pairs
     contributions = var_c0 * np.sum(b_c**2, axis=0)
@@ -269,6 +271,8 @@ def population_cdpa(
 
 def check_bootstrap(replicates: int, level: float, seed: int = 0, threads: int = 1) -> None:
     """Reject bootstrap settings that ``bootstrap_ci`` cannot run."""
+    for name, count in (("replicates", replicates), ("seed", seed), ("threads", threads)):
+        check_count(count, name, BadConfig)
     if seed < 0:
         raise BadConfig(f"seed must be nonnegative, got {seed}")
     if replicates < 100:
@@ -335,52 +339,61 @@ def _factor_explained(loadings: np.ndarray, scores: np.ndarray) -> float:
     return float(np.sum(gram) / scores.shape[1])
 
 
-def _channel_stage(x1: SignalEstimate, x2: SignalEstimate, system: CanonicalSystem):
-    """Common factor scores, both mixing channels and their padded orthonormal bases."""
-    c0 = common_factor_scores(system, common_factor_coefficients(system.correlations))
-    channels = (mixing_channel(x1, system, 1), mixing_channel(x2, system, 2))
-    pmax = max(x1.p, x2.p)
-    return c0, channels, tuple(pad_rows(orthonormal_basis(ch), pmax) for ch in channels)
-
-
-def _signed_loadings(channels, bases, traces: tuple[float, float], perm: np.ndarray):
-    """Principal-angle pair and the common loadings of both orientations.
-
-    ``perm`` is the row index array of dataset 2.  Negating dataset 2
-    negates only its dual weight, so the loadings of orientation ``+1``
-    and ``-1`` come from one ``common_loadings`` call.  Returns ``(pair,
-    {1: loadings, -1: loadings})``.
-    """
-    pmax = bases[0].shape[0]
-    pair = principal_angles(*bases, perm)
-    padded = (pad_rows(channels[0], pmax), pad_rows(channels[1], pmax)[perm])
-    return pair, dict(zip((1, -1), common_loadings(pair, *padded, traces)))
-
-
-def _pattern_stage(x, channels, c0: np.ndarray, loadings, traces, perm) -> PatternDecomposition:
-    """Sources and patterns, kept as factors."""
-    sources = tuple(source_decomposition(xk, ch, c0) for xk, ch in zip(x, channels))
-    return pattern_decomposition(sources, (loadings, c0), traces, perm)
-
-
 def assemble_patterns(
     x1: SignalEstimate,
     x2: SignalEstimate,
-    system: CanonicalSystem,
-    traces: tuple[float, float],
-    perm: PermutationPlan,
+    system: CanonicalSystem | None,
+    perm: str | np.ndarray = "identity",
+    sign: str = "plus",
 ):
     """Assemble the decomposition from an existing canonical system.
 
-    Returns ``(patterns, sources, channels, pair)``.  Taking the system
-    as an argument keeps the assembly agnostic to how the canonical
-    coordinates were chosen, which is what makes the final common
-    pattern well defined under non-unique choices.
+    The one assembly, which ``estimate_cdpa`` calls once per fit: the
+    common factor scores, both mixing channels and their padded bases,
+    the row alignment (``perm`` as in ``CdpaConfig``; an identity or
+    provided plan gets its objective from the principal angles), the
+    principal angles, the common loadings of both orientations, the sign
+    (``sign`` as in ``CdpaConfig``) and the patterns' factors.  Negating
+    dataset 2 negates only its dual weight, so one ``common_loadings``
+    call serves sign ``auto``; when ``-1`` is chosen, dataset 2 and its
+    channel, and with them its sources, are negated.  Returns
+    ``(patterns, pair, sign, sign_choice)``.
+
+    Taking the system as an argument keeps the assembly agnostic to how
+    the canonical coordinates were chosen, which is what makes the final
+    common pattern well defined under non-unique choices.  ``system=None``
+    is the zero shared rank: zero-width channels and factors, the
+    identity alignment (a provided plan is still checked), sign 1, and
+    no pair or sign choice.
     """
-    c0, channels, bases = _channel_stage(x1, x2, system)
-    pair, loadings = _signed_loadings(channels, bases, traces, perm.perm)
-    patterns = _pattern_stage((x1, x2), channels, c0, loadings[1], traces, perm)
-    return patterns, patterns.sources, channels, pair
+    pmax, n = max(x1.p, x2.p), x1.n
+    plan = _fixed_permutation(perm, pmax)
+    pair, sign_choice, resolved = None, None, 1
+    if system is None:
+        plan = _fixed_permutation("identity", pmax)
+        c0, loadings = np.zeros((0, n)), np.zeros((pmax, 0))
+        channels = (np.zeros((x1.p, 0)), np.zeros((x2.p, 0)))
+    else:
+        c0 = common_factor_scores(system)
+        channels = (mixing_channel(x1, system, 1), mixing_channel(x2, system, 2))
+        bases = tuple(pad_rows(orthonormal_basis(ch), pmax) for ch in channels)
+        plan = plan or dspfp_match(build_match_problem(*bases))
+        pair = principal_angles(*bases, plan.perm)
+        padded = (pad_rows(channels[0], pmax), pad_rows(channels[1], pmax)[plan.perm])
+        signed = dict(zip((1, -1), common_loadings(pair, *padded, (x1.trace, x2.trace))))
+        if sign == "auto":
+            sign_choice = choose_sign(*(_factor_explained(signed[k], c0) for k in (1, -1)))
+            resolved = sign_choice.sign
+        elif sign == "minus":
+            resolved = -1
+        loadings = signed[resolved]
+        if resolved == -1:
+            x2 = replace(x2, left_vectors=-x2.left_vectors)
+            channels = (channels[0], -channels[1])
+        if plan.method in ("identity", "provided"):
+            plan = replace(plan, objective=float(np.sum(pair.cosines**2)))
+    sources = tuple(source_decomposition(x, ch, c0) for x, ch in zip((x1, x2), channels))
+    return pattern_decomposition(sources, (loadings, c0), plan), pair, resolved, sign_choice
 
 
 def estimate_cdpa(
@@ -389,23 +402,19 @@ def estimate_cdpa(
     """Run the full estimation pipeline on two observed matrices.
 
     Steps: optional row centering, rank selection (or configured ranks),
-    soft-threshold denoising, one canonical system, the mixing channels
-    and their row alignment, sign resolution, and one assembly of the
-    patterns' factors.  Each dataset is factored once, through its Gram
-    matrix.  Negating dataset 2 leaves the
-    canonical system, the common factor scores, the channel bases and
-    the principal angles unchanged and negates only its dual weight, so
-    sign ``auto`` compares the explained variance of both orientations
-    on the common pattern's factors.  When ``-1`` is chosen, dataset 2
-    and its channel, and with them its sources, are negated before the
-    assembly.  Deterministic given the configuration.
+    soft-threshold denoising, the diagnostics, one canonical system, and
+    one call of ``assemble_patterns``, which aligns the rows, resolves the
+    sign and assembles the patterns' factors.  Each dataset is factored
+    once, through its Gram matrix.  Negating dataset 2 leaves the
+    canonical system unchanged, so one system serves both orientations.
+    Deterministic given the configuration.
 
     When the correlation screen finds no cross-dataset correlation (or a
-    zero shared rank is configured), the same assembly runs on
-    zero-width channels and factors: the common pattern is zero,
-    ``r12_zero`` is set, the alignment is the identity (a provided
-    permutation is still checked), the sign is 1, and ``system``,
-    ``pair`` and ``sign_choice`` are None.
+    zero shared rank is configured), no system is built and the assembly
+    runs its zero-width case: the common pattern is zero, ``r12_zero`` is
+    set, the alignment is the identity (a provided permutation is still
+    checked), the sign is 1, and ``system``, ``pair`` and ``sign_choice``
+    are None.
     """
     config = config or CdpaConfig()
     if y1.n != y2.n:
@@ -422,42 +431,16 @@ def estimate_cdpa(
         x1, x2 = soft_threshold_denoise(y1, ranks.r1), soft_threshold_denoise(y2, ranks.r2)
 
     diagnostics = compute_diagnostics(x1, x2, (noise_trace(y1, x1), noise_trace(y2, x2)))
-    pmax, n = max(y1.p, y2.p), y1.n
-    traces = (x1.trace, x2.trace)
-    fixed = _fixed_permutation(config, pmax)
-    system = pair = sign_choice = None
-    sign = 1
-    if ranks.r12 == 0:
-        perm = PermutationPlan(
-            perm=identity_permutation(pmax), objective=0.0, method="identity"
-        )
-        c0 = np.zeros((0, n))
-        channels = (np.zeros((x1.p, 0)), np.zeros((x2.p, 0)))
-        loadings = np.zeros((pmax, 0))
-    else:
-        system = canonical_system(x1, x2, ranks.r12)
-        c0, channels, bases = _channel_stage(x1, x2, system)
-        perm = fixed or dspfp_match(build_match_problem(*bases))
-        pair, signed = _signed_loadings(channels, bases, traces, perm.perm)
-        if config.sign == "auto":
-            sign_choice = choose_sign(*(_factor_explained(signed[k], c0) for k in (1, -1)))
-            sign = sign_choice.sign
-        elif config.sign == "minus":
-            sign = -1
-        loadings = signed[sign]
-        if sign == -1:
-            x2 = replace(x2, left_vectors=-x2.left_vectors)
-            channels = (channels[0], -channels[1])
-        if perm.method in ("identity", "provided"):
-            # fill in the exactly evaluated objective for the plan in effect
-            perm = replace(perm, objective=float(np.sum(pair.cosines**2)))
-    patterns = _pattern_stage((x1, x2), channels, c0, loadings, traces, perm)
+    system = canonical_system(x1, x2, ranks.r12) if ranks.r12 else None
+    patterns, pair, sign, sign_choice = assemble_patterns(
+        x1, x2, system, config.perm, config.sign
+    )
     return DecompositionResult(
         patterns=patterns,
         system=system,
         pair=pair,
         ranks=ranks,
-        permutation=perm,
+        permutation=patterns.permutation,
         sign=sign,
         sign_choice=sign_choice,
         diagnostics=diagnostics,
@@ -465,19 +448,14 @@ def estimate_cdpa(
     )
 
 
-def _fixed_permutation(config: CdpaConfig, pmax: int) -> PermutationPlan | None:
-    """The identity or provided plan; None when the heuristic solves for it."""
-    # identity/provided objectives are filled in after assembly from the
-    # principal angles
-    if isinstance(config.perm, str) and config.perm == "identity":
-        return PermutationPlan(
-            perm=identity_permutation(pmax), objective=0.0, method="identity"
-        )
-    if not isinstance(config.perm, str):
-        plan = PermutationPlan(perm=config.perm, objective=0.0, method="provided")
-        if plan.perm.shape != (pmax,):
-            raise InputError(
-                f"provided permutation has length {plan.perm.shape[0]}, expected {pmax}"
-            )
-        return plan
-    return None
+def _fixed_permutation(perm: str | np.ndarray, pmax: int) -> PermutationPlan | None:
+    """The identity or provided plan, its objective filled in by the
+    assembly; None when the heuristic solves for it."""
+    if isinstance(perm, str) and perm == "dspfp":
+        return None
+    if isinstance(perm, str):
+        return PermutationPlan(identity_permutation(pmax), objective=0.0, method="identity")
+    plan = PermutationPlan(perm=perm, objective=0.0, method="provided")
+    if plan.perm.shape != (pmax,):
+        raise InputError(f"provided permutation has length {len(plan.perm)}, expected {pmax}")
+    return plan

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import orthonormal_complement, pad_rows, random_orthonormal, svd
 from .dcca import common_factor_coefficients
 from .denoise import ObservedMatrix, RankProfile
-from .errors import BadConfig
+from .errors import BadConfig, check_count
 from .patterns import (
     CdpaConfig,
     PatternDecomposition,
@@ -53,6 +53,8 @@ class SimulationConfig:
     structure_seed: int = 0
 
     def __post_init__(self):
+        for name in ("setup", "p1", "n", "seed", "replications", "structure_seed"):
+            check_count(getattr(self, name), name, BadConfig)
         if self.setup not in (1, 2):
             raise BadConfig(f"setup must be 1 or 2, got {self.setup}")
         if not 0.0 <= self.theta_deg <= 75.0:
@@ -78,22 +80,29 @@ class SimulationConfig:
 class GroundTruth:
     """Planted structure and the per-replication true signals.
 
-    The true signals are ``x_k = v_k @ (sqrt(EIGENVALUES) * z_k)``.  The
-    true common pattern is kept as its factors ``c_factors = (b_c,
-    c0_true)``, the pmax x r12 loadings and the r12 x n common factor
-    scores; ``c = b_c @ c0_true`` is formed only when read, and both
-    rescaled true patterns are ``sqrt(TOTAL_VARIANCE) * c``.
+    The true signals ``x_k = v_k @ (sqrt(EIGENVALUES) * z_k)`` are kept as
+    their factors and formed only when read.  The true common pattern is
+    kept as its factors ``c_factors = (b_c, c0_true)``, the pmax x r12
+    loadings and the r12 x n common factor scores; ``c = b_c @ c0_true``
+    is formed only when read, and both rescaled true patterns are
+    ``sqrt(TOTAL_VARIANCE) * c``.
     """
 
     v1: np.ndarray
     v2: np.ndarray
     r12: int
-    x1: np.ndarray
-    x2: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
     c_factors: tuple[np.ndarray, np.ndarray]
     population: PopulationPatterns
+
+    @property
+    def x1(self) -> np.ndarray:
+        return self.v1 @ (np.sqrt(EIGENVALUES)[:, None] * self.z1)
+
+    @property
+    def x2(self) -> np.ndarray:
+        return self.v2 @ (np.sqrt(EIGENVALUES)[:, None] * self.z2)
 
     @property
     def explained(self) -> float:
@@ -244,8 +253,6 @@ def generate_setup(
         v1=structure.v1,
         v2=structure.v2,
         r12=r12,
-        x1=x1,
-        x2=x2,
         z1=z1,
         z2=z2,
         c_factors=(structure.b_c, c0_true),

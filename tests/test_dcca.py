@@ -116,8 +116,7 @@ def test_scores_perfect_correlation_recovers_block():
     rng = np.random.default_rng(6)
     x, _, _ = exact_signal_pair(rng, 30, 30, LAM, np.ones(5) * 0.999999, 80)
     system, _, _ = _system_from(x, x.copy(), 5)
-    coeffs = common_factor_coefficients(system.correlations)
-    c0 = common_factor_scores(system, coeffs)
+    c0 = common_factor_scores(system)
     np.testing.assert_allclose(c0, system.z1[:5], atol=1e-4)
 
 
@@ -127,9 +126,7 @@ def test_scores_zero_correlation_rows_are_zero():
     x1, x2, _ = exact_signal_pair(rng, 30, 25, [9.0, 4.0, 1.0], rho, 60)
     e1, e2 = estimates_from(x1, x2, 3, 3)
     system = canonical_system(e1, e2, 3)
-    c0 = common_factor_scores(
-        system, common_factor_coefficients(system.correlations)
-    )
+    c0 = common_factor_scores(system)
     np.testing.assert_allclose(c0[2], np.zeros(60), atol=1e-8)
 
 
@@ -140,7 +137,7 @@ def test_scores_row_variance_identity():
     x1, x2, _ = exact_signal_pair(rng, 22, 31, [9.0, 4.0, 1.0], rho, n)
     system = _system_from(x1, x2, 3, rank=3)[0]
     a = common_factor_coefficients(system.correlations)
-    c0 = common_factor_scores(system, a)
+    c0 = common_factor_scores(system)
     got = np.sum(c0**2, axis=1) / n
     want = a**2 * (2.0 + 2.0 * system.correlations)
     np.testing.assert_allclose(got, want, atol=1e-8)
@@ -153,9 +150,7 @@ def test_identical_datasets_all_common():
     rng = np.random.default_rng(9)
     x, _, _ = exact_signal_pair(rng, 30, 30, LAM, np.full(5, 0.5), 80)
     system, e1, e2 = _system_from(x, x.copy(), 5)
-    c0 = common_factor_scores(
-        system, common_factor_coefficients(system.correlations)
-    )
+    c0 = common_factor_scores(system)
     chan = mixing_channel(e1, system, 1)
     src = source_decomposition(e1, chan, c0)
     assert rel_err(src.c, e1.xhat) <= 1e-8
@@ -172,9 +167,7 @@ def test_orthogonal_signals_all_distinctive():
     x2 = rng.standard_normal((20, 3)) @ basis[:, 3:].T
     e1, e2 = estimates_from(x1, x2, 3, 3)
     system = canonical_system(e1, e2, 3)
-    c0 = common_factor_scores(
-        system, common_factor_coefficients(system.correlations)
-    )
+    c0 = common_factor_scores(system)
     src = source_decomposition(e1, mixing_channel(e1, system, 1), c0)
     assert np.linalg.norm(src.c) <= 1e-8 * np.linalg.norm(e1.xhat)
     np.testing.assert_allclose(src.d, e1.xhat, atol=1e-8)
@@ -187,9 +180,7 @@ def test_additivity_exact_on_random_inputs():
         x1, x2, _ = exact_signal_pair(rng, 18 + trial, 26, [8, 6, 4, 2], rho, 64)
         e1, e2 = estimates_from(x1, x2, 4, 4)
         system = canonical_system(e1, e2, 4)
-        c0 = common_factor_scores(
-            system, common_factor_coefficients(system.correlations)
-        )
+        c0 = common_factor_scores(system)
         for k, est in ((1, e1), (2, e2)):
             src = source_decomposition(est, mixing_channel(est, system, k), c0)
             assert rel_err(src.c + src.d, est.xhat) <= 1e-10
@@ -261,9 +252,7 @@ def test_sign_pair_flip_leaves_common_source_unchanged():
     x1, x2, _ = exact_signal_pair(rng, 20, 24, [9.0, 4.0, 1.0], rho, 66)
     e1, e2 = estimates_from(x1, x2, 3, 3)
     system = canonical_system(e1, e2, 3)
-    c0 = common_factor_scores(
-        system, common_factor_coefficients(system.correlations)
-    )
+    c0 = common_factor_scores(system)
     base = source_decomposition(e1, mixing_channel(e1, system, 1), c0)
 
     flip = np.ones(3)
@@ -275,8 +264,6 @@ def test_sign_pair_flip_leaves_common_source_unchanged():
         z1=flip[:, None] * system.z1,
         z2=flip[:, None] * system.z2,
     )
-    c0f = common_factor_scores(
-        flipped, common_factor_coefficients(flipped.correlations)
-    )
+    c0f = common_factor_scores(flipped)
     got = source_decomposition(e1, mixing_channel(e1, flipped, 1), c0f)
     np.testing.assert_allclose(got.c, base.c, atol=1e-10)

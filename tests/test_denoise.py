@@ -13,6 +13,7 @@ from cdpa import (
     DegenerateThreshold,
     InputError,
     ObservedMatrix,
+    RankProfile,
     RankTooLarge,
     SimulationConfig,
     TooFewSamples,
@@ -46,6 +47,25 @@ def test_observed_matrix_rejects_nonfinite():
 def test_observed_matrix_rejects_single_sample():
     with pytest.raises(InputError):
         ObservedMatrix(np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("values", [np.ones((3, 4)) + 1j, np.full((3, 4), "1.0")])
+def test_observed_matrix_rejects_non_real_dtypes(values):
+    with pytest.raises(InputError, match="dtype"):
+        ObservedMatrix(values)
+
+
+def test_observed_matrix_accepts_bool_and_integer_data():
+    for values in (np.eye(3, 4, dtype=bool), np.arange(12).reshape(3, 4)):
+        got = ObservedMatrix(values).values
+        assert got.dtype == np.float64
+        assert np.array_equal(got, values)
+
+
+@pytest.mark.parametrize("ranks", [(3.0, 3, 2), (3, 3, 2.0), (True, 1, 0)])
+def test_rank_profile_rejects_non_integer_ranks(ranks):
+    with pytest.raises(InputError, match="integer"):
+        RankProfile(*ranks)
 
 
 # -------------------------------------------------------------- center_rows

@@ -12,7 +12,6 @@ from cdpa import (
     CdpaConfig,
     NumericalError,
     ObservedMatrix,
-    PermutationPlan,
     RankProfile,
     SimulationConfig,
     assemble_patterns,
@@ -21,7 +20,6 @@ from cdpa import (
     center_rows,
     choose_sign,
     closed_form_explained_variance,
-    common_factor_coefficients,
     common_factor_scores,
     common_loadings,
     estimate_cdpa,
@@ -55,19 +53,13 @@ def _fixed_cfg(r12, perm="identity", sign="plus", r=5):
     )
 
 
-def _identity_plan(p):
-    return PermutationPlan(perm=np.arange(p), objective=0.0, method="identity")
-
-
 # ---------------------------------------------------------- common_loadings
 
 
 def _pair_for(x1, x2, r, r12):
     e1, e2 = estimates_from(x1, x2, r, r)
     system = canonical_system(e1, e2, r12)
-    c0 = common_factor_scores(
-        system, common_factor_coefficients(system.correlations)
-    )
+    c0 = common_factor_scores(system)
     chan1 = mixing_channel(e1, system, 1)
     chan2 = mixing_channel(e2, system, 2)
     src1 = source_decomposition(e1, chan1, c0)
@@ -372,6 +364,9 @@ def test_bootstrap_guards():
         bootstrap_ci(y, y, fit, replicates=100, threads=0)
     with pytest.raises(BadConfig):
         bootstrap_ci(y, y, fit, replicates=100, seed=-1)
+    for counts in ({"replicates": 100.5}, {"seed": 1.5}, {"threads": True}):
+        with pytest.raises(BadConfig, match="integer"):
+            bootstrap_ci(y, y, fit, **{"replicates": 100, **counts})
 
 
 @pytest.mark.slow
@@ -604,16 +599,16 @@ def test_sign_auto_matches_two_dense_assemblies(setup):
             # the reference: both orientations of dataset 2 assembled in full,
             # each from its own canonical system
             ranks, x1, x2, _ = select_ranks(center_rows(y1), center_rows(y2s))
-            traces = (x1.trace, x2.trace)
-            plan = _identity_plan(max(y1.p, y2.p))
             refs = []
             for x2o in (x2, replace(x2, left_vectors=-x2.left_vectors)):
                 system = canonical_system(x1, x2o, ranks.r12)
-                refs.append((system, *assemble_patterns(x1, x2o, system, traces, plan)))
+                refs.append((system, *assemble_patterns(x1, x2o, system)[:2]))
             runs = [ref[1] for ref in refs]
             want = choose_sign(*(run.explained for run in runs))
             assert result.sign == want.sign
-            system, chosen, sources, channels, pair = refs[0 if want.sign == 1 else 1]
+            system, chosen, pair = refs[0 if want.sign == 1 else 1]
+            sources = chosen.sources
+            channels = [src.channel for src in sources]
             for got, ref in zip(_pattern_arrays(result.patterns), _pattern_arrays(chosen)):
                 assert np.array_equal(got, ref)
             assert result.patterns.explained == chosen.explained
@@ -663,6 +658,34 @@ def _independent_signals(p1, p2, n, seed):
     return ys
 
 
+@pytest.mark.parametrize("case", ["auto", "dspfp", "provided", "zero-r12", "screen-false"])
+def test_estimate_assembles_once_through_assemble_patterns(monkeypatch, case):
+    import cdpa.patterns
+
+    calls = []
+    assemble = cdpa.patterns.assemble_patterns
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(cdpa.patterns, "assemble_patterns", counting)
+    if case == "screen-false":
+        y1, y2 = _independent_signals(80, 90, 300, 9)
+    else:
+        y1, y2, _ = generate_setup(
+            SimulationConfig(setup=1, theta_deg=30.0, p1=100, n=300, seed=63)
+        )
+    config = {
+        "dspfp": CdpaConfig(perm="dspfp"),
+        "provided": CdpaConfig(perm=np.arange(100)[::-1]),
+        "zero-r12": CdpaConfig(ranks=RankProfile(5, 5, 0)),
+    }.get(case, CdpaConfig(sign="auto"))
+    result = estimate_cdpa(y1, y2, config)
+    assert result.patterns.r12_zero == (case in ("zero-r12", "screen-false"))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("case", ["independent", "pure-noise"])
 def test_zero_shared_rank_is_the_zero_width_case(case):
     if case == "independent":
@@ -702,11 +725,9 @@ def test_tied_canonical_block_rotation_invariance():
     e1, e2 = estimates_from(x1, x2, 3, 3)
     system = canonical_system(e1, e2, 3)
     np.testing.assert_allclose(system.correlations[:2], [0.9, 0.9], atol=1e-9)
-    plan = _identity_plan(28)
-    traces = (e1.trace, e2.trace)
-    base = assemble_patterns(e1, e2, system, traces, plan)[0]
+    base = assemble_patterns(e1, e2, system)[0]
     rotated_system = rotate_system(system, 0, 2, rng)
-    got = assemble_patterns(e1, e2, rotated_system, traces, plan)[0]
+    got = assemble_patterns(e1, e2, rotated_system)[0]
     assert rel_err(got.c, base.c) <= 1e-8
 
 

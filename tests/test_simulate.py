@@ -51,6 +51,24 @@ def test_negative_seeds_rejected():
             SimulationConfig(setup=1, theta_deg=15.0, p1=50, n=100, **seeds)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"setup": 1.0},
+        {"setup": True},
+        {"p1": 30.5},
+        {"n": 40.5},
+        {"replications": 1.5},
+        {"seed": 1.5},
+        {"structure_seed": 0.5},
+    ],
+)
+def test_non_integer_counts_rejected(field):
+    base = {"setup": 1, "theta_deg": 30.0, "p1": 30, "n": 40}
+    with pytest.raises(BadConfig, match="integer"):
+        SimulationConfig(**{**base, **field})
+
+
 def test_fewer_than_two_samples_rejected():
     for n in (1, 0, -1):
         with pytest.raises(BadConfig):
