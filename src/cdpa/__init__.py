@@ -52,7 +52,7 @@ from .errors import (
     TooLarge,
     ZeroSignal,
 )
-from .matrixio import ColumnBlocks, read_matrix, read_matrix_binary, write_matrix_binary
+from .matrixio import read_matrix, read_matrix_binary, write_matrix_binary
 from .patterns import (
     BootstrapInterval,
     CdpaConfig,

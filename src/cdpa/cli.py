@@ -20,14 +20,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .align import PermutationPlan, build_match_problem, dspfp_match, exhaustive_match
 from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
 from .errors import BadConfig, InputError, NumericalError
-from .matrixio import ColumnBlocks, read_matrix, write_matrix_binary
+from .matrixio import read_matrix, write_matrices
 from .patterns import CdpaConfig, bootstrap_ci, check_bootstrap, estimate_cdpa
 from .simulate import SimulationConfig, oracle_explained_variance, run_replications
 from .subspace import orthonormal_basis
@@ -73,6 +72,16 @@ def _parse_ranks(text: str) -> RankProfile:
     return RankProfile(r1=r1, r2=r2, r12=r12)
 
 
+def _output_dir(path: str) -> Path:
+    """The output directory ``path``, created with its parents if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out {path}: {exc.strerror or exc}") from exc
+    return out
+
+
 def _plan_payload(plan: PermutationPlan) -> dict:
     """The JSON form of a row alignment, shared by ``decompose`` and ``match``."""
     return {
@@ -108,22 +117,6 @@ def cmd_ranks(args) -> int:
 # ------------------------------------------------------------ decompose
 
 
-def _output_matrices(result) -> dict[str, ColumnBlocks]:
-    """The written matrices, each formed a block of columns at a time by the
-    column-block function that also gives its dense property."""
-    pat = result.patterns
-    out = {"c": ColumnBlocks(pat.shape, pat.c_block)}
-    for k, src in enumerate(pat.sources):
-        out.update({
-            f"c_scaled_{k + 1}": ColumnBlocks(pat.shape, partial(pat.c_scaled_block, k)),
-            f"delta_{k + 1}": ColumnBlocks(pat.shape, partial(pat.delta_block, k)),
-            f"h_{k + 1}": ColumnBlocks(pat.shape, partial(pat.h_block, k)),
-            f"source_c_{k + 1}": ColumnBlocks(src.shape, src.c_block),
-            f"source_d_{k + 1}": ColumnBlocks(src.shape, src.d_block),
-        })
-    return out
-
-
 def cmd_decompose(args) -> int:
     t0 = time.time()
     y1, y2 = _load(args.y1), _load(args.y2)
@@ -140,14 +133,11 @@ def cmd_decompose(args) -> int:
         check_bootstrap(args.bootstrap, args.level, args.seed)
     _progress(f"decomposing {args.y1} and {args.y2}")
     result = estimate_cdpa(y1, y2, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = {}
-    matrices = _output_matrices(result)
-    for name in sorted(matrices):
-        path = out / f"{name}.cdpm"
-        write_matrix_binary(path, matrices[name])
-        artifacts[name] = path.name
+    out = _output_dir(args.out)
+    columns = result.patterns.columns
+    artifacts = {name: f"{name}.cdpm" for name, _ in columns(slice(0, 0))}
+    paths = [out / file for file in artifacts.values()]
+    write_matrices(paths, result.patterns.shape[1], lambda cols: (b for _, b in columns(cols)))
     interval = None
     if args.bootstrap:
         _progress(f"bootstrapping with {args.bootstrap} replicates")
@@ -231,8 +221,7 @@ def cmd_simulate(args) -> int:
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         studies = list(pool.map(run_replications, cells))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     aggregate = []
     all_rows = []
     for study in studies:

@@ -49,32 +49,26 @@ class SourceDecomposition:
     Kept as the estimate, its p x r12 mixing channel and the r12 x n common
     factor scores ``c0``.  The common source ``c = channel @ c0`` and the
     distinctive source ``d = xhat - c`` are formed only when read, a block
-    of columns at a time by ``c_block`` and ``d_block``.
+    of columns at a time by ``columns``.
     """
 
     estimate: SignalEstimate
     channel: np.ndarray
     c0: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.estimate.p, self.estimate.n
-
-    def c_block(self, cols: slice = slice(None)) -> np.ndarray:
-        """Columns ``cols`` of the common source."""
-        return self.channel @ self.c0[:, cols]
-
-    def d_block(self, cols: slice = slice(None)) -> np.ndarray:
-        """Columns ``cols`` of the distinctive source."""
-        return self.estimate.xhat_block(cols) - self.c_block(cols)
+    def columns(self, cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Columns ``cols`` of the common and the distinctive source, each as
+        the rows of a C-contiguous array."""
+        c = self.c0[:, cols].T @ self.channel.T
+        return c, self.estimate.xhat_columns(cols) - c
 
     @cached_property
     def c(self) -> np.ndarray:
-        return self.c_block()
+        return self.columns()[0].T
 
     @cached_property
     def d(self) -> np.ndarray:
-        return self.d_block()
+        return self.columns()[1].T
 
 
 def canonical_system(

@@ -185,7 +185,7 @@ class SignalEstimate:
 
     The p x n estimate ``xhat = left_vectors @ diag(soft_singular_values)
     @ right_vectors.T`` is formed only when it is read, a block of columns
-    at a time by ``xhat_block``.
+    at a time by ``xhat_columns``.
     """
 
     rank: int
@@ -202,14 +202,16 @@ class SignalEstimate:
     def n(self) -> int:
         return self.right_vectors.shape[0]
 
-    def xhat_block(self, cols: slice = slice(None)) -> np.ndarray:
-        """Columns ``cols`` of ``xhat``."""
-        return (self.left_vectors * self.soft_singular_values) @ self.right_vectors[cols].T
+    def xhat_columns(self, cols: slice = slice(None)) -> np.ndarray:
+        """Columns ``cols`` of ``xhat``, as the rows of a C-contiguous array."""
+        # a C-ordered right operand rounds as ``(u * s) @ v.T`` does, bit for bit
+        scaled = np.multiply(self.soft_singular_values[:, None], self.left_vectors.T, order="C")
+        return self.right_vectors[cols] @ scaled
 
     @cached_property
     def xhat(self) -> np.ndarray:
         """The dense p x n estimate."""
-        return self.xhat_block()
+        return self.xhat_columns().T
 
     @property
     def trace(self) -> float:

@@ -5,7 +5,7 @@ code 2); ``NumericalError`` subclasses indicate a numerical failure inside
 an otherwise valid computation (CLI exit code 3).
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class CdpaError(Exception):
@@ -56,3 +56,9 @@ def check_count(value, name: str, error: type[InputError] = InputError) -> None:
     """Raise ``error`` unless ``value`` is an integer; booleans are rejected."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(value, name: str, error: type[InputError] = InputError) -> None:
+    """Raise ``error`` unless ``value`` is a real number; booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a real number, got {value!r}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .denoise import (
     select_ranks,
     soft_threshold_denoise,
 )
-from .errors import BadConfig, InputError, RankDeficiency, check_count
+from .errors import BadConfig, InputError, RankDeficiency, check_count, check_real
 from .subspace import (
     ChannelSubspacePair,
     common_loadings,
@@ -69,12 +70,13 @@ class PatternDecomposition:
     ``permutation`` of dataset 2.  ``explained`` is ``sum(c**2) / n``, taken
     from the factors.
 
-    Every dense matrix lives in the padded row space and is formed only
-    when read, by its ``*_block`` function of a column slice, which also
-    serves the writer of ``cdpa decompose``.  When r12 is 0 both factors
-    have zero width, ``c``, ``c_scaled`` and ``h`` are zero and
-    ``r12_zero`` is set.  Exact identities: ``c == loadings @ scores``,
-    ``c_scaled[k] = scales[k] * c``,
+    Every dense matrix lives in the padded row space.  ``columns(cols)``
+    forms a block of columns of the eleven matrices ``cdpa decompose``
+    writes, each product once, in the file's column-major layout; reading
+    any of ``c``, ``c_scaled``, ``h`` and ``delta`` forms all eleven at once.
+    When r12 is 0 both factors have zero width, ``c``, ``c_scaled`` and
+    ``h`` are zero and ``r12_zero`` is set.  Exact identities:
+    ``c == loadings @ scores``, ``c_scaled[k] = scales[k] * c``,
     ``aligned_x[k] = c_scaled[k] + delta[k]``, and
     ``delta[k] = h[k] + aligned_d[k]``, where ``aligned_*`` is a source
     zero-padded to pmax rows, with dataset 2's rows permuted.
@@ -96,46 +98,59 @@ class PatternDecomposition:
         """``(pmax, n)``, the shape of every pattern."""
         return self.c_factors[0].shape[0], self.c_factors[1].shape[1]
 
-    def _aligned(self, k: int, block: np.ndarray) -> np.ndarray:
-        """Dataset ``k``'s (0-based) rows padded to pmax, permuted for dataset 2."""
-        block = pad_rows(block, self.shape[0])
-        return block[self.permutation.perm] if k == 1 else block
+    def _aligned(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Columns of dataset ``k`` (0-based) held as ``rows``, zero-padded to
+        pmax and, for dataset 2 unless aligned by the identity, gathered."""
+        if rows.shape[1] < self.shape[0]:
+            rows = np.hstack([rows, np.zeros((rows.shape[0], self.shape[0] - rows.shape[1]))])
+        if k == 0 or self.permutation.method == "identity":
+            return rows
+        return np.take(rows, self.permutation.perm, axis=1)
 
-    def c_block(self, cols: slice = slice(None)) -> np.ndarray:
+    def columns(self, cols: slice = slice(None)) -> Iterator[tuple[str, np.ndarray]]:
+        """Columns ``cols`` of the written matrices by file name, each as the
+        rows of a C-contiguous array: ``c``, ``c_scaled_k``, then ``source_c_k``,
+        ``source_d_k``, ``h_k`` and ``delta_k`` per source.  Each is yielded
+        once formed, so a writer holds only blocks that later ones need."""
         loadings, scores = self.c_factors
-        return loadings @ scores[:, cols]
+        c = scores[:, cols].T @ loadings.T
+        yield "c", c
+        c_scaled = [scale * c for scale in self.scales]
+        del c  # the later blocks read only its scaled copies
+        for k, block in enumerate(c_scaled):
+            yield f"c_scaled_{k + 1}", block
+        for k, src in enumerate(self.sources):
+            source_c, source_d = src.columns(cols)
+            yield f"source_c_{k + 1}", source_c
+            yield f"source_d_{k + 1}", source_d
+            h = self._aligned(k, source_c) - c_scaled[k]
+            yield f"h_{k + 1}", h
+            yield f"delta_{k + 1}", h + self._aligned(k, source_d)
 
-    def c_scaled_block(self, k: int, cols: slice = slice(None)) -> np.ndarray:
-        return self.scales[k] * self.c_block(cols)
-
-    def h_block(self, k: int, cols: slice = slice(None)) -> np.ndarray:
-        return self._aligned(k, self.sources[k].c_block(cols)) - self.c_scaled_block(k, cols)
-
-    def delta_block(self, k: int, cols: slice = slice(None)) -> np.ndarray:
-        return self.h_block(k, cols) + self._aligned(k, self.sources[k].d_block(cols))
-
-    def aligned_x_block(self, k: int, cols: slice = slice(None)) -> np.ndarray:
-        return self._aligned(k, self.sources[k].estimate.xhat_block(cols))
+    @cached_property
+    def _dense(self) -> dict[str, np.ndarray]:
+        return {name: rows.T for name, rows in self.columns()}
 
     @cached_property
     def c(self) -> np.ndarray:
-        return self.c_block()
+        return self._dense["c"]
 
     @cached_property
     def c_scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.c_scaled_block(0), self.c_scaled_block(1)
+        return self._dense["c_scaled_1"], self._dense["c_scaled_2"]
 
     @cached_property
     def h(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.h_block(0), self.h_block(1)
+        return self._dense["h_1"], self._dense["h_2"]
 
     @cached_property
     def delta(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.delta_block(0), self.delta_block(1)
+        return self._dense["delta_1"], self._dense["delta_2"]
 
     @cached_property
     def aligned_x(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.aligned_x_block(0), self.aligned_x_block(1)
+        xhats = (src.estimate.xhat_columns() for src in self.sources)
+        return tuple(self._aligned(k, x).T for k, x in enumerate(xhats))
 
 
 @dataclass(frozen=True)
@@ -273,6 +288,7 @@ def check_bootstrap(replicates: int, level: float, seed: int = 0, threads: int =
     """Reject bootstrap settings that ``bootstrap_ci`` cannot run."""
     for name, count in (("replicates", replicates), ("seed", seed), ("threads", threads)):
         check_count(count, name, BadConfig)
+    check_real(level, "level", BadConfig)
     if seed < 0:
         raise BadConfig(f"seed must be nonnegative, got {seed}")
     if replicates < 100:

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import orthonormal_complement, pad_rows, random_orthonormal, svd
 from .dcca import common_factor_coefficients
 from .denoise import ObservedMatrix, RankProfile
-from .errors import BadConfig, check_count
+from .errors import BadConfig, check_count, check_real
 from .patterns import (
     CdpaConfig,
     PatternDecomposition,
@@ -55,12 +55,14 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("setup", "p1", "n", "seed", "replications", "structure_seed"):
             check_count(getattr(self, name), name, BadConfig)
+        for name in ("theta_deg", "noise_var"):
+            check_real(getattr(self, name), name, BadConfig)
         if self.setup not in (1, 2):
             raise BadConfig(f"setup must be 1 or 2, got {self.setup}")
         if not 0.0 <= self.theta_deg <= 75.0:
             raise BadConfig(f"theta_deg must be in [0, 75], got {self.theta_deg}")
-        if self.noise_var < 0:
-            raise BadConfig("noise_var must be nonnegative")
+        if not 0.0 <= self.noise_var < math.inf:
+            raise BadConfig(f"noise_var must be finite and nonnegative, got {self.noise_var}")
         if self.n < 2:
             raise BadConfig(f"n must be at least 2, got {self.n}")
         if self.replications < 1:

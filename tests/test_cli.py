@@ -310,17 +310,16 @@ def test_decompose_writes_each_output_without_forming_it(tmp_path, capsys, monke
     import cdpa.cli
 
     paths = _paired_files(tmp_path, 300, 200, n=400)
-    write = cdpa.cli.write_matrix_binary
+    write = cdpa.cli.write_matrices
     calls = []
 
-    def measured(path, a):
+    def measured(files, n, columns):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        np.asarray(a)  # as the benchmark's tracer does
-        write(path, a)
-        calls.append((tracemalloc.get_traced_memory()[1] - before, a.shape))
+        write(files, n, columns)
+        calls.append((tracemalloc.get_traced_memory()[1] - before, len(files), n))
 
-    monkeypatch.setattr(cdpa.cli, "write_matrix_binary", measured)
+    monkeypatch.setattr(cdpa.cli, "write_matrices", measured)
     tracemalloc.start()
     try:
         code, _, _ = _run(
@@ -329,9 +328,71 @@ def test_decompose_writes_each_output_without_forming_it(tmp_path, capsys, monke
         )
     finally:
         tracemalloc.stop()
-    assert code == 0 and len(calls) == 11
-    for peak, (rows, cols) in calls:
-        assert peak < 8 * rows * cols / 4, (peak, rows, cols)
+    assert code == 0 and len(calls) == 1
+    peak, files, n = calls[0]
+    # one pass writes all eleven files below half of one 300 x 400 output
+    assert files == 11 and n == 400
+    assert peak < 8 * 300 * n / 2, peak
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_decompose_out_that_cannot_be_a_directory_is_input_error(bench_files, tmp_path, capsys, out):
+    p1, p2, _ = bench_files
+    (tmp_path / "file").write_text("")
+    code, _, err = _run(
+        capsys, ["decompose", p1, p2, "--ranks", "5,5,5", "--out", str(tmp_path / out)]
+    )
+    assert code == 2 and "error: --out" in err
+
+
+@pytest.mark.parametrize(
+    "blocker",
+    [
+        "directory",
+        pytest.param(
+            "full device",
+            marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full"),
+        ),
+    ],
+)
+def test_decompose_write_failure_closes_files_and_writes_no_manifest(
+    bench_files, tmp_path, capsys, monkeypatch, blocker
+):
+    import cdpa.matrixio
+
+    opened = []
+
+    def tracked(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(cdpa.matrixio, "open", tracked, raising=False)
+    p1, p2, _ = bench_files
+    out = tmp_path / "out"
+    out.mkdir()
+    # h_1 is formed after five other outputs, so the failure comes part-way
+    if blocker == "directory":
+        (out / "h_1.cdpm").mkdir()
+    else:
+        (out / "h_1.cdpm").symlink_to("/dev/full")
+    code, stdout, err = _run(capsys, ["decompose", p1, p2, "--ranks", "5,5,5", "--out", str(out)])
+    assert code == 2 and "error: cannot write" in err and stdout == ""
+    assert not (out / "manifest.json").exists()
+    assert len(opened) == (5 if blocker == "directory" else 11)
+    assert all(fh.closed for fh in opened)
+
+
+def test_unreadable_inputs_are_input_errors(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    good = tmp_path / "y.cdpm"
+    write_matrix_binary(good, rng.standard_normal((20, 30)))
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"\xff\xfe\x00\n" * 10)  # neither a binary matrix nor UTF-8
+    for bad, message in ((tmp_path, "cannot read"), (junk, "error:")):
+        code, _, err = _run(capsys, ["ranks", str(bad), str(good)])
+        assert code == 2 and message in err, err
 
 
 def test_missing_input_file_exit_code(tmp_path, capsys):
@@ -447,6 +508,8 @@ def test_simulate_deterministic(tmp_path, capsys):
         ["--noise", ","],
         ["--n", "-1"],
         ["--n", "1"],
+        ["--noise", "nan"],
+        ["--noise", "1,inf"],
     ],
 )
 def test_simulate_bad_grid_writes_nothing(tmp_path, capsys, bad):

@@ -7,10 +7,11 @@ from cdpa import InputError, read_matrix, read_matrix_binary, write_matrix_binar
 def test_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((7, 4))
+    a[0] = [np.nan, -0.0, np.inf, 5e-324]
     path = tmp_path / "m.cdpm"
     write_matrix_binary(path, a)
     b = read_matrix_binary(path)
-    np.testing.assert_array_equal(a, b)
+    assert b.shape == a.shape and b.tobytes() == a.tobytes()
     # the file's column-major layout is kept, in a buffer of its own
     assert b.flags.f_contiguous and b.flags.writeable and b.flags.owndata
 
@@ -58,6 +59,30 @@ def test_binary_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(InputError, match="payload"):
         read_matrix_binary(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw[:0], "truncated header"),
+        (lambda raw: raw[:11], "truncated header"),
+        (lambda raw: raw[:-1], "payload"),
+        (lambda raw: raw + b"\0", "payload"),
+        (lambda raw: b"CDPN" + raw[4:], "magic"),
+    ],
+)
+def test_binary_malformed_file_rejected(tmp_path, edit, message):
+    path = tmp_path / "m.cdpm"
+    write_matrix_binary(path, np.ones((3, 2)))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(InputError, match=message):
+        read_matrix_binary(path)
+
+
+def test_directory_is_input_error(tmp_path):
+    for read in (read_matrix, read_matrix_binary):
+        with pytest.raises(InputError, match="cannot read"):
+            read(tmp_path)
 
 
 def test_read_sniffs_binary(tmp_path):

@@ -367,6 +367,9 @@ def test_bootstrap_guards():
     for counts in ({"replicates": 100.5}, {"seed": 1.5}, {"threads": True}):
         with pytest.raises(BadConfig, match="integer"):
             bootstrap_ci(y, y, fit, **{"replicates": 100, **counts})
+    for level in ("0.9", None, True):
+        with pytest.raises(BadConfig, match="real number"):
+            bootstrap_ci(y, y, fit, replicates=100, level=level)
 
 
 @pytest.mark.slow

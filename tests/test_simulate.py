@@ -69,6 +69,21 @@ def test_non_integer_counts_rejected(field):
         SimulationConfig(**{**base, **field})
 
 
+@pytest.mark.parametrize(
+    "field", [{"theta_deg": "30"}, {"theta_deg": None}, {"noise_var": "1"}, {"noise_var": True}]
+)
+def test_non_real_floats_rejected(field):
+    base = {"setup": 1, "theta_deg": 30.0, "p1": 30, "n": 40}
+    with pytest.raises(BadConfig, match="real number"):
+        SimulationConfig(**{**base, **field})
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_noise_rejected(noise):
+    with pytest.raises(BadConfig, match="noise_var"):
+        SimulationConfig(setup=1, theta_deg=30.0, p1=30, n=40, noise_var=noise)
+
+
 def test_fewer_than_two_samples_rejected():
     for n in (1, 0, -1):
         with pytest.raises(BadConfig):
