@@ -5,19 +5,35 @@ permutations of the padded second basis is a quadratic assignment
 problem.  A Frank-Wolfe assignment ascent solves it approximately; an
 exhaustive oracle is available for small problems.  Both read only the
 padded p x r bases; no p x p projector is kept.
+
+The ascent's linear assignments use scipy's ``linear_sum_assignment``,
+a module attribute that imports ``scipy.optimize`` when first read, so
+``import cdpa`` does not pay for it and fits that never align rows
+never load it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, TooLarge
+
+
+def __getattr__(name):
+    """Import the assignment solver on first use: ``scipy.optimize`` takes
+    longer to import than a whole small fit, and only the ascent needs it."""
+    if name != "linear_sum_assignment":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linear_sum_assignment
+
+    globals()[name] = linear_sum_assignment
+    return linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -148,7 +164,9 @@ def build_match_problem(q1: np.ndarray, q2a: np.ndarray) -> MatchProblem:
 
 def _assign(score: np.ndarray) -> np.ndarray:
     """The permutation maximizing ``sum_i score[i, perm[i]]``."""
-    _, cols = linear_sum_assignment(-score)  # rows come back as 0..p-1
+    # looked up on the module at each call, so a rebound solver is the one used
+    solve = sys.modules[__name__].linear_sum_assignment
+    _, cols = solve(-score)  # rows come back as 0..p-1
     return cols.astype(np.intp)
 
 

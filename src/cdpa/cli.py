@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -82,6 +83,14 @@ def _output_dir(path: str) -> Path:
     return out
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; a failure is an ``InputError`` naming the path."""
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
 def _plan_payload(plan: PermutationPlan) -> dict:
     """The JSON form of a row alignment, shared by ``decompose`` and ``match``."""
     return {
@@ -131,9 +140,9 @@ def cmd_decompose(args) -> int:
     )
     if args.bootstrap:
         check_bootstrap(args.bootstrap, args.level, args.seed)
+    out = _output_dir(args.out)
     _progress(f"decomposing {args.y1} and {args.y2}")
     result = estimate_cdpa(y1, y2, config)
-    out = _output_dir(args.out)
     columns = result.patterns.columns
     artifacts = {name: f"{name}.cdpm" for name, _ in columns(slice(0, 0))}
     paths = [out / file for file in artifacts.values()]
@@ -178,7 +187,7 @@ def cmd_decompose(args) -> int:
         "timings": {"seconds": time.time() - t0},
     }
     text = json.dumps(manifest, sort_keys=True, indent=2)
-    (out / "manifest.json").write_text(text)
+    _write_text(out / "manifest.json", text)
     print(text)
     return 0
 
@@ -217,11 +226,11 @@ def cmd_simulate(args) -> int:
         for p1 in p1s
         for noise in noises
     ]
+    out = _output_dir(args.out)
     _progress(f"running {len(cells)} cells x {args.reps} replications")
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         studies = list(pool.map(run_replications, cells))
 
-    out = _output_dir(args.out)
     aggregate = []
     all_rows = []
     for study in studies:
@@ -245,12 +254,13 @@ def cmd_simulate(args) -> int:
         for row in study.rows:
             all_rows.append({"cell": cell_id, **row})
     fieldnames = ["cell"] + sorted({k for r in all_rows for k in r if k != "cell"})
-    with open(out / "replications.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(all_rows)
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(all_rows)
+    _write_text(out / "replications.csv", table.getvalue())
     payload = {"command": "simulate", "seed": args.seed, "cells": aggregate}
-    (out / "aggregate.json").write_text(json.dumps(payload, sort_keys=True, indent=2))
+    _write_text(out / "aggregate.json", json.dumps(payload, sort_keys=True, indent=2))
     _emit(payload)
     return 0
 
@@ -287,7 +297,7 @@ def cmd_match(args) -> int:
     else:
         plan = dspfp_match(build_match_problem(q1, q2a))
     if args.out:
-        Path(args.out).write_text(plan.to_json() + "\n")
+        _write_text(args.out, plan.to_json() + "\n")
     _emit({"command": "match", **_plan_payload(plan)})
     return 0
 

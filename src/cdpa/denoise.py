@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ._linalg import eigh_top, eigvalsh, fix_signs, svd
 from .errors import (
@@ -362,7 +362,13 @@ def correlation_screen(x1: SignalEstimate, x2: SignalEstimate) -> bool:
     """
     r_max = _max_correlation(x1, x2)
     z = np.arctanh(min(r_max, 1.0 - 1e-15)) * np.sqrt(x1.n - 3)
-    return bool(z >= norm.isf(_SCREEN_ALPHA / (2.0 * x1.p * x2.p)))
+    return bool(z >= _screen_critical_z(x1.p * x2.p))
+
+
+def _screen_critical_z(pairs: int) -> float:
+    """The two-sided Bonferroni critical value over ``pairs`` tests,
+    ``scipy.stats.norm.isf(q)``, which scipy defines as ``-ndtri(q)``."""
+    return -ndtri(_SCREEN_ALPHA / (2.0 * pairs))
 
 
 def _max_correlation(x1: SignalEstimate, x2: SignalEstimate) -> float:

@@ -116,6 +116,8 @@ def _parse_text(path) -> np.ndarray:
             row = [float(v) for v in vals]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
+        if not row:
+            raise InputError(f"{path}:{lineno}: no numeric values")
         if ncols is None:
             ncols = len(row)
         elif len(row) != ncols:

@@ -1,10 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cdpa.align
 from cdpa import (
     CdpaConfig,
     InputError,
@@ -219,6 +224,46 @@ def test_dspfp_reports_convergence():
     cut = dspfp_match(prob, max_iter=1)
     assert not cut.converged
     assert cut.iterations == 3
+
+
+def test_import_loads_the_assignment_solver_only_when_dspfp_runs():
+    # a fresh interpreter: this one has loaded scipy.optimize already
+    code = """
+import sys
+import scipy.linalg, scipy.special
+loaded = set(sys.modules)
+import numpy as np
+import cdpa, cdpa.cli
+added = sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "scipy")
+assert added == [], added
+q = np.linalg.qr(np.random.default_rng(0).standard_normal((12, 3)))[0]
+cdpa.dspfp_match(cdpa.build_match_problem(q, q[::-1]))
+assert "scipy.optimize" in sys.modules
+"""
+    src = str(Path(cdpa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_dspfp_calls_the_solver_bound_on_the_module(monkeypatch):
+    # rebind the module attribute, as a tracer that counts assignments does
+    calls = []
+    solver = cdpa.align.linear_sum_assignment
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solver(cost)
+
+    rng = np.random.default_rng(34)
+    q1 = random_orthonormal(rng, 30, 3)
+    prob = build_match_problem(q1, q1[rng.permutation(30)])
+    want = dspfp_match(prob)
+    monkeypatch.setattr(cdpa.align, "linear_sum_assignment", counted)
+    got = dspfp_match(prob)
+    assert len(calls) >= got.iterations >= 3
+    np.testing.assert_array_equal(got.perm, want.perm)
+    assert (got.objective, got.iterations) == (want.objective, want.iterations)
 
 
 # ------------------------------------------------------------- exhaustive

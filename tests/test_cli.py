@@ -345,6 +345,36 @@ def test_decompose_out_that_cannot_be_a_directory_is_input_error(bench_files, tm
     assert code == 2 and "error: --out" in err
 
 
+def test_unusable_out_fails_before_any_fit(bench_files, tmp_path, capsys, monkeypatch):
+    import cdpa.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran before --out was checked")
+
+    monkeypatch.setattr(cdpa.cli, "estimate_cdpa", no_fit)
+    monkeypatch.setattr(cdpa.cli, "run_replications", no_fit)
+    p1, p2, _ = bench_files
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    runs = [
+        ["decompose", p1, p2, "--ranks", "5,5,5", "--out", str(blocked)],
+        ["simulate", "--setup", "1", "--theta", "15", "--p1", "30", "--n", "60",
+         "--reps", "1", "--out", str(blocked / "sim")],
+    ]
+    for argv in runs:
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and "error: --out" in err and out == "", err
+
+
+def test_decompose_manifest_write_failure_is_input_error(bench_files, tmp_path, capsys):
+    p1, p2, _ = bench_files
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    code, stdout, err = _run(capsys, ["decompose", p1, p2, "--ranks", "5,5,5", "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert f"error: {out / 'manifest.json'}: cannot write" in err, err
+
+
 @pytest.mark.parametrize(
     "blocker",
     [
@@ -390,7 +420,7 @@ def test_unreadable_inputs_are_input_errors(tmp_path, capsys):
     write_matrix_binary(good, rng.standard_normal((20, 30)))
     junk = tmp_path / "junk.bin"
     junk.write_bytes(b"\xff\xfe\x00\n" * 10)  # neither a binary matrix nor UTF-8
-    for bad, message in ((tmp_path, "cannot read"), (junk, "error:")):
+    for bad, message in ((tmp_path, f"{tmp_path}: cannot read"), (junk, f"{junk}:2: no numeric values")):
         code, _, err = _run(capsys, ["ranks", str(bad), str(good)])
         assert code == 2 and message in err, err
 
@@ -449,6 +479,9 @@ def test_match_planted_channels(tmp_path, capsys):
     assert code2 == 0
     assert abs(json.loads(out2)["objective"] - 3.0) < 1e-10
 
+    code3, out3, err3 = _run(capsys, ["match", str(b1), str(b2), "--out", str(tmp_path)])
+    assert code3 == 2 and out3 == "" and f"error: {tmp_path}: cannot write" in err3, err3
+
 
 # -------------------------------------------------------------- simulate
 
@@ -470,6 +503,17 @@ def test_simulate_single_replication_sweep(tmp_path, capsys):
     assert all(c["replications"] == 1 for c in payload["cells"])
     assert (tmp_path / "sim" / "replications.csv").exists()
     assert (tmp_path / "sim" / "aggregate.json").exists()
+
+
+@pytest.mark.parametrize("blocked", ["replications.csv", "aggregate.json"])
+def test_simulate_write_failure_is_input_error(tmp_path, capsys, blocked):
+    out = tmp_path / "sim"
+    (out / blocked).mkdir(parents=True)
+    argv = ["simulate", "--setup", "1", "--theta", "15", "--p1", "30", "--n", "60",
+            "--reps", "1", "--out", str(out)]
+    code, stdout, err = _run(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert f"error: {out / blocked}: cannot write" in err, err
 
 
 def test_simulate_setup2_autoset_p2(tmp_path, capsys):

@@ -31,7 +31,7 @@ from cdpa import (
 )
 import cdpa.denoise
 from cdpa._linalg import random_orthonormal
-from cdpa.denoise import _max_correlation
+from cdpa.denoise import _max_correlation, _screen_critical_z
 
 from helpers import estimates_from, exact_signal_pair, record_linalg
 
@@ -388,6 +388,15 @@ def test_screen_agrees_with_dense_correlations():
         assert abs(_max_correlation(e1, e2) - want_max) <= 1e-12
         decisions.append(want)
     assert True in decisions and False in decisions
+
+
+@pytest.mark.parametrize(
+    "p1, p2", [(1, 1), (2, 3), (40, 55), (100, 100), (300, 300), (4000, 900), (10**5, 900)]
+)
+def test_screen_critical_value_is_norm_isf_bit_for_bit(p1, p2):
+    # the screen's test reads the critical value without importing scipy.stats
+    want = norm.isf(0.05 / (2.0 * p1 * p2))
+    assert _screen_critical_z(p1 * p2) == want
 
 
 # ------------------------------------------------------------- mdl_select_r12
