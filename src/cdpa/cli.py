@@ -13,9 +13,11 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
@@ -28,7 +30,7 @@ from .align import PermutationPlan, build_match_problem, dspfp_match, exhaustive
 from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
 from .errors import BadConfig, InputError, NumericalError
 from .matrixio import read_matrix, write_matrices
-from .patterns import CdpaConfig, bootstrap_ci, check_bootstrap, estimate_cdpa
+from .patterns import BootstrapInterval, CdpaConfig, bootstrap_ci, check_bootstrap, estimate_cdpa
 from .simulate import SimulationConfig, oracle_explained_variance, run_replications
 from .subspace import orthonormal_basis
 from ._linalg import pad_rows
@@ -73,14 +75,27 @@ def _parse_ranks(text: str) -> RankProfile:
     return RankProfile(r1=r1, r2=r2, r12=r12)
 
 
-def _output_dir(path: str) -> Path:
-    """The output directory ``path``, created with its parents if missing."""
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """The output directory ``path``, created with its parents if missing.
+
+    If the command fails inside the block, the directories created here
+    are removed again, as long as they are empty; one that existed stays.
+    """
     out = Path(path)
+    created = []
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"--out {path}: {exc.strerror or exc}") from exc
-    return out
+        try:
+            created = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"--out {path}: {exc.strerror or exc}") from exc
+        yield out
+    except BaseException:
+        for directory in created:  # deepest first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def _write_text(path, text: str) -> None:
@@ -126,68 +141,68 @@ def cmd_ranks(args) -> int:
 # ------------------------------------------------------------ decompose
 
 
+def _fit_inputs(args, ranks: RankProfile | None, sign: str, replicates: int | None):
+    """Both inputs and the fit's configuration, shared by ``decompose`` and
+    ``bootstrap``; the bootstrap settings are checked here, before any fit,
+    unless ``replicates`` is None (no bootstrap)."""
+    y1, y2 = _load(args.y1), _load(args.y2)
+    perm = _perm_argument(args.perm)
+    config = CdpaConfig(ranks=ranks, perm=perm, sign=sign, center=not args.no_center)
+    if replicates is not None:
+        check_bootstrap(replicates, args.level, args.seed)
+    return y1, y2, config
+
+
+def _interval(args, y1, y2, fit, replicates: int) -> BootstrapInterval:
+    """The bootstrap interval for ``fit``'s explained variance."""
+    return bootstrap_ci(y1, y2, fit, replicates, args.level, args.seed, args.threads)
+
+
 def cmd_decompose(args) -> int:
     t0 = time.time()
-    y1, y2 = _load(args.y1), _load(args.y2)
     ranks = _parse_ranks(args.ranks) if args.ranks else None
     if ranks is None and not args.auto_ranks:
         raise BadConfig("pass --ranks r1,r2,r12 or --auto-ranks")
-    config = CdpaConfig(
-        ranks=ranks,
-        perm=_perm_argument(args.perm),
-        sign=args.sign,
-        center=not args.no_center,
-    )
-    if args.bootstrap:
-        check_bootstrap(args.bootstrap, args.level, args.seed)
-    out = _output_dir(args.out)
-    _progress(f"decomposing {args.y1} and {args.y2}")
-    result = estimate_cdpa(y1, y2, config)
-    columns = result.patterns.columns
-    artifacts = {name: f"{name}.cdpm" for name, _ in columns(slice(0, 0))}
-    paths = [out / file for file in artifacts.values()]
-    write_matrices(paths, result.patterns.shape[1], lambda cols: (b for _, b in columns(cols)))
-    interval = None
-    if args.bootstrap:
-        _progress(f"bootstrapping with {args.bootstrap} replicates")
-        ci = bootstrap_ci(
-            y1,
-            y2,
-            result,
-            replicates=args.bootstrap,
-            level=args.level,
-            seed=args.seed,
-            threads=args.threads,
-        )
-        interval = dataclasses.asdict(ci)
-    manifest = {
-        "command": "decompose",
-        "version": __version__,
-        "inputs": {"y1": str(args.y1), "y2": str(args.y2)},
-        "config": {
-            "ranks": None if ranks is None else [ranks.r1, ranks.r2, ranks.r12],
-            "auto_ranks": bool(args.auto_ranks),
-            "perm": args.perm,
-            "sign": args.sign,
-            "center": not args.no_center,
-            "seed": args.seed,
-            "bootstrap": args.bootstrap,
-            "level": args.level,
-        },
-        "ranks": [result.ranks.r1, result.ranks.r2, result.ranks.r12],
-        "r12_zero": result.patterns.r12_zero,
-        "permutation": _plan_payload(result.permutation),
-        "sign": result.sign,
-        "explained_variance": result.patterns.explained,
-        "confidence_interval": interval,
-        "delta_theta": result.diagnostics.delta_theta,
-        "snr": list(result.diagnostics.snr),
-        "seeds": {"master": args.seed},
-        "artifacts": artifacts,
-        "timings": {"seconds": time.time() - t0},
-    }
-    text = json.dumps(manifest, sort_keys=True, indent=2)
-    _write_text(out / "manifest.json", text)
+    y1, y2, config = _fit_inputs(args, ranks, args.sign, args.bootstrap or None)
+    with _output_dir(args.out) as out:
+        _progress(f"decomposing {args.y1} and {args.y2}")
+        result = estimate_cdpa(y1, y2, config)
+        columns = result.patterns.columns
+        artifacts = {name: f"{name}.cdpm" for name, _ in columns(slice(0, 0))}
+        paths = [out / file for file in artifacts.values()]
+        write_matrices(paths, result.patterns.shape[1], lambda cols: (b for _, b in columns(cols)))
+        interval = None
+        if args.bootstrap:
+            _progress(f"bootstrapping with {args.bootstrap} replicates")
+            interval = dataclasses.asdict(_interval(args, y1, y2, result, args.bootstrap))
+        manifest = {
+            "command": "decompose",
+            "version": __version__,
+            "inputs": {"y1": str(args.y1), "y2": str(args.y2)},
+            "config": {
+                "ranks": None if ranks is None else [ranks.r1, ranks.r2, ranks.r12],
+                "auto_ranks": bool(args.auto_ranks),
+                "perm": args.perm,
+                "sign": args.sign,
+                "center": not args.no_center,
+                "seed": args.seed,
+                "bootstrap": args.bootstrap,
+                "level": args.level,
+            },
+            "ranks": [result.ranks.r1, result.ranks.r2, result.ranks.r12],
+            "r12_zero": result.patterns.r12_zero,
+            "permutation": _plan_payload(result.permutation),
+            "sign": result.sign,
+            "explained_variance": result.patterns.explained,
+            "confidence_interval": interval,
+            "delta_theta": result.diagnostics.delta_theta,
+            "snr": list(result.diagnostics.snr),
+            "seeds": {"master": args.seed},
+            "artifacts": artifacts,
+            "timings": {"seconds": time.time() - t0},
+        }
+        text = json.dumps(manifest, sort_keys=True, indent=2)
+        _write_text(out / "manifest.json", text)
     print(text)
     return 0
 
@@ -226,41 +241,40 @@ def cmd_simulate(args) -> int:
         for p1 in p1s
         for noise in noises
     ]
-    out = _output_dir(args.out)
-    _progress(f"running {len(cells)} cells x {args.reps} replications")
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        studies = list(pool.map(run_replications, cells))
-
-    aggregate = []
-    all_rows = []
-    for study in studies:
-        cfg = study.config
-        cell_id = f"setup{cfg.setup}_theta{cfg.theta_deg:g}_p{cfg.p1}_noise{cfg.noise_var:g}"
-        aggregate.append(
-            {
-                "cell": cell_id,
-                "setup": cfg.setup,
-                "theta_deg": cfg.theta_deg,
-                "p1": cfg.p1,
-                "p2": cfg.p2,
-                "n": cfg.n,
-                "noise_var": cfg.noise_var,
-                "replications": cfg.replications,
-                "oracle_explained": study.oracle,
-                "means": study.means,
-                "sds": study.sds,
-            }
-        )
-        for row in study.rows:
-            all_rows.append({"cell": cell_id, **row})
-    fieldnames = ["cell"] + sorted({k for r in all_rows for k in r if k != "cell"})
-    table = io.StringIO()
-    writer = csv.DictWriter(table, fieldnames=fieldnames)
-    writer.writeheader()
-    writer.writerows(all_rows)
-    _write_text(out / "replications.csv", table.getvalue())
-    payload = {"command": "simulate", "seed": args.seed, "cells": aggregate}
-    _write_text(out / "aggregate.json", json.dumps(payload, sort_keys=True, indent=2))
+    with _output_dir(args.out) as out:
+        _progress(f"running {len(cells)} cells x {args.reps} replications")
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            studies = list(pool.map(run_replications, cells))
+        aggregate = []
+        all_rows = []
+        for study in studies:
+            cfg = study.config
+            cell_id = f"setup{cfg.setup}_theta{cfg.theta_deg:g}_p{cfg.p1}_noise{cfg.noise_var:g}"
+            aggregate.append(
+                {
+                    "cell": cell_id,
+                    "setup": cfg.setup,
+                    "theta_deg": cfg.theta_deg,
+                    "p1": cfg.p1,
+                    "p2": cfg.p2,
+                    "n": cfg.n,
+                    "noise_var": cfg.noise_var,
+                    "replications": cfg.replications,
+                    "oracle_explained": study.oracle,
+                    "means": study.means,
+                    "sds": study.sds,
+                }
+            )
+            for row in study.rows:
+                all_rows.append({"cell": cell_id, **row})
+        fieldnames = ["cell"] + sorted({k for r in all_rows for k in r if k != "cell"})
+        table = io.StringIO()
+        writer = csv.DictWriter(table, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(all_rows)
+        _write_text(out / "replications.csv", table.getvalue())
+        payload = {"command": "simulate", "seed": args.seed, "cells": aggregate}
+        _write_text(out / "aggregate.json", json.dumps(payload, sort_keys=True, indent=2))
     _emit(payload)
     return 0
 
@@ -283,6 +297,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_match(args) -> int:
+    if args.out and Path(args.out).is_dir():
+        raise InputError(f"{args.out}: cannot write: Is a directory")
     b1 = read_matrix(args.b1)
     b2 = read_matrix(args.b2)
     if b1.shape[1] != b2.shape[1]:
@@ -306,22 +322,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    y1, y2 = _load(args.y1), _load(args.y2)
-    config = CdpaConfig(
-        ranks=_parse_ranks(args.ranks),
-        perm=_perm_argument(args.perm),
-        sign="plus",
-        center=not args.no_center,
-    )
-    ci = bootstrap_ci(
-        y1,
-        y2,
-        estimate_cdpa(y1, y2, config),
-        replicates=args.replicates,
-        level=args.level,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    y1, y2, config = _fit_inputs(args, _parse_ranks(args.ranks), "plus", args.replicates)
+    ci = _interval(args, y1, y2, estimate_cdpa(y1, y2, config), args.replicates)
     _emit({"command": "bootstrap", **dataclasses.asdict(ci)})
     return 0
 
@@ -337,39 +339,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ranks = sub.add_parser("ranks", help="select signal ranks and the shared rank")
-    ranks.add_argument("y1")
-    ranks.add_argument("y2")
-    ranks.add_argument("--no-center", action="store_true")
+    # options shared by two or more subcommands, each declared once
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("y1")
+    data.add_argument("y2")
+    data.add_argument("--no-center", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--threads", type=_threads, default=_default_threads())
+    fit = argparse.ArgumentParser(add_help=False, parents=[data, seeded])
+    fit.add_argument("--perm", default="identity", help="identity | dspfp | FILE")
+    fit.add_argument("--level", type=float, default=0.95)
+
+    ranks = sub.add_parser("ranks", parents=[data], help="select signal ranks and the shared rank")
     ranks.set_defaults(func=cmd_ranks)
 
-    dec = sub.add_parser("decompose", help="run the full decomposition")
-    dec.add_argument("y1")
-    dec.add_argument("y2")
+    dec = sub.add_parser("decompose", parents=[fit], help="run the full decomposition")
     group = dec.add_mutually_exclusive_group()
     group.add_argument("--ranks", help="fixed ranks r1,r2,r12")
     group.add_argument("--auto-ranks", action="store_true")
-    dec.add_argument("--perm", default="identity", help="identity | dspfp | FILE")
     dec.add_argument("--sign", choices=("auto", "plus", "minus"), default="auto")
     dec.add_argument("--bootstrap", type=int, default=0, metavar="N")
-    dec.add_argument("--level", type=float, default=0.95)
-    dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--out", required=True)
-    dec.add_argument("--no-center", action="store_true")
-    dec.add_argument("--threads", type=_threads, default=_default_threads())
     dec.set_defaults(func=cmd_decompose)
 
-    sim = sub.add_parser("simulate", help="replication studies over a grid")
+    sim = sub.add_parser("simulate", parents=[seeded], help="replication studies over a grid")
     sim.add_argument("--setup", type=int, choices=(1, 2), required=True)
     sim.add_argument("--theta", required=True, help="comma-separated angle list")
     sim.add_argument("--p1", required=True, help="comma-separated p1 list")
     sim.add_argument("--noise", default="1.0", help="comma-separated noise variances")
     sim.add_argument("--n", type=int, default=300)
     sim.add_argument("--reps", type=int, default=100)
-    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--structure-seed", type=int, default=0)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--threads", type=_threads, default=_default_threads())
     sim.set_defaults(func=cmd_simulate)
 
     orc = sub.add_parser("oracle", help="population explained variance")
@@ -383,16 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     mat.add_argument("--out")
     mat.set_defaults(func=cmd_match)
 
-    boot = sub.add_parser("bootstrap", help="confidence interval for explained variance")
-    boot.add_argument("y1")
-    boot.add_argument("y2")
+    boot = sub.add_parser(
+        "bootstrap", parents=[fit], help="confidence interval for explained variance"
+    )
     boot.add_argument("--ranks", required=True, help="fixed ranks r1,r2,r12")
-    boot.add_argument("--perm", default="identity", help="identity | dspfp | FILE")
     boot.add_argument("--replicates", type=int, default=1000)
-    boot.add_argument("--level", type=float, default=0.95)
-    boot.add_argument("--seed", type=int, default=0)
-    boot.add_argument("--no-center", action="store_true")
-    boot.add_argument("--threads", type=_threads, default=_default_threads())
     boot.set_defaults(func=cmd_bootstrap)
 
     return parser

@@ -76,13 +76,14 @@ def canonical_system(
 ) -> CanonicalSystem:
     """Build canonical scores from the factored signal estimates.
 
-    Each estimate is whitened on the strictly positive eigenvalues
-    ``lam_k = soft_singular_values**2 / n`` of ``xhat @ xhat.T / n`` and
-    their left singular vectors ``v_k``.  The whitened scores ``z_k* =
-    lam_k^(-1/2) (v_k' U_k) S_k V_k'``, with ``xhat_k = U_k S_k V_k'``,
-    are formed from the factors and rotated by the left/right singular
-    vectors of their cross-covariance; the first ``r12`` singular values
-    (clipped to [0, 1]) are the sample canonical correlations.
+    Each estimate ``xhat_k = U_k diag(s_k) V_k'`` is whitened on the
+    strictly positive eigenvalues ``lam_k = s_k**2 / n`` of ``xhat_k @
+    xhat_k.T / n``.  With orthonormal ``U_k`` and ``V_k`` the whitened
+    scores are ``sqrt(n) V_k'`` on the kept columns, so their
+    cross-covariance is the r1 x r2 matrix ``V_1' V_2``; its left/right
+    singular vectors rotate the scores into canonical coordinates, and its
+    first ``r12`` singular values (clipped to [0, 1]) are the sample
+    canonical correlations.
 
     Raises
     ------
@@ -102,24 +103,18 @@ def canonical_system(
         keep = lam > 0
         if not np.any(keep):
             raise ZeroSignal("signal estimate is zero after thresholding")
-        spectra.append((x.left_vectors[:, keep], lam[keep]))
+        spectra.append((x.right_vectors[:, keep], lam[keep]))
     for _, lam in spectra:
         if np.any(lam <= 1e-12 * lam[0]):
             raise RankDeficiency("covariance spectrum is numerically degenerate")
     rank1, rank2 = (lam.shape[0] for _, lam in spectra)
     if r12 > min(rank1, rank2):
         raise RankDeficiency(f"r12 = {r12} exceeds available ranks ({rank1}, {rank2})")
-    z1s, z2s = (
-        ((v.T @ x.left_vectors) * x.soft_singular_values) @ x.right_vectors.T
-        / np.sqrt(lam)[:, None]
-        for (v, lam), x in zip(spectra, (x1, x2))
-    )
-    theta = z1s @ z2s.T / n
-    u1, svals, v2t = svd(theta, full_matrices=True)
+    (v1, _), (v2, _) = spectra
+    u1, svals, v2t = svd(v1.T @ v2, full_matrices=True)
     u1, v2t = fix_signs(u1, v2t)
-    return CanonicalSystem(
-        z1=u1.T @ z1s, z2=v2t @ z2s, correlations=clip_correlations(svals[:r12])
-    )
+    z1, z2 = (np.sqrt(n) * u1.T) @ v1.T, (np.sqrt(n) * v2t) @ v2.T
+    return CanonicalSystem(z1=z1, z2=z2, correlations=clip_correlations(svals[:r12]))
 
 
 def common_factor_coefficients(correlations: np.ndarray) -> np.ndarray:

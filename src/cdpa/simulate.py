@@ -195,12 +195,12 @@ def _build_structure(
     w = orthonormal_complement(rng, q_small_padded, r12)
     q_big = q_small_padded * rho[:r12] + w * np.sqrt(1.0 - rho[:r12] ** 2)
 
-    def complete(q: np.ndarray, p: int) -> np.ndarray:
+    def complete(q: np.ndarray) -> np.ndarray:
         extra = orthonormal_complement(rng, q, SIGNAL_RANK - r12)
         return np.hstack([q, extra])
 
-    v_small = complete(q_small, pmin)
-    v_big = complete(q_big, pmax)
+    v_small = complete(q_small)
+    v_big = complete(q_big)
     v1, v2 = (v_small, v_big) if p1 <= p2 else (v_big, v_small)
     population = population_cdpa(
         v1, EIGENVALUES, v2, EIGENVALUES, np.diag(rho)
@@ -211,8 +211,7 @@ def _build_structure(
     root = np.sqrt(EIGENVALUES[:r12])
     q1p = pad_rows(v1[:, :r12], pmax)
     q2p = pad_rows(v2[:, :r12], pmax)
-    tan_half = np.sqrt((1.0 - rho[:r12]) / (1.0 + rho[:r12]))
-    c_b = (1.0 - tan_half) * (q1p + q2p) / 2.0
+    c_b = common_factor_coefficients(rho[:r12]) * (q1p + q2p)
     b_c = c_b * (root / np.sqrt(TOTAL_VARIANCE))
     return _Structure(rho=rho, r12=r12, v1=v1, v2=v2, b_c=b_c, population=population)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import clip_correlations, fix_signs, svd
-from .align import as_permutation
+from .align import _check_bases, as_permutation
 from .dcca import common_factor_coefficients
 from .errors import ChannelRankDeficient, InputError
 
@@ -59,8 +59,7 @@ def principal_angles(
     ``permutation`` is a 0-based index array applied to the rows of
     ``q2a`` (``aligned = q2a[permutation]``).
     """
-    if q1.shape != q2a.shape:
-        raise InputError(f"basis shapes differ: {q1.shape} vs {q2a.shape}")
+    _check_bases(q1, q2a)
     perm = as_permutation(permutation, q1.shape[0])
     q2p = q2a[perm]
     u1, svals, v2t = svd(q1.T @ q2p, full_matrices=True)

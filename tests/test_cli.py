@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 from pathlib import Path
@@ -18,7 +19,7 @@ from cdpa import (
     read_matrix_binary,
     write_matrix_binary,
 )
-from cdpa.cli import _perm_argument, main
+from cdpa.cli import _perm_argument, build_parser, main
 from cdpa._linalg import random_orthonormal
 
 from helpers import exact_signal_pair, record_linalg
@@ -208,6 +209,36 @@ def test_decompose_dimension_mismatch_is_input_error(tmp_path, capsys):
     )
     assert code == 2
     assert "sample counts" in err
+
+
+def test_failed_run_removes_only_the_out_it_created(tmp_path, capsys, monkeypatch):
+    import cdpa.cli
+
+    rng = np.random.default_rng(4)
+    a = tmp_path / "a.cdpm"
+    b = tmp_path / "b.cdpm"
+    write_matrix_binary(a, rng.standard_normal((20, 50)))
+    write_matrix_binary(b, rng.standard_normal((20, 60)))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "new" / "nested", kept):
+        code, stdout, err = _run(
+            capsys, ["decompose", str(a), str(b), "--ranks", "2,2,1", "--out", str(out)]
+        )
+        assert code == 2 and "sample counts" in err and stdout == ""
+    assert not (tmp_path / "new").exists()
+    assert kept.is_dir() and not any(kept.iterdir())
+
+    def failing(cell):
+        raise NumericalError("cell failed")
+
+    monkeypatch.setattr(cdpa.cli, "run_replications", failing)
+    code, _, err = _run(
+        capsys, ["simulate", "--setup", "1", "--theta", "15", "--p1", "30", "--n", "60",
+                 "--reps", "1", "--out", str(tmp_path / "sim")],
+    )
+    assert code == 3 and "cell failed" in err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_decompose_numerical_failure_exit_code(tmp_path, capsys):
@@ -483,6 +514,21 @@ def test_match_planted_channels(tmp_path, capsys):
     assert code3 == 2 and out3 == "" and f"error: {tmp_path}: cannot write" in err3, err3
 
 
+def test_match_rejects_directory_out_before_aligning(tmp_path, capsys, monkeypatch):
+    import cdpa.cli
+
+    def no_match(*args, **kwargs):
+        raise AssertionError("alignment ran before --out was checked")
+
+    monkeypatch.setattr(cdpa.cli, "dspfp_match", no_match)
+    q = random_orthonormal(np.random.default_rng(6), 8, 3)
+    for name in ("b1.cdpm", "b2.cdpm"):
+        write_matrix_binary(tmp_path / name, q)
+    argv = ["match", str(tmp_path / "b1.cdpm"), str(tmp_path / "b2.cdpm"), "--out", str(tmp_path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == "" and f"error: {tmp_path}: cannot write" in err, err
+
+
 # -------------------------------------------------------------- simulate
 
 
@@ -626,6 +672,19 @@ def test_decompose_bad_bootstrap_writes_nothing(bench_files, tmp_path, capsys, b
     assert not out.exists()  # no .cdpm file and no manifest
 
 
+@pytest.mark.parametrize("bad", [["--replicates", "50"], ["--level", "1.5"], ["--seed", "-1"]])
+def test_bootstrap_checks_settings_before_fit(bench_files, capsys, monkeypatch, bad):
+    import cdpa.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran before the bootstrap settings were checked")
+
+    monkeypatch.setattr(cdpa.cli, "estimate_cdpa", no_fit)
+    p1, p2, _ = bench_files
+    code, out, err = _run(capsys, ["bootstrap", p1, p2, "--ranks", "5,5,5", *bad])
+    assert code == 2 and out == "" and "error:" in err, err
+
+
 # ------------------------------------------------------------------ misc
 
 
@@ -659,3 +718,50 @@ def test_threads_below_one_rejected(bench_files, tmp_path, capsys, threads):
         assert code == 2 and "--threads must be at least 1" in err
         assert out == ""
     assert not (tmp_path / "sim").exists() and not (tmp_path / "dec").exists()
+
+
+# Each subcommand's options as the parser declared them before the shared
+# options moved into parent parsers: option strings (the dest for a
+# positional), default, and whether the option is required.
+PARSER_TABLE = {
+    "ranks": [(("--no-center",), False, False), (("y1",), None, True), (("y2",), None, True)],
+    "decompose": [
+        (("--auto-ranks",), False, False), (("--bootstrap",), 0, False),
+        (("--level",), 0.95, False), (("--no-center",), False, False),
+        (("--out",), None, True), (("--perm",), "identity", False), (("--ranks",), None, False),
+        (("--seed",), 0, False), (("--sign",), "auto", False), (("--threads",), 1, False),
+        (("y1",), None, True), (("y2",), None, True),
+    ],
+    "simulate": [
+        (("--n",), 300, False), (("--noise",), "1.0", False), (("--out",), None, True),
+        (("--p1",), None, True), (("--reps",), 100, False), (("--seed",), 0, False),
+        (("--setup",), None, True), (("--structure-seed",), 0, False),
+        (("--theta",), None, True), (("--threads",), 1, False),
+    ],
+    "oracle": [(("--theta",), None, True)],
+    "match": [
+        (("--method",), "dspfp", False), (("--out",), None, False),
+        (("b1",), None, True), (("b2",), None, True),
+    ],
+    "bootstrap": [
+        (("--level",), 0.95, False), (("--no-center",), False, False),
+        (("--perm",), "identity", False), (("--ranks",), None, True),
+        (("--replicates",), 1000, False), (("--seed",), 0, False), (("--threads",), 1, False),
+        (("y1",), None, True), (("y2",), None, True),
+    ],
+}
+
+
+def test_parser_options_match_the_declared_table(monkeypatch):
+    monkeypatch.delenv("CDPA_THREADS", raising=False)
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sorted(sub.choices) == sorted(PARSER_TABLE)
+    for name, parser in sub.choices.items():
+        got = sorted(
+            (tuple(a.option_strings) or (a.dest,), a.default, a.required)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        )
+        assert got == PARSER_TABLE[name], name
