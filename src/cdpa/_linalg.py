@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 
@@ -35,29 +35,59 @@ def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
         raise NumericalError(f"SVD of a {a.shape} matrix failed: {exc}") from exc
 
 
-def eigh_top(a: np.ndarray, r: int):
-    """The ``r`` largest eigenvalues of the symmetric ``a`` in descending
-    order and their eigenvectors as columns, by LAPACK's MRRR solver
-    (``scipy.linalg.eigh`` with ``driver="evr"``), which computes no other
-    eigenpair.  A failure to converge is raised as ``NumericalError``.
+def _lapack(name: str, *args, **kwargs):
+    """Call scipy's LAPACK wrapper ``name`` and return its outputs but the
+    trailing ``info``; a nonzero ``info`` is raised as ``NumericalError``."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info > 0:
+        raise NumericalError(f"LAPACK {name} did not converge (info={info})")
+    if info < 0:
+        raise NumericalError(f"LAPACK {name} rejected argument {-info}")
+    return out[0] if len(out) == 1 else out
+
+
+def tridiagonalize(a: np.ndarray):
+    """Householder reduction ``a = Q T Q.T`` of the symmetric ``a`` (one
+    triangle is read) by LAPACK ``dsytrd`` with the optimal workspace, done
+    in place when ``a`` is C- or Fortran-contiguous: ``(c, d, e, tau)``, the
+    diagonal ``d`` and subdiagonal ``e`` of ``T``, and the reflectors of
+    ``Q`` stored below the subdiagonal of ``c`` with their factors ``tau``.
     """
     m = a.shape[0]
+    lwork = int(_lapack("dsytrd_lwork", m, lower=1))
+    # a symmetric C-ordered matrix is its own transpose, which is Fortran-ordered
+    return _lapack("dsytrd", a.T if a.flags.c_contiguous else a, lower=1, lwork=lwork, overwrite_a=1)
+
+
+def tridiagonal_eigvalsh(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the symmetric tridiagonal matrix with diagonal ``d``
+    and subdiagonal ``e``, in ascending order, by LAPACK ``dsterf``."""
+    return _lapack("dsterf", d, e)
+
+
+def tridiagonal_top(c: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray, r: int):
+    """The ``r`` largest eigenvalues, descending, and their eigenvectors as
+    columns, of the matrix that ``tridiagonalize`` returned as ``(c, d, e,
+    tau)``.  Bisection (``dstebz``) finds the eigenvalues of ``T``, inverse
+    iteration (``dstein``) their vectors, and one ``dormqr`` applies ``Q``
+    to them; no other eigenpair is computed.
+    """
+    m = d.size
     if r == 0:
         return np.zeros(0), np.zeros((m, 0))
-    try:
-        w, q = scipy.linalg.eigh(a, subset_by_index=[m - r, m - 1], driver="evr")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"top-{r} eigensolve of a {a.shape} matrix failed: {exc}") from exc
-    return w[::-1], q[:, ::-1]
-
-
-def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of the symmetric ``a`` in ascending order, without
-    eigenvectors; a failure to converge is raised as ``NumericalError``."""
-    try:
-        return scipy.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalues of a {a.shape} matrix failed: {exc}") from exc
+    tiny = 2.0 * np.finfo(np.float64).tiny  # bisect to full relative accuracy
+    k, w, iblock, isplit = _lapack("dstebz", d, e, 2, 0.0, 0.0, m - r + 1, m, tiny, "B")
+    w = w[:k]
+    z = _lapack("dstein", d, e, w, iblock, isplit)
+    if m > 1:
+        # H(i) leaves row 0 alone; its reflector fills c[i + 1:, i], so the
+        # (m - 1)-row reflector block starts one element into c's buffer
+        c = np.asfortranarray(c)
+        block = np.ndarray((m, m - 1), buffer=c, offset=c.itemsize, order="F")
+        lwork = int(_lapack("dormqr", "L", "N", block, tau, z[1:], -1)[1][0])
+        z[1:] = _lapack("dormqr", "L", "N", block, tau, z[1:], lwork)[0]
+    order = np.argsort(-w, kind="stable")  # dstebz orders by split block
+    return w[order], z[:, order]
 
 
 def random_orthonormal(rng: np.random.Generator, p: int, r: int) -> np.ndarray:

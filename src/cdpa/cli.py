@@ -297,8 +297,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_match(args) -> int:
-    if args.out and Path(args.out).is_dir():
-        raise InputError(f"{args.out}: cannot write: Is a directory")
+    if args.out:
+        out = Path(args.out)
+        if out.is_dir():
+            raise InputError(f"{out}: cannot write: Is a directory")
+        if not out.parent.is_dir():
+            raise InputError(f"{out}: cannot write: {out.parent} is not a directory")
     b1 = read_matrix(args.b1)
     b2 = read_matrix(args.b2)
     if b1.shape[1] != b2.shape[1]:

@@ -120,35 +120,36 @@ def dense_match_problem(q1, q2a):
 def record_linalg(monkeypatch):
     """Record every matrix passed to a dense decomposition kernel.
 
-    Returns ``{"svd": [...], "eigh": [...], "top": [...], "eigvalsh": [...]}``:
-    the shapes passed to ``np.linalg.svd``, to a full eigendecomposition
-    (``np.linalg.eigh``, or ``scipy.linalg.eigh`` without a subset) and to
-    a values-only one (``np.linalg.eigvalsh``, ``scipy.linalg.eigvalsh``),
-    and ``(shape, k)`` for each ``scipy.linalg.eigh`` that computes only
-    ``k`` eigenpairs.
+    Returns ``{"svd": [...], "eigh": [...], "reduce": [...], "spectrum":
+    [...], "top": [...]}``: the shapes passed to ``np.linalg.svd``, to any
+    dense symmetric eigensolver (``eigh`` or ``eigvalsh`` of numpy or
+    scipy), and to the tridiagonal reduction (LAPACK ``dsytrd``); the
+    ``(m, m)`` order of each values-only read of a whole reduced spectrum
+    (``dsterf``); and ``((m, m), k)`` for each read of only the top ``k``
+    eigenpairs of a reduced matrix (``dstein``).
     """
-    shapes = {"svd": [], "eigh": [], "top": [], "eigvalsh": []}
+    shapes = {"svd": [], "eigh": [], "reduce": [], "spectrum": [], "top": []}
 
-    def eigh_entry(shape, kwargs):
-        subset = kwargs.get("subset_by_index")
-        if subset is None:
-            return "eigh", shape
-        return "top", (shape, subset[1] - subset[0] + 1)
+    def order(d):
+        return (np.size(d), np.size(d))
 
     kernels = [
-        (np.linalg, "svd", lambda shape, _: ("svd", shape)),
-        (np.linalg, "eigh", eigh_entry),
-        (scipy.linalg, "eigh", eigh_entry),
-        (np.linalg, "eigvalsh", lambda shape, _: ("eigvalsh", shape)),
-        (scipy.linalg, "eigvalsh", lambda shape, _: ("eigvalsh", shape)),
+        (np.linalg, "svd", lambda a, *_: ("svd", np.shape(a))),
+        (np.linalg, "eigh", lambda a, *_: ("eigh", np.shape(a))),
+        (np.linalg, "eigvalsh", lambda a, *_: ("eigh", np.shape(a))),
+        (scipy.linalg, "eigh", lambda a, *_: ("eigh", np.shape(a))),
+        (scipy.linalg, "eigvalsh", lambda a, *_: ("eigh", np.shape(a))),
+        (scipy.linalg.lapack, "dsytrd", lambda a, *_: ("reduce", np.shape(a))),
+        (scipy.linalg.lapack, "dsterf", lambda d, *_: ("spectrum", order(d))),
+        (scipy.linalg.lapack, "dstein", lambda d, e, w, *_: ("top", (order(d), np.size(w)))),
     ]
     for module, name, entry in kernels:
         original = getattr(module, name)
 
-        def recording(a, *args, _original=original, _entry=entry, **kwargs):
-            key, value = _entry(np.shape(a), kwargs)
+        def recording(*args, _original=original, _entry=entry, **kwargs):
+            key, value = _entry(*args)
             shapes[key].append(value)
-            return _original(a, *args, **kwargs)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recording)
     return shapes

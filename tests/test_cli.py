@@ -89,9 +89,11 @@ def test_ranks_benchmark_files(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert (payload["r1"], payload["r2"], payload["r12"]) == (5, 5, 5)
-    # per dataset, ED reads one values-only Gram eigensolve and denoising
-    # and MDL one top-5 solve; no full eigendecomposition, no SVD fallback
-    assert shapes["eigvalsh"] == [(300, 300), (300, 300)]
+    # per dataset, one tridiagonal reduction of the Gram matrix: ED reads
+    # its values alone, denoising and MDL its top 5 pairs; no dense
+    # eigensolver, no SVD fallback
+    assert shapes["reduce"] == [(300, 300), (300, 300)]
+    assert shapes["spectrum"] == [(300, 300), (300, 300)]
     assert shapes["top"] == [((300, 300), 5), ((300, 300), 5)]
     assert shapes["eigh"] == []
     assert [s for s in shapes["svd"] if min(s) > 10] == []
@@ -255,12 +257,18 @@ def test_decompose_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_eigh_failure_is_a_numerical_error(bench_files, tmp_path, capsys, monkeypatch):
-    def failing(a, *args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def failing(name):
+        real = getattr(scipy.linalg.lapack, name)
 
-    # the values-only solve of rank selection and the top-r solve of a rank
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", failing)
-    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        def run(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)  # LAPACK's info > 0: no convergence
+
+        return run
+
+    # the values-only read of rank selection and the top-r read of a rank
+    for name in ("dsterf", "dstein"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, failing(name))
     p1, p2, _ = bench_files
     y1, y2 = (ObservedMatrix(read_matrix_binary(p)) for p in (p1, p2))
     for config in (CdpaConfig(), CdpaConfig(ranks=RankProfile(5, 5, 5))):
@@ -527,6 +535,24 @@ def test_match_rejects_directory_out_before_aligning(tmp_path, capsys, monkeypat
     argv = ["match", str(tmp_path / "b1.cdpm"), str(tmp_path / "b2.cdpm"), "--out", str(tmp_path)]
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == "" and f"error: {tmp_path}: cannot write" in err, err
+
+
+@pytest.mark.parametrize("parent", ["nodir", "b1.cdpm"])
+def test_match_rejects_out_without_parent_directory_before_aligning(tmp_path, capsys, monkeypatch, parent):
+    import cdpa.cli
+
+    def no_match(*args, **kwargs):
+        raise AssertionError("alignment ran before --out was checked")
+
+    monkeypatch.setattr(cdpa.cli, "dspfp_match", no_match)
+    q = random_orthonormal(np.random.default_rng(6), 8, 3)
+    for name in ("b1.cdpm", "b2.cdpm"):
+        write_matrix_binary(tmp_path / name, q)
+    plan = tmp_path / parent / "plan.json"
+    argv = ["match", str(tmp_path / "b1.cdpm"), str(tmp_path / "b2.cdpm"), "--out", str(plan)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == "" and f"error: {plan}: cannot write" in err, err
+    assert not (tmp_path / "nodir").exists()
 
 
 # -------------------------------------------------------------- simulate

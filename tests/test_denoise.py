@@ -371,6 +371,8 @@ def test_screen_agrees_with_dense_correlations():
         e1, e2 = soft_threshold_denoise(y1, 5), soft_threshold_denoise(y2, 5)
         pairs += [(e1, e2), (e2, e1)]  # p1 < p2 and p1 > p2 for setup 2
     pairs.append((_with_constant_rows(pairs[0][0], 300), pairs[0][1]))
+    # a shared signal that only the first or only the last block of rows holds
+    pairs += [_planted_pair(np.random.default_rng(9104), row) for row in (0, 399)]
     # independent signals: the screen licenses no shared rank (r12 = 0)
     rng = np.random.default_rng(9103)
     x1, _, _ = exact_signal_pair(rng, 300, 300, [500, 400, 300, 200, 100], np.zeros(5), 300)
@@ -388,6 +390,46 @@ def test_screen_agrees_with_dense_correlations():
         assert abs(_max_correlation(e1, e2) - want_max) <= 1e-12
         decisions.append(want)
     assert True in decisions and False in decisions
+
+
+def _planted_pair(rng, row, p1=400, p2=300, n=300):
+    """Independent rank-3 signals, except that row ``row`` of the first (if
+    not None) repeats row 0 of the second."""
+    z, w = rng.standard_normal((3, n)), rng.standard_normal((3, n))
+    x1, x2 = rng.standard_normal((p1, 3)) @ w, rng.standard_normal((p2, 3)) @ z
+    if row is not None:
+        x1[row] = x2[0]
+    return estimates_from(x1, x2, 3 if row is None else 4, 3)
+
+
+def test_screen_stops_at_the_deciding_block(monkeypatch):
+    scored, real = [], cdpa.denoise._block_maxima
+
+    def counting(x1, x2):
+        for r in real(x1, x2):
+            scored.append(r)
+            yield r
+
+    monkeypatch.setattr(cdpa.denoise, "_block_maxima", counting)
+    rng = np.random.default_rng(9104)
+    y1, y2, _ = generate_setup(SimulationConfig(setup=2, theta_deg=30.0, p1=300, n=300, seed=9105))
+    strong = soft_threshold_denoise(y1, 5), soft_threshold_denoise(y2, 5)
+    blocks = -(-400 // cdpa.denoise._SCREEN_ROWS)
+    # (pair, decision, blocks scored): a shared signal in the first rows,
+    # in the last row, none, and the strong shared signal of setup 2
+    for (e1, e2), want, count in [
+        (_planted_pair(rng, 0), True, 1),
+        (_planted_pair(rng, 399), True, blocks),
+        (_planted_pair(rng, None), False, blocks),
+        (strong, True, 1),
+    ]:
+        scored.clear()
+        assert correlation_screen(e1, e2) == want == _dense_screen(e1, e2, 0.05)[0]
+        assert len(scored) == count
+        # the largest |r| is still taken over every block
+        scored.clear()
+        assert _max_correlation(e1, e2) == max(scored)
+        assert len(scored) == -(-e1.p // cdpa.denoise._SCREEN_ROWS)
 
 
 @pytest.mark.parametrize(
@@ -493,6 +535,39 @@ def test_noise_trace_closed_form_matches_residual(shape, r):
 # ------------------------------------------------- Gram route and its fallback
 
 
+@pytest.mark.parametrize("scale", [1.0, 3e-5, 1e-70, 1e70, 1e-100, 1e100])
+@pytest.mark.parametrize("shape", [(90, 40), (40, 90)])
+def test_gram_without_a_scaled_copy_is_bitwise_equal(scale, shape):
+    # the product is scaled after the GEMM for moderate scales and the data
+    # before it otherwise; both give the Gram of values / 2**k bit for bit
+    rng = np.random.default_rng(27)
+    raw = scale * (rng.standard_normal(shape) + 3.0 * rng.standard_normal((shape[0], 1)))
+    raw[5] = scale  # a constant row
+    for y in (ObservedMatrix(raw), center_rows(ObservedMatrix(raw))):
+        k = int(np.frexp(np.max(np.abs(y.values)))[1])
+        a = np.ldexp(y.values, -k)
+        g, got_k = y.gram
+        assert got_k == k
+        assert np.array_equal(g, a.T @ a if shape[0] >= shape[1] else a @ a.T)
+
+
+def test_center_rows_overflow_is_an_input_error():
+    # the mean is finite, but hi - mean is not
+    y = ObservedMatrix(np.array([[1.5e308, -1.5e308, -1.5e308], [1.0, 2.0, 3.0]]))
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="finite"):
+        center_rows(y)
+
+
+def test_top_pairs_reduce_again_to_the_same_bits():
+    # the reflectors are dropped after a top-r read, so a later rank reduces
+    # the Gram again, and reads what a fresh matrix reads
+    rng = np.random.default_rng(28)
+    y = ObservedMatrix(rng.standard_normal((70, 40)) @ np.diag(np.linspace(1.0, 4.0, 40)))
+    y.factors(2)
+    for a, b in zip(y.factors(4), ObservedMatrix(y.values.copy()).factors(4)):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("shape", [(300, 120), (120, 300), (150, 150)])
 def test_gram_route_matches_svd(shape):
     rng = np.random.default_rng(21)
@@ -551,7 +626,9 @@ def test_gram_fallback_rank_one_data(monkeypatch):
     y = ObservedMatrix(x)
     est = soft_threshold_denoise(y, 1)
     assert not y.resolves(1)  # the tail energy is round-off
-    assert shapes == {"svd": [(40, 40), (1, 1)], "eigh": [], "top": [((40, 40), 1)], "eigvalsh": []}
+    assert shapes == {
+        "svd": [(40, 40), (1, 1)], "eigh": [], "reduce": [(40, 40)], "spectrum": [], "top": [((40, 40), 1)]
+    }
     tau, xhat = _svd_reference(x, 1)
     assert est.tau <= 1e-28 * np.sum(x**2)
     np.testing.assert_allclose(est.tau, tau, rtol=1e-6, atol=1e-300)
@@ -565,7 +642,9 @@ def test_gram_fallback_exact_low_rank_wide(monkeypatch):
     shapes = record_linalg(monkeypatch)
     y = ObservedMatrix(x)
     est = soft_threshold_denoise(y, 3)
-    assert shapes == {"svd": [(12, 12), (3, 3)], "eigh": [], "top": [((12, 12), 3)], "eigvalsh": []}
+    assert shapes == {
+        "svd": [(12, 12), (3, 3)], "eigh": [], "reduce": [(12, 12)], "spectrum": [], "top": [((12, 12), 3)]
+    }
     assert est.tau <= 1e-20
     assert np.linalg.norm(est.xhat - x) <= 1e-12 * np.linalg.norm(x)
     # the kept vectors are resolved below the rank, so those ranks stay on the Gram route
@@ -606,16 +685,16 @@ def test_gram_fallback_above_the_true_rank(shape):
 
 
 def test_gram_factorizations_run_concurrently(monkeypatch):
-    # each eigensolve waits for the other: a lock shared by all instances
+    # each reduction waits for the other: a lock shared by all instances
     # would hold the second thread back until the barrier times out
     barrier = threading.Barrier(2, timeout=5)
-    real = cdpa.denoise.eigh_top
+    real = cdpa.denoise.tridiagonalize
 
-    def waiting(a, r):
+    def waiting(a):
         barrier.wait()
-        return real(a, r)
+        return real(a)
 
-    monkeypatch.setattr(cdpa.denoise, "eigh_top", waiting)
+    monkeypatch.setattr(cdpa.denoise, "tridiagonalize", waiting)
     rng = np.random.default_rng(26)
     ys = [ObservedMatrix(rng.standard_normal((30, 20))) for _ in range(2)]
     with ThreadPoolExecutor(max_workers=2) as pool:

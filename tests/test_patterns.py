@@ -526,9 +526,11 @@ def test_estimate_auto_ranks_takes_one_gram_eigh_per_dataset(monkeypatch):
     shapes = record_linalg(monkeypatch)
     result = estimate_cdpa(y1, y2)
     assert result.ranks.r12 >= 1 and result.sign_choice is not None
-    # both datasets have p >= n, so each Gram matrix is n x n: ED reads its
-    # values alone, the selected rank one top-r solve; no SVD fallback
-    assert shapes["eigvalsh"] == [(300, 300), (300, 300)]
+    # both datasets have p >= n, so each Gram matrix is n x n and reduced
+    # once: ED reads its values alone, the selected rank its top-r pairs;
+    # no dense eigensolver, no SVD fallback
+    assert shapes["reduce"] == [(300, 300), (300, 300)]
+    assert shapes["spectrum"] == [(300, 300), (300, 300)]
     assert shapes["top"] == [((300, 300), result.ranks.r1), ((300, 300), result.ranks.r2)]
     assert shapes["eigh"] == []
     assert [s for s in shapes["svd"] if min(s) > 10] == []
@@ -542,8 +544,9 @@ def test_estimate_fixed_ranks_takes_one_top_r_solve_per_dataset(monkeypatch, p1)
     shapes = record_linalg(monkeypatch)
     estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 4, 3)))
     m = min(p1, 300)
+    assert shapes["reduce"] == [(m, m), (m, m)]
     assert shapes["top"] == [((m, m), 5), ((m, m), 4)]
-    assert shapes["eigh"] == [] and shapes["eigvalsh"] == []
+    assert shapes["eigh"] == [] and shapes["spectrum"] == []
     assert [s for s in shapes["svd"] if min(s) > 10] == []
 
 
@@ -743,3 +746,49 @@ def test_tied_principal_vector_rotation_invariance():
     rotated = rotate_pair(ctx["pair"], 0, 3, rng)
     got = _loadings(ctx, rotated)[0] @ ctx["c0"]
     assert rel_err(got, base) <= 1e-8
+
+
+# ------------------------------------------------------ permutation equivariance
+
+
+@lru_cache(maxsize=None)
+def _equivariance_draw(setup):
+    y1, y2, _ = generate_setup(SimulationConfig(setup=setup, theta_deg=30.0, p1=300, n=300, seed=71))
+    return y1.values, y2.values, estimate_cdpa(y1, y2)
+
+
+def _assert_same_fit(fit, base, rows, cols):
+    """``fit`` is ``base`` on inputs whose rows (per output height) and
+    columns were permuted by ``rows[height]`` and ``cols``."""
+    assert fit.ranks == base.ranks == RankProfile(5, 5, 5)
+    assert fit.sign == base.sign
+    assert np.array_equal(fit.permutation.perm, base.permutation.perm)
+    assert abs(fit.patterns.explained - base.patterns.explained) <= 1e-10 * base.patterns.explained
+    want = dict(base.patterns.columns())
+    for name, got in fit.patterns.columns():
+        # the column blocks hold the patterns transposed: samples by variables
+        expect = want[name][cols][:, rows[got.shape[1]]]
+        assert rel_err(got, expect) <= 1e-9, name
+
+
+@pytest.mark.parametrize("setup", [1, 2])
+def test_estimate_is_equivariant_under_row_permutations(setup):
+    # the identity alignment pairs row i of both datasets, so both are
+    # permuted alike: the p_min paired rows among themselves, and the rows
+    # that only the taller dataset has among themselves
+    v1, v2, base = _equivariance_draw(setup)
+    rng = np.random.default_rng(72)
+    pmin, pmax = min(len(v1), len(v2)), max(len(v1), len(v2))
+    perm = np.concatenate([rng.permutation(pmin), pmin + rng.permutation(pmax - pmin)])
+    rows = {pmax: perm, pmin: perm[:pmin]}
+    fit = estimate_cdpa(ObservedMatrix(v1[rows[len(v1)]]), ObservedMatrix(v2[rows[len(v2)]]))
+    _assert_same_fit(fit, base, rows, np.arange(v1.shape[1]))
+
+
+@pytest.mark.parametrize("setup", [1, 2])
+def test_estimate_is_equivariant_under_sample_permutations(setup):
+    v1, v2, base = _equivariance_draw(setup)
+    cols = np.random.default_rng(73).permutation(v1.shape[1])
+    fit = estimate_cdpa(ObservedMatrix(v1[:, cols]), ObservedMatrix(v2[:, cols]))
+    identity = {len(v): np.arange(len(v)) for v in (v1, v2)}
+    _assert_same_fit(fit, base, identity, cols)
