@@ -6,14 +6,16 @@ a noise-calibrated constant, the per-dataset signal ranks are selected
 from eigenvalue gaps, and the shared rank is selected by a penalized
 log-likelihood criterion over the affinity of the right singular
 subspaces.  Each dataset's short-side Gram matrix is formed once and
-reduced once to tridiagonal form.  Rank selection reads all its
-eigenvalues from that form; each rank reads only its top-r eigenpairs
-from it, with the tail energy taken as the trace minus their sum.  For
-ranks that the Gram spectrum cannot resolve, the spectrum comes from the
-SVD of the triangular factor of a thin QR instead, and one Rayleigh-Ritz
-step gives the vectors either way.  The correlation screen scores the
-cross-dataset pairs a block of rows at a time and stops at the first
-block that decides it.
+kept.  Rank selection reads all its eigenvalues from one tridiagonal
+reduction of a copy.  Each rank takes only its top-r eigenpairs, from a
+certified Chebyshev-filtered subspace iteration that spends at most the
+flops of that reduction, or from a reduction when the iteration cannot
+certify them or the Gram is too small for it; the tail energy is the
+trace minus their sum.  For ranks that the Gram spectrum cannot
+resolve, the spectrum comes from the SVD of the triangular factor of a
+thin QR instead, and one Rayleigh-Ritz step gives the vectors either
+way.  The correlation screen scores the cross-dataset pairs a block of
+rows at a time and stops at the first block that decides it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtri
 
-from ._linalg import fix_signs, svd, tridiagonal_eigvalsh, tridiagonal_top, tridiagonalize
+from ._linalg import (
+    filtered_top,
+    fix_signs,
+    svd,
+    tridiagonal_eigvalsh,
+    tridiagonal_top,
+    tridiagonalize,
+)
 from .errors import (
     DegenerateThreshold,
     InputError,
@@ -109,48 +118,45 @@ class ObservedMatrix:
         values and scaled by ``4**-k`` after, which rounds bit for bit as
         the scaled product does (scaling by a power of two commutes with
         rounding wherever no product is subnormal) without a scaled copy
-        of the data.  Formed afresh at each read: the one tridiagonal
-        reduction per dataset reads it.
+        of the data.  Formed once and kept: the top-r solves read it, and
+        the tridiagonal reductions work on copies of it.
         """
-        k = self._exponent
-        a = self.values if abs(k) <= _UNSCALED_GRAM else np.ldexp(self.values, -k)
-        g = a.T @ a if self.p >= self.n else a @ a.T
-        return (np.ldexp(g, -2 * k, out=g) if a is self.values else g), k
-
-    def _reduced(self, reflectors: bool = False) -> list:
-        """``[c, d, e, tau, trace]``: ``gram`` reduced once to tridiagonal
-        form (``tridiagonalize``) and its trace.  The reflectors ``c`` and
-        ``tau`` are kept only until ``_top`` has read them; a later call
-        that needs them reduces ``gram`` again, to the same bits."""
-        reduced = self._cache.get("reduced")
-        if reduced is None or (reflectors and reduced[0] is None):
-            g, _ = self.gram
-            trace = float(np.trace(g))
-            reduced = self._cache["reduced"] = [*tridiagonalize(g), trace]
-        return reduced
+        if "gram" not in self._cache:
+            k = self._exponent
+            a = self.values if abs(k) <= _UNSCALED_GRAM else np.ldexp(self.values, -k)
+            g = a.T @ a if self.p >= self.n else a @ a.T
+            self._cache["gram"] = (np.ldexp(g, -2 * k, out=g) if a is self.values else g), k
+        return self._cache["gram"]
 
     @property
     def spectrum(self) -> np.ndarray:
-        """All min(n, p) singular values in descending order, read from the
-        tridiagonal form of ``gram`` by ``dsterf`` (values only), negative
-        eigenvalues clamped to zero.  Only rank selection
-        (``ed_select_rank``) reads it."""
+        """All min(n, p) singular values in descending order, from a
+        tridiagonal reduction of a copy of ``gram`` (``tridiagonalize``) read
+        by ``dsterf`` (values only), negative eigenvalues clamped to zero.
+        Only rank selection (``ed_select_rank``) reads it."""
         if "spectrum" not in self._cache:
-            _, d, e, _, _ = self._reduced()
+            _, d, e, _ = tridiagonalize(self.gram[0].copy())
             w = tridiagonal_eigvalsh(d, e)[::-1]
             self._cache["spectrum"] = np.ldexp(np.sqrt(np.maximum(w, 0.0)), self._exponent)
         return self._cache["spectrum"]
 
     def _top(self, r: int) -> tuple[np.ndarray, np.ndarray, float]:
         """``(w, q, tail)``: the top ``r`` eigenpairs of ``gram``, descending,
-        read from its tridiagonal form, and its tail energy ``trace(g) -
-        sum(w)``, in the units of ``gram``."""
+        and its tail energy ``trace(g) - sum(w)``, in the units of ``gram``.
+
+        The pairs come from the certified Chebyshev-filtered subspace
+        iteration (``filtered_top``).  When it declines (``g`` smaller than
+        18 (r + 3), or no certificate within the flops of one reduction),
+        they are read from a tridiagonal reduction of a copy of ``g``
+        instead (bisection, inverse iteration and one back-transform,
+        ``tridiagonal_top``).  Either way they depend on ``g`` and ``r``
+        alone, so a rank's pairs are the same bits in every call order.
+        """
         if ("top", r) not in self._cache:
-            reduced = self._reduced(reflectors=True)
-            c, d, e, tau, trace = reduced
-            w, q = tridiagonal_top(c, d, e, tau, r)
-            reduced[0] = reduced[3] = None  # the reflectors are m x m
-            self._cache["top", r] = w, q, trace - float(np.sum(w))
+            g, _ = self.gram
+            top = filtered_top(g, r)
+            w, q = top if top is not None else tridiagonal_top(*tridiagonalize(g.copy()), r)
+            self._cache["top", r] = w, q, float(np.trace(g)) - float(np.sum(w))
         return self._cache["top", r]
 
     def resolves(self, r: int) -> bool:
@@ -176,10 +182,11 @@ class ObservedMatrix:
         unresolved signs.
 
         With ``m = Y`` (p >= n) or ``Y.T`` (p < n), the short-side vectors
-        ``q_r`` are the top-``r`` eigenvectors of ``gram``, read from its one
-        tridiagonal reduction (``_top``), and the tail energy is its trace
-        minus its top ``r`` eigenvalues, when that resolves rank ``r``;
-        otherwise both come from the SVD of the
+        ``q_r`` are the top-``r`` eigenvectors of ``gram`` (``_top``: the
+        certified filtered iteration, or a tridiagonal reduction when it
+        declines), and the tail energy is its trace minus its top ``r``
+        eigenvalues, when that resolves rank ``r``; otherwise both come
+        from the SVD of the
         min(n, p)-square triangular factor of the thin QR of ``m``, whose
         spectrum is free of the Gram round-off.  One Rayleigh-Ritz step then
         refines ``q_r``: the thin QR ``m q_r = o t`` and the SVD
@@ -263,6 +270,15 @@ class SignalEstimate:
         its strictly positive eigenvalues ``soft_singular_values**2 / n``."""
         lam = self.soft_singular_values**2 / self.n
         return float(lam[lam > 0].sum())
+
+    @property
+    def root_trace(self) -> float:
+        """``sqrt(trace)``, formed from the soft singular values relative to
+        the largest one and scaled once, so that no step squares a value
+        that may be subnormal (the trace of data at 1e-160 is)."""
+        s = self.soft_singular_values
+        top = float(s.max(initial=0.0))
+        return top * math.sqrt(float(np.sum((s / top) ** 2)) / self.n) if top > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -504,26 +520,28 @@ def select_ranks(
     0 otherwise.  Returns the ranks, the two signal estimates at ``r1``
     and ``r2``, and the screen result.
 
-    Each dataset forms its short-side Gram matrix once
-    (``ObservedMatrix.gram``) and reduces it once to tridiagonal form.  ED
-    reads all its singular values from that form (``dsterf``, values
-    only; ``ObservedMatrix.spectrum``).  The denoiser reads the top ``r``
-    eigenpairs of the selected rank from the same form (bisection, inverse
-    iteration and one back-transform), with the tail energy
-    ``sum_{l>r} s_l**2`` taken as the trace minus the top ``r``
-    eigenvalues, and refines the top-r vectors of both sides, which MDL
-    then reads (``ObservedMatrix.factors``); a fixed-rank fit makes the
-    same one reduction and the top-r read alone.  When the kept energy
-    ``s_r**2`` or the tail energy is within ``1e3 * m * eps * s_0**2`` of
-    zero, where the Gram route cannot resolve it, the spectrum of that
-    dataset is taken once more, from the triangular factor of its thin
-    QR, before the same refinement.  The correlation screen stops at the
-    first block of rows whose largest |r| clears the critical value.
-    Against the former route, one values-only eigensolve and one MRRR
-    top-r solve per dataset, each with its own reduction, the ranks are
-    unchanged on the reference panel and the written matrices of
-    ``cdpa decompose --auto-ranks`` moved by at most 1.3e-14 of each file's
-    largest entry on the benchmark's four p1 = 4000 draws.
+    Each dataset forms its short-side Gram matrix once and keeps it
+    (``ObservedMatrix.gram``).  ED reads all its singular values from one
+    tridiagonal reduction of a copy (``dsterf``, values only;
+    ``ObservedMatrix.spectrum``).  The denoiser takes the top ``r``
+    eigenpairs of the selected rank from the certified Chebyshev-filtered
+    subspace iteration (``filtered_top``), which spends at most the flops
+    of one reduction, or, when it cannot certify them or the Gram is
+    smaller than ``18 (r + 3)``, from a second reduction (bisection,
+    inverse iteration and one back-transform).  The tail energy
+    ``sum_{l>r} s_l**2`` is the trace minus the top ``r`` eigenvalues.  It
+    refines the top-r vectors of both sides, which MDL then reads
+    (``ObservedMatrix.factors``); a fixed-rank fit makes the same top-r
+    solve without the reduction for ED.  When the kept energy ``s_r**2`` or
+    the tail energy is within ``1e3 * m * eps * s_0**2`` of zero, where the
+    Gram route cannot resolve it, the spectrum of that dataset is taken
+    once more, from the triangular factor of its thin QR, before the same
+    refinement.  The correlation screen stops at the first block of rows
+    whose largest |r| clears the critical value.  Against reading the
+    top-r pairs from ED's reduction, the ranks are unchanged on the
+    reference panel and the written matrices of ``cdpa decompose
+    --auto-ranks`` moved by at most 1.3e-14 of each file's largest entry
+    on the benchmark's four p1 = 4000 draws.
     """
     if y1.n != y2.n:
         raise InputError(f"datasets have different sample counts: {y1.n} vs {y2.n}")

@@ -223,14 +223,15 @@ def pattern_decomposition(
     The common pattern is kept as its factors ``(loadings, scores)``, and
     ``explained`` comes from their r12 x r12 Gram matrices, as sign
     ``auto`` takes it.  ``scales`` are the square roots of the two
-    sources' signal traces, which negating dataset 2 leaves unchanged.
+    sources' signal traces (``SignalEstimate.root_trace``), which negating
+    dataset 2 leaves unchanged.
     The smaller dataset is zero-padded to the common row dimension and
     the permutation is applied to dataset 2's rows before the split, when
     a pattern is read.
     """
     return PatternDecomposition(
         c_factors=c_factors,
-        scales=tuple(float(np.sqrt(src.estimate.trace)) for src in source_pair),
+        scales=tuple(src.estimate.root_trace for src in source_pair),
         sources=source_pair,
         permutation=permutation,
         explained=_factor_explained(*c_factors),
@@ -270,9 +271,9 @@ def population_cdpa(
         else as_permutation(permutation, pmax)
     )
     bases = tuple(pad_rows(orthonormal_basis(b), pmax) for b in (b1, b2))
-    traces = (float(np.sum(lam1)), float(np.sum(lam2)))
+    scales = (float(np.sqrt(np.sum(lam1))), float(np.sqrt(np.sum(lam2))))
     padded = (pad_rows(b1, pmax), pad_rows(b2, pmax)[perm])
-    b_c = common_loadings(principal_angles(*bases, perm), *padded, traces)[0]
+    b_c = common_loadings(principal_angles(*bases, perm), *padded, scales)[0]
     a = common_factor_coefficients(rho)
     var_c0 = a**2 * (2.0 + 2.0 * rho)  # factor scores are uncorrelated across pairs
     contributions = var_c0 * np.sum(b_c**2, axis=0)
@@ -396,7 +397,7 @@ def assemble_patterns(
         plan = plan or dspfp_match(build_match_problem(*bases))
         pair = principal_angles(*bases, plan.perm)
         padded = (pad_rows(channels[0], pmax), pad_rows(channels[1], pmax)[plan.perm])
-        signed = dict(zip((1, -1), common_loadings(pair, *padded, (x1.trace, x2.trace))))
+        signed = dict(zip((1, -1), common_loadings(pair, *padded, (x1.root_trace, x2.root_trace))))
         if sign == "auto":
             sign_choice = choose_sign(*(_factor_explained(signed[k], c0) for k in (1, -1)))
             resolved = sign_choice.sign

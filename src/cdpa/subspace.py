@@ -77,24 +77,24 @@ def common_loadings(
     pair: ChannelSubspacePair,
     b1: np.ndarray,
     b2_aligned: np.ndarray,
-    traces: tuple[float, float],
+    scales: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Common loadings ``c_b @ s`` of both orientations of dataset 2.
 
     ``b1`` and ``b2_aligned`` are the pmax x r12 channels, zero-padded,
     with dataset 2's rows aligned.  Each is expressed in its own
-    principal-vector basis and divided by the square root of its
-    covariance trace, giving the dual weights ``w1`` and ``w2``; the
+    principal-vector basis and divided by its scale, the square root of
+    its covariance trace, giving the dual weights ``w1`` and ``w2``; the
     consensus is ``s = (w1 + w2) / 2``, or ``(w1 - w2) / 2`` with dataset
     2 negated.  The shared direction ``c_b`` is the shrunken average of
     each principal-vector pair, with the same coefficient rule as for
     canonical variables; it vanishes for orthogonal pairs and coincides
     with both vectors for parallel ones.  Returns ``(plus, minus)``.
     """
-    if traces[0] <= 0 or traces[1] <= 0:
+    if scales[0] <= 0 or scales[1] <= 0:
         raise InputError("covariance traces must be positive")
-    w1 = pair.v_b1.T @ b1 / float(np.sqrt(traces[0]))
-    w2 = pair.v_b2.T @ b2_aligned / float(np.sqrt(traces[1]))
+    w1 = pair.v_b1.T @ b1 / float(scales[0])
+    w2 = pair.v_b2.T @ b2_aligned / float(scales[1])
     coeff = 2.0 * common_factor_coefficients(pair.cosines)  # 1 - tan(theta/2)
     c_b = coeff * (pair.v_b1 + pair.v_b2) / 2.0
     return c_b @ (0.5 * (w1 + w2)), c_b @ (0.5 * (w1 - w2))

@@ -13,6 +13,7 @@ from cdpa import (
     build_match_problem,
     soft_threshold_denoise,
 )
+import cdpa.denoise
 from cdpa._linalg import random_orthonormal
 
 
@@ -121,14 +122,17 @@ def record_linalg(monkeypatch):
     """Record every matrix passed to a dense decomposition kernel.
 
     Returns ``{"svd": [...], "eigh": [...], "reduce": [...], "spectrum":
-    [...], "top": [...]}``: the shapes passed to ``np.linalg.svd``, to any
-    dense symmetric eigensolver (``eigh`` or ``eigvalsh`` of numpy or
-    scipy), and to the tridiagonal reduction (LAPACK ``dsytrd``); the
-    ``(m, m)`` order of each values-only read of a whole reduced spectrum
-    (``dsterf``); and ``((m, m), k)`` for each read of only the top ``k``
-    eigenpairs of a reduced matrix (``dstein``).
+    [...], "top": [...], "iterate": [...], "gram": [...]}``: the shapes
+    passed to ``np.linalg.svd``, to any dense symmetric eigensolver
+    (``eigh`` or ``eigvalsh`` of numpy or scipy), and to the tridiagonal
+    reduction (LAPACK ``dsytrd``); the ``(m, m)`` order of each
+    values-only read of a whole reduced spectrum (``dsterf``); ``((m, m),
+    k)`` for each read of only the top ``k`` eigenpairs of a reduced
+    matrix (``dstein``) and for each top-``k`` filtered subspace iteration
+    (``filtered_top``, recorded whether or not it certifies); and the
+    shape of each Gram matrix that an ``ObservedMatrix`` forms.
     """
-    shapes = {"svd": [], "eigh": [], "reduce": [], "spectrum": [], "top": []}
+    shapes = {"svd": [], "eigh": [], "reduce": [], "spectrum": [], "top": [], "iterate": [], "gram": []}
 
     def order(d):
         return (np.size(d), np.size(d))
@@ -142,6 +146,7 @@ def record_linalg(monkeypatch):
         (scipy.linalg.lapack, "dsytrd", lambda a, *_: ("reduce", np.shape(a))),
         (scipy.linalg.lapack, "dsterf", lambda d, *_: ("spectrum", order(d))),
         (scipy.linalg.lapack, "dstein", lambda d, e, w, *_: ("top", (order(d), np.size(w)))),
+        (cdpa.denoise, "filtered_top", lambda g, r: ("iterate", (np.shape(g), r))),
     ]
     for module, name, entry in kernels:
         original = getattr(module, name)
@@ -152,6 +157,17 @@ def record_linalg(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recording)
+
+    form = ObservedMatrix.gram.fget
+
+    def forming(y):
+        formed = "gram" not in y._cache
+        g, k = form(y)
+        if formed:
+            shapes["gram"].append(g.shape)
+        return g, k
+
+    monkeypatch.setattr(ObservedMatrix, "gram", property(forming))
     return shapes
 
 

@@ -259,7 +259,7 @@ def test_criterion_5_structural_invariants():
                 base_sys.correlations[stop], base_sys.correlations[start], atol=1e-6
             ):
                 stop += 1
-            traces = (e1.trace, e2.trace)
+            scales = (e1.root_trace, e2.root_trace)
             base, pair = assemble_patterns(e1, e2, base_sys)[:2]
             rotated = rotate_system(base_sys, start, stop, rng)
             got = assemble_patterns(e1, e2, rotated)[0]
@@ -281,9 +281,9 @@ def test_criterion_5_structural_invariants():
                 pmax = max(p1, p2)
                 chan1p = pad_rows(chan1, pmax)
                 chan2p = pad_rows(chan2, pmax)
-                base_c = common_loadings(pair, chan1p, chan2p, traces)[0] @ c0
+                base_c = common_loadings(pair, chan1p, chan2p, scales)[0] @ c0
                 rpair = rotate_pair(pair, s, t, rng)
-                got_c = common_loadings(rpair, chan1p, chan2p, traces)[0] @ c0
+                got_c = common_loadings(rpair, chan1p, chan2p, scales)[0] @ c0
                 assert rel_err(got_c, base_c) <= 1e-8
                 tied_pairs += 1
             tied += 1

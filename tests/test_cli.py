@@ -89,13 +89,16 @@ def test_ranks_benchmark_files(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert (payload["r1"], payload["r2"], payload["r12"]) == (5, 5, 5)
-    # per dataset, one tridiagonal reduction of the Gram matrix: ED reads
-    # its values alone, denoising and MDL its top 5 pairs; no dense
-    # eigensolver, no SVD fallback
+    # per dataset, one Gram matrix; one tridiagonal reduction, whose values
+    # alone ED reads; one certified filtered iteration for the top 5 pairs,
+    # which denoising and MDL read; no dense eigensolver above the order
+    # 2 (5 + 3) of the iteration's start, no SVD fallback
+    assert shapes["gram"] == [(300, 300), (300, 300)]
     assert shapes["reduce"] == [(300, 300), (300, 300)]
     assert shapes["spectrum"] == [(300, 300), (300, 300)]
-    assert shapes["top"] == [((300, 300), 5), ((300, 300), 5)]
-    assert shapes["eigh"] == []
+    assert shapes["iterate"] == [((300, 300), 5), ((300, 300), 5)]
+    assert shapes["top"] == []
+    assert shapes["eigh"] and all(max(s) <= 16 for s in shapes["eigh"])
     assert [s for s in shapes["svd"] if min(s) > 10] == []
 
 
@@ -278,6 +281,26 @@ def test_eigh_failure_is_a_numerical_error(bench_files, tmp_path, capsys, monkey
         code, _, err = _run(capsys, ["decompose", p1, p2, *ranks, "--out", str(tmp_path / "x")])
         assert code == 3
         assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("kernel", ["eigh", "qr"])
+def test_filtered_top_failure_is_a_numerical_error(tmp_path, capsys, monkeypatch, kernel):
+    # at m = 160 >= 18 (5 + 3) fixed ranks take the filtered iteration; a
+    # failed Ritz eigensolve or QR there is a numerical failure: exit 3
+    y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=30.0, p1=160, n=160, seed=8))
+    paths = [str(tmp_path / f"y{k}.cdpm") for k in (1, 2)]
+    for path, y in zip(paths, (y1, y2)):
+        write_matrix_binary(path, y.values)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    monkeypatch.setattr(np.linalg, kernel, failing)
+    with pytest.raises(NumericalError, match="injected failure"):
+        estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 5, 5)))
+    code, _, err = _run(capsys, ["decompose", *paths, "--ranks", "5,5,5", "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "numerical failure" in err
 
 
 def _paired_files(tmp_path, p1, p2, n=101, seed=6):

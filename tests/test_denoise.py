@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from cdpa import (
+    CdpaConfig,
+    CdpaError,
     DegenerateThreshold,
     InputError,
     ObservedMatrix,
@@ -30,7 +32,7 @@ from cdpa import (
     soft_threshold_denoise,
 )
 import cdpa.denoise
-from cdpa._linalg import random_orthonormal
+from cdpa._linalg import filtered_top, random_orthonormal, tridiagonal_top, tridiagonalize
 from cdpa.denoise import _max_correlation, _screen_critical_z
 
 from helpers import estimates_from, exact_signal_pair, record_linalg
@@ -627,7 +629,8 @@ def test_gram_fallback_rank_one_data(monkeypatch):
     est = soft_threshold_denoise(y, 1)
     assert not y.resolves(1)  # the tail energy is round-off
     assert shapes == {
-        "svd": [(40, 40), (1, 1)], "eigh": [], "reduce": [(40, 40)], "spectrum": [], "top": [((40, 40), 1)]
+        "svd": [(40, 40), (1, 1)], "eigh": [], "reduce": [(40, 40)], "spectrum": [], "top": [((40, 40), 1)],
+        "iterate": [((40, 40), 1)], "gram": [(40, 40)],
     }
     tau, xhat = _svd_reference(x, 1)
     assert est.tau <= 1e-28 * np.sum(x**2)
@@ -643,7 +646,8 @@ def test_gram_fallback_exact_low_rank_wide(monkeypatch):
     y = ObservedMatrix(x)
     est = soft_threshold_denoise(y, 3)
     assert shapes == {
-        "svd": [(12, 12), (3, 3)], "eigh": [], "reduce": [(12, 12)], "spectrum": [], "top": [((12, 12), 3)]
+        "svd": [(12, 12), (3, 3)], "eigh": [], "reduce": [(12, 12)], "spectrum": [], "top": [((12, 12), 3)],
+        "iterate": [((12, 12), 3)], "gram": [(12, 12)],
     }
     assert est.tau <= 1e-20
     assert np.linalg.norm(est.xhat - x) <= 1e-12 * np.linalg.norm(x)
@@ -729,3 +733,76 @@ def test_gram_zero_matrix():
     assert est.tau == 0.0 and not np.any(est.xhat)
     assert noise_trace(y, est) == 0.0
     assert noise_trace(y, soft_threshold_denoise(y, 0)) == 0.0
+
+
+# ------------------------------------------------- filtered top-r iteration
+
+
+def test_filtered_top_matches_the_reduction_on_a_gapped_spectrum():
+    y1, y2 = (center_rows(y) for y in generate_setup(
+        SimulationConfig(setup=2, theta_deg=30.0, p1=300, n=300, seed=29))[:2])
+    # repeated samples, as in a bootstrap replicate, are null directions of
+    # the Gram: the four largest samples thrice each fill the 12 largest
+    # diagonal entries, so a start from only the 8 largest would hold 4
+    # independent directions
+    top = np.argsort(-np.sum(y1.values**2, axis=0))[:4]
+    cols = np.concatenate([np.repeat(top, 3), np.setdiff1d(np.arange(300), top)[:-8]])
+    for y in (y1, y2, ObservedMatrix(y1.values[:, cols])):
+        g, _ = y.gram
+        w, q = filtered_top(g, 5)
+        want_w, want_q = tridiagonal_top(*tridiagonalize(g.copy()), 5)
+        np.testing.assert_allclose(w, want_w, rtol=1e-13)
+        # the same vectors, up to sign
+        np.testing.assert_allclose(np.abs(np.sum(q * want_q, axis=0)), 1.0, rtol=0, atol=1e-12)
+        assert np.max(np.abs(q.T @ q - np.eye(5))) <= 1e-14
+        np.testing.assert_array_equal(y._top(5)[1], q)
+
+
+def test_filtered_top_declines_when_the_start_misses_the_top_block():
+    # a block-diagonal Gram: the largest diagonal entries all lie in a
+    # diagonal block with eigenvalues 1.1 to 2, and the top eigenvalue, 10.1,
+    # in a block whose diagonal is 0.15; the start never reaches it, and
+    # its residuals alone would certify the diagonal block's pairs
+    u = np.full((200, 1), 200**-0.5)
+    g = np.zeros((300, 300))
+    g[:100, :100] = np.diag(np.linspace(2.0, 1.1, 100))
+    g[100:, 100:] = 0.1 * np.eye(200) + 10.0 * u @ u.T
+    assert filtered_top(g, 5) is None
+    w, _ = tridiagonal_top(*tridiagonalize(g.copy()), 5)
+    assert w[0] == pytest.approx(10.1)
+
+
+def _degenerate(shape, seed):
+    """``(name, data, rank)`` for inputs whose top-r pairs cannot be certified."""
+    rng = np.random.default_rng(seed)
+    p, n = shape
+    yield "constant rows", rng.standard_normal((p, 1)) * np.ones((1, n)), 1
+    yield "rank 1", np.outer(rng.standard_normal(p), rng.standard_normal(n)), 1
+    yield "rank 3", rng.standard_normal((p, 3)) @ rng.standard_normal((3, n)), 5
+    yield "zero", np.zeros(shape), 5
+    yield "pure noise", rng.standard_normal(shape), 5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(300, 300), (400, 300), (300, 400)])
+def test_degenerate_inputs_fall_back_to_the_reduction(shape, monkeypatch):
+    # m = 300 is at least 18 (r + 3), so every input tries the iteration;
+    # none can be certified, and the pairs are those of the reduction, bit
+    # for bit, after at most m // (6 (r + 3)) filtered rounds
+    shapes = record_linalg(monkeypatch)
+    for (name, x, r), (_, x2, _) in zip(_degenerate(shape, 30), _degenerate(shape, 31)):
+        y = ObservedMatrix(x)
+        g, _ = y.gram
+        shapes["eigh"].clear()
+        w, q, _ = y._top(r)
+        assert shapes["iterate"][-1] == ((300, 300), r), name
+        assert len(shapes["eigh"]) <= 300 // (6 * (r + 3)) + 1, name
+        want_w, want_q = tridiagonal_top(*tridiagonalize(g.copy()), r)
+        np.testing.assert_array_equal(w, want_w)
+        np.testing.assert_array_equal(q, want_q)
+        try:
+            fit = estimate_cdpa(y, ObservedMatrix(x2), CdpaConfig(ranks=RankProfile(r, r, r), center=False))
+        except CdpaError:
+            continue
+        assert np.isfinite(fit.patterns.explained), name
+        assert all(np.all(np.isfinite(m)) for _, m in fit.patterns.columns()), name

@@ -75,7 +75,7 @@ def _pair_for(x1, x2, r, r12):
         chan1=pad_rows(chan1, pmax),
         chan2=pad_rows(chan2, pmax),
         c0=c0,
-        traces=(e1.trace, e2.trace),
+        scales=(e1.root_trace, e2.root_trace),
         system=system,
         ests=(e1, e2),
         srcs=(src1, src2),
@@ -85,7 +85,7 @@ def _pair_for(x1, x2, r, r12):
 def _loadings(ctx, pair=None):
     """``(plus, minus)`` common loadings of the context's channels."""
     pair = ctx["pair"] if pair is None else pair
-    return common_loadings(pair, ctx["chan1"], ctx["chan2"], ctx["traces"])
+    return common_loadings(pair, ctx["chan1"], ctx["chan2"], ctx["scales"])
 
 
 def test_dual_weights_identical_channels():
@@ -171,7 +171,7 @@ def test_common_pattern_identical_datasets():
     x, _, _ = exact_signal_pair(rng, 30, 30, LAM, np.full(5, 0.6), 90)
     ctx = _pair_for(x, x.copy(), 5, 5)
     c = _loadings(ctx)[0] @ ctx["c0"]
-    scale = np.sqrt(ctx["traces"][0])
+    scale = ctx["scales"][0]
     assert rel_err(c, ctx["ests"][0].xhat / scale) <= 1e-8
 
 
@@ -449,6 +449,8 @@ def _scale_draw():
 
 @settings(max_examples=10, deadline=None)
 @given(k=st.integers(min_value=-150, max_value=150))
+@example(k=-160)
+@example(k=-158)
 @example(k=-150)
 @example(k=-100)
 @example(k=0)
@@ -526,13 +528,18 @@ def test_estimate_auto_ranks_takes_one_gram_eigh_per_dataset(monkeypatch):
     shapes = record_linalg(monkeypatch)
     result = estimate_cdpa(y1, y2)
     assert result.ranks.r12 >= 1 and result.sign_choice is not None
-    # both datasets have p >= n, so each Gram matrix is n x n and reduced
-    # once: ED reads its values alone, the selected rank its top-r pairs;
-    # no dense eigensolver, no SVD fallback
+    # both datasets have p >= n, so each forms one n x n Gram matrix and
+    # reduces it once, for ED's values alone; the selected rank takes its
+    # top-r pairs from one certified filtered iteration; no dense
+    # eigensolver above the order 2 (r + 3) of the iteration's start, no
+    # SVD fallback
+    ranks = (result.ranks.r1, result.ranks.r2)
+    assert shapes["gram"] == [(300, 300), (300, 300)]
     assert shapes["reduce"] == [(300, 300), (300, 300)]
     assert shapes["spectrum"] == [(300, 300), (300, 300)]
-    assert shapes["top"] == [((300, 300), result.ranks.r1), ((300, 300), result.ranks.r2)]
-    assert shapes["eigh"] == []
+    assert shapes["iterate"] == [((300, 300), r) for r in ranks]
+    assert shapes["top"] == []
+    assert shapes["eigh"] and all(max(s) <= 2 * (max(ranks) + 3) for s in shapes["eigh"])
     assert [s for s in shapes["svd"] if min(s) > 10] == []
 
 
@@ -544,9 +551,21 @@ def test_estimate_fixed_ranks_takes_one_top_r_solve_per_dataset(monkeypatch, p1)
     shapes = record_linalg(monkeypatch)
     estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 4, 3)))
     m = min(p1, 300)
-    assert shapes["reduce"] == [(m, m), (m, m)]
-    assert shapes["top"] == [((m, m), 5), ((m, m), 4)]
-    assert shapes["eigh"] == [] and shapes["spectrum"] == []
+    # one Gram matrix per dataset and one top-r solve per rank: at m = 300
+    # (at least 18 (r + 3)) a certified filtered iteration and no
+    # reduction; at m = 100 the iteration declines and one reduction
+    # gives the pairs; no whole spectrum, no dense eigensolver above the
+    # order 2 (r + 3) of the iteration's start, no SVD fallback
+    assert shapes["gram"] == [(m, m), (m, m)]
+    assert shapes["iterate"] == [((m, m), 5), ((m, m), 4)]
+    if m >= 18 * 8:
+        assert shapes["reduce"] == [] and shapes["top"] == []
+        assert shapes["eigh"] and all(max(s) <= 16 for s in shapes["eigh"])
+    else:
+        assert shapes["reduce"] == [(m, m), (m, m)]
+        assert shapes["top"] == [((m, m), 5), ((m, m), 4)]
+        assert shapes["eigh"] == []
+    assert shapes["spectrum"] == []
     assert [s for s in shapes["svd"] if min(s) > 10] == []
 
 
@@ -752,9 +771,9 @@ def test_tied_principal_vector_rotation_invariance():
 
 
 @lru_cache(maxsize=None)
-def _equivariance_draw(setup):
+def _equivariance_draw(setup, ranks=None):
     y1, y2, _ = generate_setup(SimulationConfig(setup=setup, theta_deg=30.0, p1=300, n=300, seed=71))
-    return y1.values, y2.values, estimate_cdpa(y1, y2)
+    return y1.values, y2.values, estimate_cdpa(y1, y2, CdpaConfig(ranks=ranks))
 
 
 def _assert_same_fit(fit, base, rows, cols):
@@ -771,24 +790,45 @@ def _assert_same_fit(fit, base, rows, cols):
         assert rel_err(got, expect) <= 1e-9, name
 
 
-@pytest.mark.parametrize("setup", [1, 2])
-def test_estimate_is_equivariant_under_row_permutations(setup):
+def _check_row_permutation(setup, ranks=None):
     # the identity alignment pairs row i of both datasets, so both are
     # permuted alike: the p_min paired rows among themselves, and the rows
     # that only the taller dataset has among themselves
-    v1, v2, base = _equivariance_draw(setup)
+    v1, v2, base = _equivariance_draw(setup, ranks)
     rng = np.random.default_rng(72)
     pmin, pmax = min(len(v1), len(v2)), max(len(v1), len(v2))
     perm = np.concatenate([rng.permutation(pmin), pmin + rng.permutation(pmax - pmin)])
     rows = {pmax: perm, pmin: perm[:pmin]}
-    fit = estimate_cdpa(ObservedMatrix(v1[rows[len(v1)]]), ObservedMatrix(v2[rows[len(v2)]]))
+    y1, y2 = ObservedMatrix(v1[rows[len(v1)]]), ObservedMatrix(v2[rows[len(v2)]])
+    fit = estimate_cdpa(y1, y2, CdpaConfig(ranks=ranks))
     _assert_same_fit(fit, base, rows, np.arange(v1.shape[1]))
+
+
+def _check_sample_permutation(setup, ranks=None):
+    # the filtered top-r iteration starts from the samples with the largest
+    # Gram diagonal, so its start block follows the order of the samples
+    v1, v2, base = _equivariance_draw(setup, ranks)
+    cols = np.random.default_rng(73).permutation(v1.shape[1])
+    fit = estimate_cdpa(ObservedMatrix(v1[:, cols]), ObservedMatrix(v2[:, cols]), CdpaConfig(ranks=ranks))
+    identity = {len(v): np.arange(len(v)) for v in (v1, v2)}
+    _assert_same_fit(fit, base, identity, cols)
+
+
+@pytest.mark.parametrize("setup", [1, 2])
+def test_estimate_is_equivariant_under_row_permutations(setup):
+    _check_row_permutation(setup)
 
 
 @pytest.mark.parametrize("setup", [1, 2])
 def test_estimate_is_equivariant_under_sample_permutations(setup):
-    v1, v2, base = _equivariance_draw(setup)
-    cols = np.random.default_rng(73).permutation(v1.shape[1])
-    fit = estimate_cdpa(ObservedMatrix(v1[:, cols]), ObservedMatrix(v2[:, cols]))
-    identity = {len(v): np.arange(len(v)) for v in (v1, v2)}
-    _assert_same_fit(fit, base, identity, cols)
+    _check_sample_permutation(setup)
+
+
+@pytest.mark.parametrize("setup", [1, 2])
+def test_fixed_rank_estimate_is_equivariant_under_row_permutations(setup):
+    _check_row_permutation(setup, RankProfile(5, 5, 5))
+
+
+@pytest.mark.parametrize("setup", [1, 2])
+def test_fixed_rank_estimate_is_equivariant_under_sample_permutations(setup):
+    _check_sample_permutation(setup, RankProfile(5, 5, 5))
