@@ -63,8 +63,9 @@ def tridiagonalize(a: np.ndarray):
 
 def tridiagonal_eigvalsh(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """All eigenvalues of the symmetric tridiagonal matrix with diagonal ``d``
-    and subdiagonal ``e``, in ascending order, by LAPACK ``dsterf``."""
-    return _lapack("dsterf", d, e)
+    and subdiagonal ``e``, in ascending order, by LAPACK ``dsterf``; a 1 x 1
+    matrix, whose empty ``e`` scipy's wrapper rejects, is its own eigenvalue."""
+    return d.copy() if d.size == 1 else _lapack("dsterf", d, e)
 
 
 def tridiagonal_top(c: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray, r: int):

@@ -6,6 +6,20 @@ problem.  A Frank-Wolfe assignment ascent solves it approximately; an
 exhaustive oracle is available for small problems.  Both read only the
 padded p x r bases; no p x p projector is kept.
 
+The ascent's independent starts run on the calling thread and on one
+worker thread that the module starts the first time DSPFP runs and
+shares between all callers, whatever ``--threads`` is.  The caller takes
+starts from the front of the list and the worker from the back; a start
+the worker has not begun, because it is busy elsewhere, the caller runs
+itself.  Each start's result depends on its inputs alone and the results
+are combined in start order, so the plan is the same bits however the
+starts were shared out.
+
+The objective measures how well the aligned subspaces agree, not whether
+the alignment is the planted one: on channels whose planted angle is 30
+degrees or more (``SimulationConfig.theta_deg``), it can prefer a
+non-planted plan even on noiseless bases, and no solver closes that gap.
+
 The ascent's linear assignments use scipy's ``linear_sum_assignment``,
 a module attribute that imports ``scipy.optimize`` when first read, so
 ``import cdpa`` does not pay for it and fits that never align rows
@@ -15,14 +29,18 @@ never load it.
 from __future__ import annotations
 
 import json
+import os
+import queue
 import sys
+import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
 import numpy as np
 
-from .errors import InputError, TooLarge
+from .errors import InputError, NumericalError, TooLarge
 
 
 def __getattr__(name):
@@ -163,10 +181,24 @@ def build_match_problem(q1: np.ndarray, q2a: np.ndarray) -> MatchProblem:
 
 
 def _assign(score: np.ndarray) -> np.ndarray:
-    """The permutation maximizing ``sum_i score[i, perm[i]]``."""
+    """The permutation maximizing ``sum_i score[i, perm[i]]``.
+
+    The solver minimizes the reduced cost: each row's maximum minus the
+    row, less each column's minimum.  Adding a constant to a row or a
+    column moves every permutation's total by the same amount, so the
+    optimal set is that of ``-score``, and with a zero in every row and
+    column the solver's augmenting-path searches are short (the reduction
+    Jonker and Volgenant's solver starts with).  A solver failure is a
+    ``NumericalError``.
+    """
+    cost = score.max(axis=1, keepdims=True) - score
+    cost -= cost.min(axis=0)
     # looked up on the module at each call, so a rebound solver is the one used
     solve = sys.modules[__name__].linear_sum_assignment
-    _, cols = solve(-score)  # rows come back as 0..p-1
+    try:
+        _, cols = solve(cost)  # rows come back as 0..p-1
+    except ValueError as exc:
+        raise NumericalError(f"linear assignment failed: {exc}") from exc
     return cols.astype(np.intp)
 
 
@@ -225,6 +257,117 @@ def _two_opt(q1, q2a, perm):
     return perm
 
 
+class _Starts:
+    """The starts of one ``dspfp_match`` call, shared by its caller and the
+    worker thread: the caller takes them from the front, the worker from
+    the back, so each runs exactly once and a busy worker holds nobody up."""
+
+    def __init__(self, run, items):
+        self._run = run
+        self._items = items
+        self._pending = deque(range(len(items)))
+        self._busy = 0  # starts the worker has begun and not finished
+        self._idle = threading.Condition()
+        self._outcomes = [None] * len(items)
+
+    def _take(self, worker: bool):
+        with self._idle:
+            if not self._pending:
+                return None
+            self._busy += worker
+            return self._pending.pop() if worker else self._pending.popleft()
+
+    def _do(self, i: int) -> None:
+        try:
+            self._outcomes[i] = self._run(self._items[i]), None
+        except Exception as exc:
+            self._outcomes[i] = None, exc
+
+    def serve(self) -> None:
+        """The worker's part: run starts from the back until none is left."""
+        while (i := self._take(worker=True)) is not None:
+            self._do(i)
+            with self._idle:
+                self._busy -= 1
+                self._idle.notify_all()
+
+    def results(self) -> list:
+        """The caller's part: run starts from the front until none is left,
+        wait for those the worker began, then return every result in start
+        order, or raise the first failed start's exception."""
+        try:
+            while (i := self._take(worker=False)) is not None:
+                self._do(i)
+        finally:
+            with self._idle:
+                self._pending.clear()
+                self._idle.wait_for(lambda: not self._busy)
+        for result, exc in self._outcomes:
+            if exc is not None:
+                raise exc
+        return [result for result, _ in self._outcomes]
+
+
+# The worker is a daemon thread fed by a queue, not an executor: an
+# executor refuses work once the interpreter starts to exit, while a
+# thread that outlives the main thread may still align rows.
+_worker_lock = threading.Lock()
+_worker_inbox = None  # made with the worker, on first use
+
+
+def _serve(inbox) -> None:
+    while True:
+        inbox.get().serve()
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread; it starts its own when needed."""
+    global _worker_lock, _worker_inbox
+    _worker_lock, _worker_inbox = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _map_shared(run, items) -> list:
+    """``[run(item) for item in items]``, computed by the caller and the
+    shared worker thread."""
+    global _worker_inbox
+    starts = _Starts(run, items)
+    with _worker_lock:
+        if _worker_inbox is None:
+            _worker_inbox = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_worker_inbox,), name="cdpa-dspfp", daemon=True).start()
+        _worker_inbox.put(starts)
+    return starts.results()
+
+
+def _start_cores(problem: MatchProblem) -> list[np.ndarray]:
+    """The r x r cores of the ascent's starts, in start order."""
+    p = problem.p
+    q1, q2a = problem.q1, problem.q2a
+    # for orthonormal bases the start q1 q1.T q2a q2a.T has the identity's
+    # core, so it would only repeat the identity start
+    cores = [
+        np.outer(q1.sum(0), q2a.sum(0)) / p,
+        np.outer(q1.T @ problem.diag1, problem.diag2 @ q2a),
+        q1.T @ q2a,
+    ]
+    if p <= SMALL_P:
+        rng = np.random.default_rng(INIT_SEED)
+        cores += [q1.T @ rng.random((p, p)) @ q2a for _ in range(SEEDED_INITS)]
+    return cores
+
+
+def _climb(q1, q2a, core, max_iter):
+    """One start: ``(perm, objective, steps, stopped)`` after mapping
+    ``core`` to a permutation, ascending from it and polishing."""
+    perm, steps, stopped = _ascend(q1, q2a, _assign(q1 @ core @ q2a.T), max_iter)
+    perm = _two_opt(q1, q2a, perm)
+    return perm, match_objective(q1, q2a, perm), steps, stopped
+
+
 def dspfp_match(problem: MatchProblem, max_iter: int = 120) -> PermutationPlan:
     """Approximate the optimal row alignment by assignment ascent.
 
@@ -238,29 +381,18 @@ def dspfp_match(problem: MatchProblem, max_iter: int = 120) -> PermutationPlan:
     per step until the objective stops rising or ``max_iter`` steps are
     taken.  Each start's result is polished by pairwise swaps, and the
     best permutation is returned, never worse than the identity.
+
+    The starts are shared with the module's worker thread and combined in
+    start order; a failed start's error is raised once no start runs.
     """
-    p = problem.p
     q1, q2a = problem.q1, problem.q2a
-    # for orthonormal bases the start q1 q1.T q2a q2a.T has the identity's
-    # core, so it would only repeat the identity start
-    cores = [
-        np.outer(q1.sum(0), q2a.sum(0)) / p,
-        np.outer(q1.T @ problem.diag1, problem.diag2 @ q2a),
-        q1.T @ q2a,
-    ]
-    if p <= SMALL_P:
-        rng = np.random.default_rng(INIT_SEED)
-        cores += [q1.T @ rng.random((p, p)) @ q2a for _ in range(SEEDED_INITS)]
-    best_perm = identity_permutation(p)
+    best_perm = identity_permutation(problem.p)
     best_obj = match_objective(q1, q2a, best_perm)
     iterations, converged = 0, True
-    for core in cores:
-        perm = _assign(q1 @ core @ q2a.T)
-        perm, steps, stopped = _ascend(q1, q2a, perm, max_iter)
+    climbs = _map_shared(lambda core: _climb(q1, q2a, core, max_iter), _start_cores(problem))
+    for perm, obj, steps, stopped in climbs:
         iterations += steps
         converged &= stopped
-        perm = _two_opt(q1, q2a, perm)
-        obj = match_objective(q1, q2a, perm)
         if obj > best_obj + 1e-12:
             best_perm, best_obj = perm, obj
     return PermutationPlan(

@@ -382,7 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--theta", required=True, help="comma-separated angle list")
     orc.set_defaults(func=cmd_oracle)
 
-    mat = sub.add_parser("match", help="standalone row alignment of two channels")
+    mat = sub.add_parser(
+        "match",
+        help="standalone row alignment of two channels",
+        description=(
+            "Align the rows of channel B2 to those of B1. dspfp runs its independent "
+            "ascent starts on the calling thread and one shared worker thread, whatever "
+            "--threads is elsewhere, and its plan is byte-identical however the starts "
+            "were shared out. The objective rewards agreeing subspaces, not the planted "
+            "pairing: on channels whose planted angle is 30 degrees or more (simulate "
+            "--theta 30 and up) it can prefer a non-planted plan even on noiseless bases."
+        ),
+    )
     mat.add_argument("b1")
     mat.add_argument("b2")
     mat.add_argument("--method", choices=("dspfp", "exhaustive"), default="dspfp")

@@ -265,17 +265,12 @@ class SignalEstimate:
         return self.xhat_columns().T
 
     @property
-    def trace(self) -> float:
-        """Trace of the signal covariance ``xhat @ xhat.T / n``, summed over
-        its strictly positive eigenvalues ``soft_singular_values**2 / n``."""
-        lam = self.soft_singular_values**2 / self.n
-        return float(lam[lam > 0].sum())
-
-    @property
     def root_trace(self) -> float:
-        """``sqrt(trace)``, formed from the soft singular values relative to
-        the largest one and scaled once, so that no step squares a value
-        that may be subnormal (the trace of data at 1e-160 is)."""
+        """The square root of the trace of the signal covariance ``xhat @
+        xhat.T / n``, whose eigenvalues are ``soft_singular_values**2 / n``.
+        It is formed from the soft singular values relative to the largest
+        one and scaled once, so that no step squares a value that may be
+        subnormal (the trace of data at 1e-160 is)."""
         s = self.soft_singular_values
         top = float(s.max(initial=0.0))
         return top * math.sqrt(float(np.sum((s / top) ** 2)) / self.n) if top > 0 else 0.0
@@ -555,29 +550,33 @@ def select_ranks(
 def compute_diagnostics(
     x1: SignalEstimate,
     x2: SignalEstimate,
-    noise_traces: tuple[float, float],
+    noise_root_traces: tuple[float, float],
 ) -> Diagnostics:
     """Signal-to-noise ratios and the clamped rate quantity.
 
     ``snr_k`` is the signal covariance trace over the noise covariance
-    trace estimate, floored at ``1e-12`` times the signal trace so that
-    the ratio does not depend on the scale of the data (0 for a zero
-    signal); the rate quantity is
-    ``min(1/sqrt(n) + sum_k sqrt(log(p_k) / (n * snr_k)), 1)``.
+    trace estimate, formed as the square of the ratio of their roots
+    (``SignalEstimate.root_trace`` over ``noise_root_trace``), whose scales
+    cancel before anything is squared, so that data at 1e-160, whose
+    traces are subnormal, gives the same ratios.  The noise root is
+    floored at ``1e-6`` times the signal root so that the ratio does not
+    depend on the scale of the data (0 for a zero signal); the rate
+    quantity is ``min(1/sqrt(n) + sum_k sqrt(log(p_k) / (n * snr_k)), 1)``.
     """
     n = x1.n
     snr = []
-    for x, tr_noise in zip((x1, x2), noise_traces):
-        tr_signal = x.trace
-        snr.append(tr_signal / max(tr_noise, 1e-12 * tr_signal) if tr_signal > 0 else 0.0)
+    for x, root_noise in zip((x1, x2), noise_root_traces):
+        root_signal = x.root_trace
+        snr.append((root_signal / max(root_noise, 1e-6 * root_signal)) ** 2 if root_signal > 0 else 0.0)
     delta = 1.0 / np.sqrt(n)
     for x, s in zip((x1, x2), snr):
         delta += np.sqrt(np.log(x.p) / (n * max(s, 1e-300)))
     return Diagnostics(snr=(snr[0], snr[1]), delta_theta=float(min(delta, 1.0)))
 
 
-def noise_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:
-    """Residual-based noise covariance trace estimate ``||Y - xhat||_F^2 / n``.
+def _noise_energy(y: ObservedMatrix, xhat: SignalEstimate) -> tuple[float, float]:
+    """``(s_0, e)`` with ``s_0`` the largest singular value of ``y`` and
+    ``s_0**2 * e`` the noise covariance trace ``||Y - xhat||_F^2 / n``.
 
     ``xhat`` is ``y``'s own soft-threshold estimate, so the residual
     norm has the closed form ``sum_{l>r} s_l^2 + sum_{l<=r} (s_l -
@@ -589,4 +588,17 @@ def noise_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:
     s, residual, _, _ = y.factors(r)
     s0, t = _relative(np.append(s, residual))
     t_soft = xhat.soft_singular_values / s0 if s0 > 0 else xhat.soft_singular_values
-    return _squared(s0, float(t[r] ** 2 + np.sum((t[:r] - t_soft) ** 2)) / y.n)
+    return s0, float(t[r] ** 2 + np.sum((t[:r] - t_soft) ** 2)) / y.n
+
+
+def noise_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:
+    """Residual-based noise covariance trace estimate ``||Y - xhat||_F^2 / n``."""
+    return _squared(*_noise_energy(y, xhat))
+
+
+def noise_root_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:
+    """``sqrt(noise_trace(y, xhat))``, formed relative to the largest
+    singular value and scaled once, so that no step squares a value that
+    may be subnormal; ``compute_diagnostics`` reads it."""
+    s0, energy = _noise_energy(y, xhat)
+    return s0 * math.sqrt(energy)

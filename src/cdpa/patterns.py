@@ -45,7 +45,7 @@ from .denoise import (
     SignalEstimate,
     center_rows,
     compute_diagnostics,
-    noise_trace,
+    noise_root_trace,
     select_ranks,
     soft_threshold_denoise,
 )
@@ -447,7 +447,7 @@ def estimate_cdpa(
         ranks = config.ranks
         x1, x2 = soft_threshold_denoise(y1, ranks.r1), soft_threshold_denoise(y2, ranks.r2)
 
-    diagnostics = compute_diagnostics(x1, x2, (noise_trace(y1, x1), noise_trace(y2, x2)))
+    diagnostics = compute_diagnostics(x1, x2, (noise_root_trace(y1, x1), noise_root_trace(y2, x2)))
     system = canonical_system(x1, x2, ranks.r12) if ranks.r12 else None
     patterns, pair, sign, sign_choice = assemble_patterns(
         x1, x2, system, config.perm, config.sign

@@ -2,6 +2,8 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import cdpa.align
 from cdpa import (
     CdpaConfig,
     InputError,
+    NumericalError,
     RankProfile,
     SimulationConfig,
     TooLarge,
@@ -25,7 +28,7 @@ from cdpa import (
     match_objective,
 )
 from cdpa._linalg import random_orthonormal
-from cdpa.align import _all_permutations, _swap_gains
+from cdpa.align import _all_permutations, _assign, _climb, _start_cores, _swap_gains
 
 from helpers import dense_match_problem
 
@@ -230,15 +233,20 @@ def test_import_loads_the_assignment_solver_only_when_dspfp_runs():
     # a fresh interpreter: this one has loaded scipy.optimize already
     code = """
 import sys
+import threading
 import scipy.linalg, scipy.special
 loaded = set(sys.modules)
 import numpy as np
 import cdpa, cdpa.cli
 added = sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "scipy")
 assert added == [], added
+# no thread exists until the first DSPFP solve, which starts one worker
+assert threading.active_count() == 1, threading.enumerate()
 q = np.linalg.qr(np.random.default_rng(0).standard_normal((12, 3)))[0]
 cdpa.dspfp_match(cdpa.build_match_problem(q, q[::-1]))
 assert "scipy.optimize" in sys.modules
+cdpa.dspfp_match(cdpa.build_match_problem(q, q[::-1]))
+assert threading.active_count() == 2, threading.enumerate()
 """
     src = str(Path(cdpa.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -264,6 +272,210 @@ def test_dspfp_calls_the_solver_bound_on_the_module(monkeypatch):
     assert len(calls) >= got.iterations >= 3
     np.testing.assert_array_equal(got.perm, want.perm)
     assert (got.objective, got.iterations) == (want.objective, want.iterations)
+
+
+def _serial_plan(prob, max_iter=120):
+    """``dspfp_match``'s plan with every start run in order on this thread."""
+    q1, q2a = prob.q1, prob.q2a
+    best_perm = np.arange(prob.p)
+    best_obj = match_objective(q1, q2a, best_perm)
+    iterations, converged = 0, True
+    for core in _start_cores(prob):
+        perm, obj, steps, stopped = _climb(q1, q2a, core, max_iter)
+        iterations += steps
+        converged &= stopped
+        if obj > best_obj + 1e-12:
+            best_perm, best_obj = perm, obj
+    return best_perm, best_obj, iterations, converged
+
+
+class _HeldWorker:
+    """A job that keeps the shared worker busy until released."""
+
+    def __init__(self):
+        self.holding, self.release = threading.Event(), threading.Event()
+
+    def serve(self):
+        self.holding.set()
+        self.release.wait(60)
+
+
+@pytest.mark.parametrize("p", [10, 100])
+def test_dspfp_plan_does_not_depend_on_scheduling(monkeypatch, p):
+    rng = np.random.default_rng(37)
+    q1, q2 = random_orthonormal(rng, p, 4), random_orthonormal(rng, p, 4)
+    prob = build_match_problem(q1, q2)
+    want = _serial_plan(prob)
+    dspfp_match(prob)  # the worker exists from here on
+    caller = threading.current_thread()
+    solver = cdpa.align.linear_sum_assignment
+    threads, worker_joined = [], threading.Event()
+    wait_for_worker = False
+
+    def recording(cost):
+        me = threading.current_thread()
+        threads.append(me)
+        if me is not caller:
+            worker_joined.set()
+        elif wait_for_worker:
+            assert worker_joined.wait(30)  # the worker takes a start of its own
+        return solver(cost)
+
+    monkeypatch.setattr(cdpa.align, "linear_sum_assignment", recording)
+    held = _HeldWorker()
+    cdpa.align._worker_inbox.put(held)
+    assert held.holding.wait(30)
+    try:
+        busy = dspfp_match(prob)
+    finally:
+        held.release.set()
+    assert set(threads) == {caller}  # a busy worker holds nobody up
+    threads.clear()
+    wait_for_worker = True
+    free = dspfp_match(prob)
+    assert caller in threads and len(set(threads)) == 2
+    for plan in (busy, free):
+        np.testing.assert_array_equal(plan.perm, want[0])
+        assert (plan.objective, plan.iterations, plan.converged) == want[1:]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_dspfp_raises_a_failed_start_once_no_start_runs(monkeypatch, failing):
+    rng = np.random.default_rng(38)
+    prob = build_match_problem(random_orthonormal(rng, 60, 3), random_orthonormal(rng, 60, 3))
+    want = dspfp_match(prob)
+    cores = _start_cores(prob)
+    climb, solver = cdpa.align._climb, cdpa.align.linear_sum_assignment
+    current, lock, running, entered = threading.local(), threading.Lock(), [0], []
+
+    def tracked_climb(q1, q2a, core, max_iter):
+        current.start = next(i for i, c in enumerate(cores) if np.array_equal(c, core))
+        with lock:
+            running[0] += 1
+            entered.append(current.start)
+        try:
+            return climb(q1, q2a, core, max_iter)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    def failing_solver(cost):
+        if current.start == failing:
+            raise ValueError("cost matrix is infeasible")
+        time.sleep(0.002)  # the other starts are still running when it fails
+        return solver(cost)
+
+    monkeypatch.setattr(cdpa.align, "_climb", tracked_climb)
+    monkeypatch.setattr(cdpa.align, "linear_sum_assignment", failing_solver)
+    with pytest.raises(NumericalError, match="linear assignment failed"):
+        dspfp_match(prob)
+    assert running[0] == 0 and sorted(entered) == [0, 1, 2]
+    monkeypatch.undo()
+    again = dspfp_match(prob)  # the worker survives a failed start
+    np.testing.assert_array_equal(again.perm, want.perm)
+    assert again.iterations == want.iterations
+
+
+def test_concurrent_callers_share_the_worker():
+    # more callers than cores, switching threads often: every call gives
+    # the plan of a serial run
+    rng = np.random.default_rng(40)
+    probs = [build_match_problem(random_orthonormal(rng, 40, 3), random_orthonormal(rng, 40, 3)) for _ in range(6)]
+    want = [_serial_plan(prob) for prob in probs]
+    plans = [[] for _ in probs]
+
+    def call(k):
+        for _ in range(3):
+            plans[k].append(dspfp_match(probs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(probs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, (perm, obj, iterations, converged) in zip(plans, want):
+        assert len(got) == 3
+        for plan in got:
+            np.testing.assert_array_equal(plan.perm, perm)
+            assert (plan.objective, plan.iterations, plan.converged) == (obj, iterations, converged)
+
+
+def _degenerate_scores():
+    rng = np.random.default_rng(39)
+    for p in range(1, 8):
+        yield np.zeros((p, p))
+        tied = np.repeat(rng.standard_normal((p + 1) // 2), 2)[:p]  # rows tied in pairs
+        yield np.outer(tied, rng.standard_normal(p))
+        yield np.outer(np.ones(p), rng.standard_normal(p))  # every row tied
+        yield rng.standard_normal((p, p))
+    for p in (1, 2):
+        yield np.full((p, p), 3.5)
+        yield -rng.standard_normal((p, p)) * 1e6
+
+
+def test_assign_is_optimal_on_degenerate_scores():
+    for score in _degenerate_scores():
+        p = score.shape[0]
+        perm = _assign(score)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(p))
+        totals = score[np.arange(p), _all_permutations(p)].sum(axis=1)
+        got = score[np.arange(p), perm].sum()
+        assert got >= totals.max() - 1e-12 * max(1.0, np.abs(score).max()) * p
+
+
+def test_dspfp_runs_in_a_thread_that_outlives_the_main_thread():
+    # the interpreter has begun to exit when the late call runs
+    code = """
+import threading, time
+import numpy as np
+import cdpa
+q = np.linalg.qr(np.random.default_rng(0).standard_normal((30, 3)))[0]
+prob = cdpa.build_match_problem(q, q[np.random.default_rng(1).permutation(30)])
+want = cdpa.dspfp_match(prob)
+
+def late():
+    time.sleep(0.5)
+    plan = cdpa.dspfp_match(prob)
+    print("same plan" if np.array_equal(plan.perm, want.perm) else "other plan")
+
+threading.Thread(target=late).start()
+"""
+    src = str(Path(cdpa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stdout == "same plan\n", run.stderr
+
+
+def test_dspfp_in_a_forked_child_starts_its_own_worker():
+    # the child inherits the parent's module state but not its threads
+    code = """
+import os, sys, threading, warnings
+import numpy as np
+import cdpa
+warnings.simplefilter("ignore", DeprecationWarning)  # forking with a live worker
+q = np.linalg.qr(np.random.default_rng(0).standard_normal((30, 3)))[0]
+prob = cdpa.build_match_problem(q, q[np.random.default_rng(1).permutation(30)])
+want = cdpa.dspfp_match(prob)
+pid = os.fork()
+if pid == 0:
+    plan = cdpa.dspfp_match(prob)
+    ok = np.array_equal(plan.perm, want.perm) and threading.active_count() == 2
+    os._exit(0 if ok else 1)
+_, status = os.waitpid(pid, 0)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+    if not hasattr(os, "fork"):
+        pytest.skip("no fork on this platform")
+    src = str(Path(cdpa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # ------------------------------------------------------------- exhaustive

@@ -75,6 +75,26 @@ def test_ranks_pure_noise_screen_false(tmp_path, capsys):
     assert payload["screen"] is False
 
 
+@pytest.mark.parametrize("center", [[], ["--no-center"]])
+def test_ranks_of_a_one_row_input(tmp_path, capsys, center):
+    path = tmp_path / "one.csv"
+    np.savetxt(path, np.random.default_rng(2).standard_normal((1, 50)), delimiter=",")
+    code, out, err = _run(capsys, ["ranks", str(path), str(path)] + center)
+    assert code == 0, err
+    assert json.loads(out) == {"r1": 0, "r2": 0, "r12": 0, "screen": False}
+
+
+def test_decompose_rank_above_the_row_count_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    paths = [tmp_path / f"y{p}.cdpm" for p in (3, 30)]
+    for path, p in zip(paths, (3, 30)):
+        write_matrix_binary(path, rng.standard_normal((p, 50)))
+    argv = ["decompose", *map(str, paths), "--ranks", "5,5,5", "--out", str(tmp_path / "out")]
+    code, _, err = _run(capsys, argv)
+    assert code == 2 and "rank 5 outside [0, 3]" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ranks_benchmark_files(tmp_path, capsys, monkeypatch):
     cfg = SimulationConfig(
         setup=1, theta_deg=15.0, p1=300, n=300, noise_var=1.0, seed=11

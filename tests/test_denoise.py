@@ -28,6 +28,7 @@ from cdpa import (
     estimate_cdpa,
     generate_setup,
     mdl_select_r12,
+    noise_root_trace,
     noise_trace,
     soft_threshold_denoise,
 )
@@ -200,7 +201,7 @@ def test_signal_covariance_trace_identity():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((15, 8)) @ rng.standard_normal((8, 40))
     est = soft_threshold_denoise(ObservedMatrix(x), 8)
-    np.testing.assert_allclose(est.trace, np.sum(est.xhat**2) / 40, rtol=1e-12)
+    np.testing.assert_allclose(est.root_trace**2, np.sum(est.xhat**2) / 40, rtol=1e-12)
 
 
 def test_signal_covariance_matches_dense_eigendecomposition():
@@ -472,21 +473,23 @@ def test_diagnostics_noiseless_limit():
     rng = np.random.default_rng(16)
     x1, x2, _ = exact_signal_pair(rng, 40, 40, [5, 4, 3], [0.9, 0.5, 0.2], 100)
     e1, e2 = estimates_from(x1, x2, 3, 3)
-    diag = compute_diagnostics(e1, e2, (1e-15, 1e-15))
+    diag = compute_diagnostics(e1, e2, (np.sqrt(1e-15), np.sqrt(1e-15)))
     assert diag.snr[0] > 1e10
     np.testing.assert_allclose(diag.delta_theta, 1 / np.sqrt(100), rtol=1e-4)
 
 
 def test_diagnostics_do_not_depend_on_scale():
-    # at 1e-8 the noise trace is about 3e-14, below any absolute floor
+    # at 1e-8 the noise trace is about 3e-14, below any absolute floor; at
+    # 1e-158 and 1e-160 both traces are subnormal
     y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=30.0, p1=300, n=300, seed=3))
     diags = []
-    for scale in (1.0, 1e-8):
+    for scale in (1.0, 1e-8, 1e-158, 1e-160):
         ys = [ObservedMatrix(scale * y.values) for y in (y1, y2)]
         xs = [soft_threshold_denoise(y, 5) for y in ys]
-        diags.append(compute_diagnostics(*xs, tuple(noise_trace(y, x) for y, x in zip(ys, xs))))
-    np.testing.assert_allclose(diags[1].snr, diags[0].snr, rtol=1e-10)
-    np.testing.assert_allclose(diags[1].delta_theta, diags[0].delta_theta, rtol=1e-10)
+        diags.append(compute_diagnostics(*xs, tuple(noise_root_trace(y, x) for y, x in zip(ys, xs))))
+    for diag in diags[1:]:
+        np.testing.assert_allclose(diag.snr, diags[0].snr, rtol=1e-10)
+        np.testing.assert_allclose(diag.delta_theta, diags[0].delta_theta, rtol=1e-10)
     assert 4.0 < diags[0].snr[0] < 6.0
 
 
@@ -499,7 +502,7 @@ def test_diagnostics_formula_value():
     e1, e2 = estimates_from(x1, x2, 5, 5)
     tr1 = np.sum(e1.soft_singular_values**2) / 300
     tr2 = np.sum(e2.soft_singular_values**2) / 300
-    diag = compute_diagnostics(e1, e2, (tr1 / 5.0, tr2 / 5.0))
+    diag = compute_diagnostics(e1, e2, (np.sqrt(tr1 / 5.0), np.sqrt(tr2 / 5.0)))
     expected = 1 / np.sqrt(300) + 2 * np.sqrt(np.log(300) / (300 * 5.0))
     np.testing.assert_allclose(diag.delta_theta, expected, rtol=1e-12)
     np.testing.assert_allclose(expected, 0.181064, atol=5e-7)
@@ -510,7 +513,7 @@ def test_diagnostics_clamped_at_one():
     rng = np.random.default_rng(18)
     x1, x2, _ = exact_signal_pair(rng, 50, 50, [5.0, 2.0], [0.5, 0.1], 40)
     e1, e2 = estimates_from(x1, x2, 2, 2)
-    diag = compute_diagnostics(e1, e2, (1e9, 1e9))
+    diag = compute_diagnostics(e1, e2, (np.sqrt(1e9), np.sqrt(1e9)))
     assert diag.delta_theta == 1.0
 
 
@@ -518,9 +521,9 @@ def test_noise_trace_residual():
     rng = np.random.default_rng(19)
     y = ObservedMatrix(rng.standard_normal((30, 70)))
     est = soft_threshold_denoise(y, 2)
-    np.testing.assert_allclose(
-        noise_trace(y, est), np.sum((y.values - est.xhat) ** 2) / 70, rtol=1e-12
-    )
+    want = np.sum((y.values - est.xhat) ** 2) / 70
+    np.testing.assert_allclose(noise_trace(y, est), want, rtol=1e-12)
+    np.testing.assert_allclose(noise_root_trace(y, est), np.sqrt(want), rtol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from cdpa import (
     BadConfig,
     CdpaConfig,
+    CdpaError,
     NumericalError,
     ObservedMatrix,
     RankProfile,
+    RankTooLarge,
     SimulationConfig,
+    TooFewSamples,
     assemble_patterns,
     bootstrap_ci,
     canonical_system,
@@ -832,3 +835,51 @@ def test_fixed_rank_estimate_is_equivariant_under_row_permutations(setup):
 @pytest.mark.parametrize("setup", [1, 2])
 def test_fixed_rank_estimate_is_equivariant_under_sample_permutations(setup):
     _check_sample_permutation(setup, RankProfile(5, 5, 5))
+
+
+# ------------------------------------------------------- edges of the inputs
+
+
+def _assert_finite_fit(fit):
+    assert np.isfinite(fit.patterns.explained)
+    assert np.all(np.isfinite(fit.diagnostics.snr)) and np.isfinite(fit.diagnostics.delta_theta)
+    for name, rows in fit.patterns.columns():
+        assert np.all(np.isfinite(rows)), name
+
+
+@pytest.mark.parametrize("center", [True, False])
+@pytest.mark.parametrize("k", [0, 1])
+def test_auto_ranks_read_a_one_row_dataset_as_rank_zero(center, k):
+    # the 1 x 1 Gram's spectrum is its single entry
+    rng = np.random.default_rng(74)
+    signal = rng.standard_normal((30, 3)) @ (10.0 * rng.standard_normal((3, 50)))
+    ys = [ObservedMatrix(signal + rng.standard_normal((30, 50)))]
+    ys.insert(k, ObservedMatrix(rng.standard_normal((1, 50))))
+    fit = estimate_cdpa(*ys, CdpaConfig(center=center))
+    assert (fit.ranks.r1, fit.ranks.r2)[k] == 0 and fit.ranks.r12 == 0
+    assert (fit.ranks.r1, fit.ranks.r2)[1 - k] >= 1
+    _assert_finite_fit(fit)
+
+
+def test_fixed_ranks_above_the_row_count_raise_rank_too_large():
+    rng = np.random.default_rng(75)
+    y1, y2 = (ObservedMatrix(rng.standard_normal((p, 50))) for p in (3, 30))
+    for center in (True, False):
+        with pytest.raises(RankTooLarge, match="rank 5 outside"):
+            estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 5, 5), center=center))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_auto_ranks_at_twenty_samples_are_finite_or_a_typed_error(seed):
+    y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=30.0, p1=60, n=20, seed=seed))
+    try:
+        fit = estimate_cdpa(y1, y2, CdpaConfig())
+    except CdpaError:
+        return
+    _assert_finite_fit(fit)
+
+
+def test_auto_ranks_below_twenty_samples_raise_too_few_samples():
+    y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=30.0, p1=60, n=19, seed=0))
+    with pytest.raises(TooFewSamples, match="need n >= 20"):
+        estimate_cdpa(y1, y2, CdpaConfig())
