@@ -6,14 +6,11 @@ problem.  A Frank-Wolfe assignment ascent solves it approximately; an
 exhaustive oracle is available for small problems.  Both read only the
 padded p x r bases; no p x p projector is kept.
 
-The ascent's independent starts run on the calling thread and on one
-worker thread that the module starts the first time DSPFP runs and
-shares between all callers, whatever ``--threads`` is.  The caller takes
-starts from the front of the list and the worker from the back; a start
-the worker has not begun, because it is busy elsewhere, the caller runs
-itself.  Each start's result depends on its inputs alone and the results
-are combined in start order, so the plan is the same bits however the
-starts were shared out.
+The ascent's independent starts run on the calling thread and on the
+package's one shared worker thread (``_worker.map_shared``), which also
+serves rank selection and the CLI's writer.  Each start's result depends
+on its inputs alone and the results are combined in start order, so the
+plan is the same bits however the starts were shared out.
 
 The objective measures how well the aligned subspaces agree, not whether
 the alignment is the planted one: on channels whose planted angle is 30
@@ -29,17 +26,14 @@ never load it.
 from __future__ import annotations
 
 import json
-import os
-import queue
 import sys
-import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
 import numpy as np
 
+from ._worker import map_shared
 from .errors import InputError, NumericalError, TooLarge
 
 
@@ -257,92 +251,6 @@ def _two_opt(q1, q2a, perm):
     return perm
 
 
-class _Starts:
-    """The starts of one ``dspfp_match`` call, shared by its caller and the
-    worker thread: the caller takes them from the front, the worker from
-    the back, so each runs exactly once and a busy worker holds nobody up."""
-
-    def __init__(self, run, items):
-        self._run = run
-        self._items = items
-        self._pending = deque(range(len(items)))
-        self._busy = 0  # starts the worker has begun and not finished
-        self._idle = threading.Condition()
-        self._outcomes = [None] * len(items)
-
-    def _take(self, worker: bool):
-        with self._idle:
-            if not self._pending:
-                return None
-            self._busy += worker
-            return self._pending.pop() if worker else self._pending.popleft()
-
-    def _do(self, i: int) -> None:
-        try:
-            self._outcomes[i] = self._run(self._items[i]), None
-        except Exception as exc:
-            self._outcomes[i] = None, exc
-
-    def serve(self) -> None:
-        """The worker's part: run starts from the back until none is left."""
-        while (i := self._take(worker=True)) is not None:
-            self._do(i)
-            with self._idle:
-                self._busy -= 1
-                self._idle.notify_all()
-
-    def results(self) -> list:
-        """The caller's part: run starts from the front until none is left,
-        wait for those the worker began, then return every result in start
-        order, or raise the first failed start's exception."""
-        try:
-            while (i := self._take(worker=False)) is not None:
-                self._do(i)
-        finally:
-            with self._idle:
-                self._pending.clear()
-                self._idle.wait_for(lambda: not self._busy)
-        for result, exc in self._outcomes:
-            if exc is not None:
-                raise exc
-        return [result for result, _ in self._outcomes]
-
-
-# The worker is a daemon thread fed by a queue, not an executor: an
-# executor refuses work once the interpreter starts to exit, while a
-# thread that outlives the main thread may still align rows.
-_worker_lock = threading.Lock()
-_worker_inbox = None  # made with the worker, on first use
-
-
-def _serve(inbox) -> None:
-    while True:
-        inbox.get().serve()
-
-
-def _forget_worker() -> None:
-    """A forked child has no worker thread; it starts its own when needed."""
-    global _worker_lock, _worker_inbox
-    _worker_lock, _worker_inbox = threading.Lock(), None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _map_shared(run, items) -> list:
-    """``[run(item) for item in items]``, computed by the caller and the
-    shared worker thread."""
-    global _worker_inbox
-    starts = _Starts(run, items)
-    with _worker_lock:
-        if _worker_inbox is None:
-            _worker_inbox = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_worker_inbox,), name="cdpa-dspfp", daemon=True).start()
-        _worker_inbox.put(starts)
-    return starts.results()
-
-
 def _start_cores(problem: MatchProblem) -> list[np.ndarray]:
     """The r x r cores of the ascent's starts, in start order."""
     p = problem.p
@@ -382,14 +290,14 @@ def dspfp_match(problem: MatchProblem, max_iter: int = 120) -> PermutationPlan:
     taken.  Each start's result is polished by pairwise swaps, and the
     best permutation is returned, never worse than the identity.
 
-    The starts are shared with the module's worker thread and combined in
+    The starts are shared with the package's worker thread and combined in
     start order; a failed start's error is raised once no start runs.
     """
     q1, q2a = problem.q1, problem.q2a
     best_perm = identity_permutation(problem.p)
     best_obj = match_objective(q1, q2a, best_perm)
     iterations, converged = 0, True
-    climbs = _map_shared(lambda core: _climb(q1, q2a, core, max_iter), _start_cores(problem))
+    climbs = map_shared(lambda core: _climb(q1, q2a, core, max_iter), _start_cores(problem))
     for perm, obj, steps, stopped in climbs:
         iterations += steps
         converged &= stopped

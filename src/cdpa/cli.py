@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
+from ._worker import map_shared
 from .align import PermutationPlan, build_match_problem, dspfp_match, exhaustive_match
 from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
 from .errors import BadConfig, InputError, NumericalError
@@ -169,8 +170,12 @@ def cmd_decompose(args) -> int:
         result = estimate_cdpa(y1, y2, config)
         columns = result.patterns.columns
         artifacts = {name: f"{name}.cdpm" for name, _ in columns(slice(0, 0))}
-        paths = [out / file for file in artifacts.values()]
-        write_matrices(paths, result.patterns.shape[1], lambda cols: (b for _, b in columns(cols)))
+
+        def write_group(k):  # one dataset's files, on the caller or the shared worker
+            paths = [out / artifacts[name] for name, _ in columns(slice(0, 0), k)]
+            write_matrices(paths, result.patterns.shape[1], lambda cols: (b for _, b in columns(cols, k)))
+
+        map_shared(write_group, (0, 1))
         interval = None
         if args.bootstrap:
             _progress(f"bootstrapping with {args.bootstrap} replicates")
@@ -358,7 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     ranks = sub.add_parser("ranks", parents=[data], help="select signal ranks and the shared rank")
     ranks.set_defaults(func=cmd_ranks)
 
-    dec = sub.add_parser("decompose", parents=[fit], help="run the full decomposition")
+    dec = sub.add_parser("decompose", parents=[fit], help="run the full decomposition", description=(
+        "Fit the decomposition and write its eleven pattern matrices and a manifest to --out. "
+        "Each dataset's rank selection, DSPFP's starts and two groups of output files run on "
+        "the calling thread and one shared worker thread, whatever --threads is; the files "
+        "are byte-identical however the work was shared out."))
     group = dec.add_mutually_exclusive_group()
     group.add_argument("--ranks", help="fixed ranks r1,r2,r12")
     group.add_argument("--auto-ranks", action="store_true")
@@ -387,11 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="standalone row alignment of two channels",
         description=(
             "Align the rows of channel B2 to those of B1. dspfp runs its independent "
-            "ascent starts on the calling thread and one shared worker thread, whatever "
-            "--threads is elsewhere, and its plan is byte-identical however the starts "
-            "were shared out. The objective rewards agreeing subspaces, not the planted "
-            "pairing: on channels whose planted angle is 30 degrees or more (simulate "
-            "--theta 30 and up) it can prefer a non-planted plan even on noiseless bases."
+            "ascent starts on the calling thread and the package's one shared worker "
+            "thread, which decompose also uses, whatever --threads is elsewhere, and its "
+            "plan is byte-identical however the starts were shared out. The objective "
+            "rewards agreeing subspaces, not the planted pairing: on channels whose planted "
+            "angle is 30 degrees or more (simulate --theta 30 and up) it can prefer a "
+            "non-planted plan even on noiseless bases."
         ),
     )
     mat.add_argument("b1")

@@ -35,6 +35,7 @@ from ._linalg import (
     tridiagonal_top,
     tridiagonalize,
 )
+from ._worker import map_shared
 from .errors import (
     DegenerateThreshold,
     InputError,
@@ -133,10 +134,11 @@ class ObservedMatrix:
         """All min(n, p) singular values in descending order, from a
         tridiagonal reduction of a copy of ``gram`` (``tridiagonalize``) read
         by ``dsterf`` (values only), negative eigenvalues clamped to zero.
-        Only rank selection (``ed_select_rank``) reads it."""
+        Only rank selection (``ed_select_rank``) reads it.  The reduction
+        is kept until the first top-r read (``_top``)."""
         if "spectrum" not in self._cache:
-            _, d, e, _ = tridiagonalize(self.gram[0].copy())
-            w = tridiagonal_eigvalsh(d, e)[::-1]
+            reduced = self._cache["reduced"] = tridiagonalize(self.gram[0].copy())
+            w = tridiagonal_eigvalsh(reduced[1], reduced[2])[::-1]
             self._cache["spectrum"] = np.ldexp(np.sqrt(np.maximum(w, 0.0)), self._exponent)
         return self._cache["spectrum"]
 
@@ -149,13 +151,16 @@ class ObservedMatrix:
         18 (r + 3), or no certificate within the flops of one reduction),
         they are read from a tridiagonal reduction of a copy of ``g``
         instead (bisection, inverse iteration and one back-transform,
-        ``tridiagonal_top``).  Either way they depend on ``g`` and ``r``
-        alone, so a rank's pairs are the same bits in every call order.
+        ``tridiagonal_top``): the one ``spectrum`` kept, which the first
+        top-r read drops either way, or a fresh one.  Either way they depend
+        on ``g`` and ``r`` alone, so a rank's pairs are the same bits in
+        every call order.
         """
         if ("top", r) not in self._cache:
             g, _ = self.gram
+            reduced = self._cache.pop("reduced", None)
             top = filtered_top(g, r)
-            w, q = top if top is not None else tridiagonal_top(*tridiagonalize(g.copy()), r)
+            w, q = top if top is not None else tridiagonal_top(*(reduced or tridiagonalize(g.copy())), r)
             self._cache["top", r] = w, q, float(np.trace(g)) - float(np.sum(w))
         return self._cache["top", r]
 
@@ -509,11 +514,16 @@ def select_ranks(
 ) -> tuple[RankProfile, SignalEstimate, SignalEstimate, bool]:
     """Select the ranks and denoise both datasets.
 
-    ``r1`` and ``r2`` come from ``ed_select_rank``; the shared rank is
-    selected by ``mdl_select_r12`` when both are nonzero and the
-    correlation screen at level 0.05 finds a correlated pair, and is
-    0 otherwise.  Returns the ranks, the two signal estimates at ``r1``
-    and ``r2``, and the screen result.
+    One step per dataset selects its rank ``r_k`` by ``ed_select_rank``
+    and denoises it at that rank; the two steps are independent, so the
+    caller runs dataset 1's and the package's shared worker thread
+    dataset 2's (``_worker.map_shared``; the caller runs both when the
+    worker is busy).  A failed step's error is raised once neither runs,
+    dataset 1's when both fail.  The shared rank is then selected by
+    ``mdl_select_r12`` when both ranks are nonzero and the correlation
+    screen at level 0.05 finds a correlated pair, and is 0 otherwise.
+    Returns the ranks, the two signal estimates at ``r1`` and ``r2``, and
+    the screen result.
 
     Each dataset forms its short-side Gram matrix once and keeps it
     (``ObservedMatrix.gram``).  ED reads all its singular values from one
@@ -522,8 +532,8 @@ def select_ranks(
     eigenpairs of the selected rank from the certified Chebyshev-filtered
     subspace iteration (``filtered_top``), which spends at most the flops
     of one reduction, or, when it cannot certify them or the Gram is
-    smaller than ``18 (r + 3)``, from a second reduction (bisection,
-    inverse iteration and one back-transform).  The tail energy
+    smaller than ``18 (r + 3)``, from ED's reduction (bisection, inverse
+    iteration and one back-transform).  The tail energy
     ``sum_{l>r} s_l**2`` is the trace minus the top ``r`` eigenvalues.  It
     refines the top-r vectors of both sides, which MDL then reads
     (``ObservedMatrix.factors``); a fixed-rank fit makes the same top-r
@@ -540,8 +550,8 @@ def select_ranks(
     """
     if y1.n != y2.n:
         raise InputError(f"datasets have different sample counts: {y1.n} vs {y2.n}")
-    r1, r2 = ed_select_rank(y1), ed_select_rank(y2)
-    x1, x2 = soft_threshold_denoise(y1, r1), soft_threshold_denoise(y2, r2)
+    x1, x2 = map_shared(lambda y: soft_threshold_denoise(y, ed_select_rank(y)), (y1, y2))
+    r1, r2 = x1.rank, x2.rank
     screen = min(r1, r2) >= 1 and correlation_screen(x1, x2)
     r12 = mdl_select_r12(y1, y2, r1, r2) if screen else 0
     return RankProfile(r1=r1, r2=r2, r12=r12), x1, x2, screen

@@ -27,8 +27,9 @@ from .errors import InputError
 
 MAGIC = b"CDPM"
 _HEADER = struct.Struct("<4sII")
-# columns per block: 16 wrote the eleven 4000 x 400 decompose outputs in
-# 38-39 ms (8 or 32: 38-44 ms) and keep the write's peak below half an output
+# columns per block: 16 wrote the eleven 4000 x 400 decompose outputs, as two
+# concurrent groups, in a median 111 ms (8: 124, 32: 112, 64: 121 ms; ext4, 2
+# vCPUs, one BLAS thread) and keep the write's peak below half an output
 _BLOCK_COLUMNS = 16
 
 

@@ -107,25 +107,30 @@ class PatternDecomposition:
             return rows
         return np.take(rows, self.permutation.perm, axis=1)
 
-    def columns(self, cols: slice = slice(None)) -> Iterator[tuple[str, np.ndarray]]:
+    def columns(self, cols: slice = slice(None), group: int | None = None) -> Iterator[tuple[str, np.ndarray]]:
         """Columns ``cols`` of the written matrices by file name, each as the
         rows of a C-contiguous array: ``c``, ``c_scaled_k``, then ``source_c_k``,
-        ``source_d_k``, ``h_k`` and ``delta_k`` per source.  Each is yielded
-        once formed, so a writer holds only blocks that later ones need."""
+        ``source_d_k``, ``h_k`` and ``delta_k`` per source.  With ``group``
+        set to 0 or 1, only that dataset's five, and ``c`` with dataset 2's,
+        so the two groups share no file.  Each is yielded once formed, so a
+        writer holds only blocks that later ones need."""
+        groups = (0, 1) if group is None else (group,)
         loadings, scores = self.c_factors
         c = scores[:, cols].T @ loadings.T
-        yield "c", c
-        c_scaled = [scale * c for scale in self.scales]
+        if 1 in groups:
+            yield "c", c
+        c_scaled = {k: self.scales[k] * c for k in groups}
         del c  # the later blocks read only its scaled copies
-        for k, block in enumerate(c_scaled):
-            yield f"c_scaled_{k + 1}", block
+        for k in groups:
+            yield f"c_scaled_{k + 1}", c_scaled[k]
         for k, src in enumerate(self.sources):
-            source_c, source_d = src.columns(cols)
-            yield f"source_c_{k + 1}", source_c
-            yield f"source_d_{k + 1}", source_d
-            h = self._aligned(k, source_c) - c_scaled[k]
-            yield f"h_{k + 1}", h
-            yield f"delta_{k + 1}", h + self._aligned(k, source_d)
+            if k in groups:
+                source_c, source_d = src.columns(cols)
+                yield f"source_c_{k + 1}", source_c
+                yield f"source_d_{k + 1}", source_d
+                h = self._aligned(k, source_c) - c_scaled[k]
+                yield f"h_{k + 1}", h
+                yield f"delta_{k + 1}", h + self._aligned(k, source_d)
 
     @cached_property
     def _dense(self) -> dict[str, np.ndarray]:

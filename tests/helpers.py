@@ -1,5 +1,9 @@
-"""Shared test utilities: exact-moment constructions and tied-block rotations."""
+"""Shared test utilities: exact-moment constructions, tied-block rotations,
+kernel recording and control of the shared worker thread."""
 
+import contextlib
+import sys
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -13,6 +17,7 @@ from cdpa import (
     build_match_problem,
     soft_threshold_denoise,
 )
+import cdpa._worker
 import cdpa.denoise
 from cdpa._linalg import random_orthonormal
 
@@ -173,3 +178,51 @@ def record_linalg(monkeypatch):
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+@contextlib.contextmanager
+def held_worker():
+    """The shared worker thread kept busy for the block, so that a caller
+    of ``map_shared`` runs every item itself."""
+    cdpa._worker.map_shared(lambda item: item, [0])  # the worker exists from here on
+    holding, release = threading.Event(), threading.Event()
+
+    class Held:
+        def serve(self):
+            holding.set()
+            release.wait(60)
+
+    cdpa._worker._inbox.put(Held())
+    assert holding.wait(30)
+    try:
+        yield
+    finally:
+        release.set()
+
+
+def serial_map(monkeypatch):
+    """Run every ``map_shared`` call as a plain loop on the caller."""
+    serial = lambda run, items: [run(item) for item in items]  # noqa: E731
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cdpa.") and getattr(module, "map_shared", None) is cdpa._worker.map_shared:
+            monkeypatch.setattr(module, "map_shared", serial)
+
+
+def meet_the_worker(monkeypatch, module, name):
+    """Wrap ``module.name`` so that a call on this thread waits until another
+    thread has called it too: work shared through ``map_shared`` then runs
+    on both threads.  Returns the set of threads that called it."""
+    original, caller = getattr(module, name), threading.current_thread()
+    joined, threads = threading.Event(), set()
+
+    def meeting(*args, **kwargs):
+        me = threading.current_thread()
+        threads.add(me)
+        if me is caller:
+            assert joined.wait(30), f"no other thread called {name}"
+        else:
+            joined.set()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, meeting)
+    return threads

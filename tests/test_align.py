@@ -30,7 +30,7 @@ from cdpa import (
 from cdpa._linalg import random_orthonormal
 from cdpa.align import _all_permutations, _assign, _climb, _start_cores, _swap_gains
 
-from helpers import dense_match_problem
+from helpers import dense_match_problem, held_worker
 
 
 # ---------------------------------------------------------- build_match_problem
@@ -289,17 +289,6 @@ def _serial_plan(prob, max_iter=120):
     return best_perm, best_obj, iterations, converged
 
 
-class _HeldWorker:
-    """A job that keeps the shared worker busy until released."""
-
-    def __init__(self):
-        self.holding, self.release = threading.Event(), threading.Event()
-
-    def serve(self):
-        self.holding.set()
-        self.release.wait(60)
-
-
 @pytest.mark.parametrize("p", [10, 100])
 def test_dspfp_plan_does_not_depend_on_scheduling(monkeypatch, p):
     rng = np.random.default_rng(37)
@@ -322,13 +311,8 @@ def test_dspfp_plan_does_not_depend_on_scheduling(monkeypatch, p):
         return solver(cost)
 
     monkeypatch.setattr(cdpa.align, "linear_sum_assignment", recording)
-    held = _HeldWorker()
-    cdpa.align._worker_inbox.put(held)
-    assert held.holding.wait(30)
-    try:
+    with held_worker():
         busy = dspfp_match(prob)
-    finally:
-        held.release.set()
     assert set(threads) == {caller}  # a busy worker holds nobody up
     threads.clear()
     wait_for_worker = True
@@ -450,6 +434,26 @@ threading.Thread(target=late).start()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0 and run.stdout == "same plan\n", run.stderr
+
+
+def test_one_worker_thread_serves_rank_selection_and_dspfp():
+    # importing starts no thread; an auto-rank fit and then a fit that
+    # aligns by DSPFP share one worker thread
+    code = """
+import threading
+import cdpa
+assert threading.active_count() == 1, threading.enumerate()
+y1, y2, _ = cdpa.generate_setup(cdpa.SimulationConfig(setup=1, theta_deg=15.0, p1=60, n=100, seed=1))
+fit = cdpa.estimate_cdpa(y1, y2)
+assert fit.ranks.r12 >= 1, fit.ranks
+cdpa.estimate_cdpa(y1, y2, cdpa.CdpaConfig(ranks=fit.ranks, perm="dspfp"))
+others = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+assert others == ["cdpa-worker"], others
+"""
+    src = str(Path(cdpa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_dspfp_in_a_forked_child_starts_its_own_worker():

@@ -1,5 +1,6 @@
 import argparse
 import json
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -19,10 +20,11 @@ from cdpa import (
     read_matrix_binary,
     write_matrix_binary,
 )
+import cdpa.denoise
 from cdpa.cli import _perm_argument, build_parser, main
 from cdpa._linalg import random_orthonormal
 
-from helpers import exact_signal_pair, record_linalg
+from helpers import exact_signal_pair, held_worker, meet_the_worker, record_linalg, serial_map
 from test_reference_panel import ATOL, RTOL
 
 
@@ -393,13 +395,16 @@ def test_decompose_writes_each_output_without_forming_it(tmp_path, capsys, monke
 
     paths = _paired_files(tmp_path, 300, 200, n=400)
     write = cdpa.cli.write_matrices
-    calls = []
+    lock, started, calls = threading.Lock(), [], []
 
     def measured(files, n, columns):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
+        with lock:  # the two groups' writes overlap: measure from the first
+            if not started:
+                tracemalloc.reset_peak()
+                started.append(tracemalloc.get_traced_memory()[0])
         write(files, n, columns)
-        calls.append((tracemalloc.get_traced_memory()[1] - before, len(files), n))
+        with lock:
+            calls.append((tracemalloc.get_traced_memory()[1] - started[0], len(files), n))
 
     monkeypatch.setattr(cdpa.cli, "write_matrices", measured)
     tracemalloc.start()
@@ -410,11 +415,44 @@ def test_decompose_writes_each_output_without_forming_it(tmp_path, capsys, monke
         )
     finally:
         tracemalloc.stop()
-    assert code == 0 and len(calls) == 1
-    peak, files, n = calls[0]
-    # one pass writes all eleven files below half of one 300 x 400 output
-    assert files == 11 and n == 400
-    assert peak < 8 * 300 * n / 2, peak
+    assert code == 0 and len(calls) == 2
+    # two passes write the eleven files, dataset 1's five and dataset 2's
+    # six, below half of one 300 x 400 output between them
+    assert sorted(files for _, files, _ in calls) == [5, 6] and {n for *_, n in calls} == {400}
+    peak = max(peak for peak, _, _ in calls)
+    assert peak < 8 * 300 * 400 / 2, peak
+
+
+@pytest.mark.parametrize("ranks", [["--auto-ranks"], ["--ranks", "3,3,3", "--perm", "dspfp"]])
+def test_decompose_writes_the_same_bytes_however_the_work_is_shared(tmp_path, capsys, monkeypatch, ranks):
+    # rank selection and the two groups of output files run on the caller
+    # and the shared worker: with both taking part, with the worker held so
+    # that the caller runs every item, and serially, the eleven files and
+    # the manifest but its timings are the same bytes
+    import cdpa.cli
+
+    paths = _paired_files(tmp_path, 300, 200, n=400)
+
+    def decompose(name):
+        code, out, err = _run(capsys, ["decompose", *paths, *ranks, "--out", str(tmp_path / name)])
+        assert code == 0, err
+        manifest = json.loads(out)
+        del manifest["timings"]
+        files = {f: (tmp_path / name / f).read_bytes() for f in manifest["artifacts"].values()}
+        return json.dumps(manifest, sort_keys=True), files
+
+    with held_worker():
+        held = decompose("held")
+    met = [meet_the_worker(monkeypatch, cdpa.cli, "write_matrices")]
+    if "--auto-ranks" in ranks:
+        met.append(meet_the_worker(monkeypatch, cdpa.denoise, "ed_select_rank"))
+    shared = decompose("shared")
+    assert all(len(threads) == 2 for threads in met)
+    monkeypatch.undo()
+    serial_map(monkeypatch)
+    serial = decompose("serial")
+    assert len(serial[1]) == 11
+    assert held == serial and shared == serial
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])
@@ -484,7 +522,8 @@ def test_decompose_write_failure_closes_files_and_writes_no_manifest(
     p1, p2, _ = bench_files
     out = tmp_path / "out"
     out.mkdir()
-    # h_1 is formed after five other outputs, so the failure comes part-way
+    # h_1 is dataset 1's fourth output, so the failure comes part-way
+    # through its group; dataset 2's group of six is written whole
     if blocker == "directory":
         (out / "h_1.cdpm").mkdir()
     else:
@@ -492,7 +531,7 @@ def test_decompose_write_failure_closes_files_and_writes_no_manifest(
     code, stdout, err = _run(capsys, ["decompose", p1, p2, "--ranks", "5,5,5", "--out", str(out)])
     assert code == 2 and "error: cannot write" in err and stdout == ""
     assert not (out / "manifest.json").exists()
-    assert len(opened) == (5 if blocker == "directory" else 11)
+    assert len(opened) == (3 + 6 if blocker == "directory" else 11)
     assert all(fh.closed for fh in opened)
 
 

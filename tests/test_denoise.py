@@ -1,3 +1,4 @@
+import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -14,6 +15,7 @@ from cdpa import (
     CdpaError,
     DegenerateThreshold,
     InputError,
+    NumericalError,
     ObservedMatrix,
     RankProfile,
     RankTooLarge,
@@ -30,13 +32,14 @@ from cdpa import (
     mdl_select_r12,
     noise_root_trace,
     noise_trace,
+    select_ranks,
     soft_threshold_denoise,
 )
 import cdpa.denoise
 from cdpa._linalg import filtered_top, random_orthonormal, tridiagonal_top, tridiagonalize
 from cdpa.denoise import _max_correlation, _screen_critical_z
 
-from helpers import estimates_from, exact_signal_pair, record_linalg
+from helpers import estimates_from, exact_signal_pair, held_worker, record_linalg
 
 
 # ------------------------------------------------------------ ObservedMatrix
@@ -573,6 +576,21 @@ def test_top_pairs_reduce_again_to_the_same_bits():
         np.testing.assert_array_equal(a, b)
 
 
+def test_top_pairs_read_the_reduction_of_rank_selection_once(monkeypatch):
+    # below 18 (r + 3) the iteration declines: the first top-r read takes
+    # ED's reduction and drops it, a later rank reduces again, and both
+    # read what a fresh matrix reads
+    rng = np.random.default_rng(28)
+    y = ObservedMatrix(rng.standard_normal((70, 40)) @ np.diag(np.linspace(1.0, 4.0, 40)))
+    fresh = [ObservedMatrix(y.values.copy()).factors(r) for r in (2, 4)]
+    shapes = record_linalg(monkeypatch)
+    y.spectrum
+    for r, want, reductions in zip((2, 4), fresh, (1, 2)):
+        for a, b in zip(y.factors(r), want):
+            np.testing.assert_array_equal(a, b)
+        assert "reduced" not in y._cache and len(shapes["reduce"]) == reductions
+
+
 @pytest.mark.parametrize("shape", [(300, 120), (120, 300), (150, 150)])
 def test_gram_route_matches_svd(shape):
     rng = np.random.default_rng(21)
@@ -809,3 +827,64 @@ def test_degenerate_inputs_fall_back_to_the_reduction(shape, monkeypatch):
             continue
         assert np.isfinite(fit.patterns.explained), name
         assert all(np.all(np.isfinite(m)) for _, m in fit.patterns.columns()), name
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(300, 300), (400, 300), (300, 400)])
+def test_auto_ranks_reduce_each_degenerate_gram_once(shape, monkeypatch):
+    # where the iteration declines, the top-r pairs come from ED's own
+    # reduction, which the read then drops; they are those of a fresh
+    # reduction at the same rank, bit for bit
+    shapes = record_linalg(monkeypatch)
+    for (name, x1, _), (_, x2, _) in zip(_degenerate(shape, 30), _degenerate(shape, 31)):
+        ys = ObservedMatrix(x1), ObservedMatrix(x2)
+        shapes["reduce"].clear()
+        ranks, *_ = select_ranks(*ys)
+        assert shapes["reduce"] == [(300, 300), (300, 300)], name
+        for y, r in zip(ys, (ranks.r1, ranks.r2)):
+            assert "reduced" not in y._cache, name
+            for a, b in zip(y.factors(r), ObservedMatrix(y.values.copy()).factors(r)):
+                np.testing.assert_array_equal(a, b)
+
+
+def _scaled_pair(scales):
+    """Two noisy rank-3 datasets (60 x 100, 50 x 100), scaled by ``scales``."""
+    rng = np.random.default_rng(41)
+    z = rng.standard_normal((3, 100))
+    return tuple(
+        ObservedMatrix(scale * (rng.standard_normal((p, 3)) @ z + 0.1 * rng.standard_normal((p, 100))))
+        for p, scale in zip((60, 50), scales)
+    )
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("failures", [{1: "ed"}, {2: "ed"}, {1: "denoise"}, {2: "denoise"},
+                                      {1: "denoise", 2: "ed"}, {1: "ed", 2: "denoise"}])
+def test_select_ranks_raises_the_first_failed_dataset_s_error(monkeypatch, held, failures):
+    # each dataset's step (ED, then the denoiser at its rank) runs on the
+    # caller or the worker; a failure is raised as the step's own error,
+    # dataset 1's when both fail, whichever stage failed in each
+    ys = _scaled_pair((1.0, 1.0))
+    for stage, name in (("ed", "ed_select_rank"), ("denoise", "soft_threshold_denoise")):
+        real = getattr(cdpa.denoise, name)
+
+        def failing(y, *args, _real=real, _stage=stage):
+            k = 1 if y is ys[0] else 2
+            if failures.get(k) == _stage:
+                raise NumericalError(f"{_stage} failed on dataset {k}")
+            return _real(y, *args)
+
+        monkeypatch.setattr(cdpa.denoise, name, failing)
+    first = min(failures)
+    with held_worker() if held else contextlib.nullcontext():
+        with pytest.raises(NumericalError, match=f"{failures[first]} failed on dataset {first}$"):
+            select_ranks(*ys)
+
+
+@pytest.mark.parametrize("scales, raised", [((1e160, 1.0), r"e\+16\d\*\*2"), ((1.0, 1e170), r"e\+17\d\*\*2"),
+                                            ((1e160, 1e170), r"e\+16\d\*\*2")])
+def test_select_ranks_raises_an_overflowing_dataset_s_numerical_error(scales, raised):
+    # the denoiser squares the largest singular value: at 1e160 and 1e170
+    # it overflows, which is a NumericalError naming the value
+    with pytest.raises(NumericalError, match=raised):
+        select_ranks(*_scaled_pair(scales))
