@@ -1,11 +1,14 @@
-"""One shared worker thread for independent items of work.
+"""One pool of worker threads for independent items of work.
 
 ``map_shared(run, items)`` computes ``[run(item) for item in items]`` on
-the calling thread and on one worker thread, started on first use and
-kept for all callers, whatever ``--threads`` is.  It serves DSPFP's
-starts, each dataset's rank selection and denoising, and the two groups
-of files ``cdpa decompose`` writes.  Results come back in item order, so
-a result that depends on its item alone is the same bits however the
+the calling thread and on the package's worker threads, one for each CPU
+the process may run on besides the caller's (``os.sched_getaffinity``,
+else ``os.cpu_count``), started on first use and kept for all callers.
+With one CPU there is no worker and the caller runs every item.  It
+serves DSPFP's starts, each dataset's rank selection and denoising, the
+two groups of files ``cdpa decompose`` writes, bootstrap replicates and
+the cells of ``cdpa simulate``.  Results come back in item order, so a
+result that depends on its item alone is the same bits however the
 items were shared out.
 """
 
@@ -19,14 +22,14 @@ from collections import deque
 
 class _Items:
     """The items of one ``map_shared`` call: the caller takes them from the
-    front and the worker from the back, so each runs exactly once and an
-    item the worker has not begun, because it is busy, the caller runs."""
+    front and the workers from the back, so each runs exactly once and an
+    item no worker has begun, because all are busy, the caller runs."""
 
     def __init__(self, run, items):
         self._run = run
         self._items = items
         self._pending = deque(range(len(items)))
-        self._busy = 0  # items the worker has begun and not finished
+        self._busy = 0  # items the workers have begun and not finished
         self._idle = threading.Condition()
         self._outcomes = [None] * len(items)
 
@@ -44,7 +47,7 @@ class _Items:
             self._outcomes[i] = None, exc
 
     def serve(self) -> None:
-        """The worker's part: run items from the back until none is left."""
+        """A worker's part: run items from the back until none is left."""
         while (i := self._take(worker=True)) is not None:
             self._do(i)
             with self._idle:
@@ -53,7 +56,7 @@ class _Items:
 
     def results(self) -> list:
         """The caller's part: run items from the front until none is left,
-        wait for those the worker began, then return every result in item
+        wait for those the workers began, then return every result in item
         order, or raise the first failed item's exception."""
         try:
             while (i := self._take(worker=False)) is not None:
@@ -68,11 +71,12 @@ class _Items:
         return [result for result, _ in self._outcomes]
 
 
-# The worker is a daemon thread fed by a queue, not an executor: an
+# The workers are daemon threads fed by a queue, not an executor: an
 # executor refuses work once the interpreter starts to exit, while a
 # thread that outlives the main thread may still call the library.
 _lock = threading.Lock()
-_inbox = None  # made with the worker, on first use
+_inbox = None  # made with the workers, on first use
+_workers = 0
 
 
 def _serve(inbox) -> None:
@@ -81,7 +85,7 @@ def _serve(inbox) -> None:
 
 
 def _forget() -> None:
-    """A forked child has no worker thread; it starts its own when needed."""
+    """A forked child has no worker threads; it starts its own when needed."""
     global _lock, _inbox
     _lock, _inbox = threading.Lock(), None
 
@@ -90,15 +94,24 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_shared(run, items) -> list:
     """``[run(item) for item in items]``, computed by the caller and the
-    shared worker thread; a failed item's exception is raised once no
-    item runs, the first in item order when several fail."""
-    global _inbox
+    shared workers; a failed item's exception is raised once no item
+    runs, the first in item order when several fail."""
+    global _inbox, _workers
     shared = _Items(run, items)
     with _lock:
         if _inbox is None:
-            _inbox = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_inbox,), name="cdpa-worker", daemon=True).start()
-        _inbox.put(shared)
+            _inbox, _workers = queue.SimpleQueue(), _cpus() - 1
+            for _ in range(_workers):
+                threading.Thread(target=_serve, args=(_inbox,), name="cdpa-worker", daemon=True).start()
+        for _ in range(min(_workers, len(items) - 1)):  # the caller takes one item
+            _inbox.put(shared)
     return shared.results()

@@ -7,10 +7,9 @@ exhaustive oracle is available for small problems.  Both read only the
 padded p x r bases; no p x p projector is kept.
 
 The ascent's independent starts run on the calling thread and on the
-package's one shared worker thread (``_worker.map_shared``), which also
-serves rank selection and the CLI's writer.  Each start's result depends
-on its inputs alone and the results are combined in start order, so the
-plan is the same bits however the starts were shared out.
+package's shared worker threads (``_worker.map_shared``).  Each start's
+result depends on its inputs alone and the results are combined in start
+order, so the plan is the same bits however the starts were shared out.
 
 The objective measures how well the aligned subspaces agree, not whether
 the alignment is the planted one: on channels whose planted angle is 30
@@ -290,7 +289,7 @@ def dspfp_match(problem: MatchProblem, max_iter: int = 120) -> PermutationPlan:
     taken.  Each start's result is polished by pairwise swaps, and the
     best permutation is returned, never worse than the identity.
 
-    The starts are shared with the package's worker thread and combined in
+    The starts are shared with the package's worker threads and combined in
     start order; a failed start's error is raised once no start runs.
     """
     q1, q2a = problem.q1, problem.q2a

@@ -19,10 +19,8 @@ import dataclasses
 import io
 import itertools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +29,7 @@ from .align import PermutationPlan, build_match_problem, dspfp_match, exhaustive
 from .denoise import ObservedMatrix, RankProfile, center_rows, select_ranks
 from .errors import BadConfig, InputError, NumericalError
 from .matrixio import read_matrix, write_matrices
-from .patterns import BootstrapInterval, CdpaConfig, bootstrap_ci, check_bootstrap, estimate_cdpa
+from .patterns import CdpaConfig, bootstrap_ci, check_bootstrap, estimate_cdpa
 from .simulate import SimulationConfig, oracle_explained_variance, run_replications
 from .subspace import orthonormal_basis
 from ._linalg import pad_rows
@@ -47,22 +45,6 @@ def _emit(payload) -> None:
 
 def _load(path: str) -> ObservedMatrix:
     return ObservedMatrix(read_matrix(path))
-
-
-def _threads(text: str, source: str = "--threads") -> int:
-    """A worker count of at least 1."""
-    try:
-        threads = int(text)
-    except ValueError:
-        raise BadConfig(f"{source} must be an integer, got {text!r}") from None
-    if threads < 1:
-        raise BadConfig(f"{source} must be at least 1, got {threads}")
-    return threads
-
-
-def _default_threads() -> int:
-    env = os.environ.get("CDPA_THREADS", "")
-    return _threads(env, "CDPA_THREADS") if env else 1
 
 
 def _parse_ranks(text: str) -> RankProfile:
@@ -121,10 +103,11 @@ def _plan_payload(plan: PermutationPlan) -> dict:
 def _perm_argument(value: str):
     if value in ("identity", "dspfp"):
         return value
-    path = Path(value)
-    if not path.exists():
-        raise InputError(f"permutation file {value!r} does not exist")
-    return PermutationPlan.from_json(path.read_text()).perm
+    try:
+        text = Path(value).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"permutation file {value!r}: {getattr(exc, 'strerror', None) or exc}") from None
+    return PermutationPlan.from_json(text).perm
 
 
 # ---------------------------------------------------------------- ranks
@@ -154,11 +137,6 @@ def _fit_inputs(args, ranks: RankProfile | None, sign: str, replicates: int | No
     return y1, y2, config
 
 
-def _interval(args, y1, y2, fit, replicates: int) -> BootstrapInterval:
-    """The bootstrap interval for ``fit``'s explained variance."""
-    return bootstrap_ci(y1, y2, fit, replicates, args.level, args.seed, args.threads)
-
-
 def cmd_decompose(args) -> int:
     t0 = time.time()
     ranks = _parse_ranks(args.ranks) if args.ranks else None
@@ -171,7 +149,7 @@ def cmd_decompose(args) -> int:
         columns = result.patterns.columns
         artifacts = {name: f"{name}.cdpm" for name, _ in columns(slice(0, 0))}
 
-        def write_group(k):  # one dataset's files, on the caller or the shared worker
+        def write_group(k):  # one dataset's files, on the caller or a worker
             paths = [out / artifacts[name] for name, _ in columns(slice(0, 0), k)]
             write_matrices(paths, result.patterns.shape[1], lambda cols: (b for _, b in columns(cols, k)))
 
@@ -179,7 +157,7 @@ def cmd_decompose(args) -> int:
         interval = None
         if args.bootstrap:
             _progress(f"bootstrapping with {args.bootstrap} replicates")
-            interval = dataclasses.asdict(_interval(args, y1, y2, result, args.bootstrap))
+            interval = dataclasses.asdict(bootstrap_ci(y1, y2, result, args.bootstrap, args.level, args.seed))
         manifest = {
             "command": "decompose",
             "version": __version__,
@@ -248,11 +226,9 @@ def cmd_simulate(args) -> int:
     ]
     with _output_dir(args.out) as out:
         _progress(f"running {len(cells)} cells x {args.reps} replications")
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            studies = list(pool.map(run_replications, cells))
         aggregate = []
         all_rows = []
-        for study in studies:
+        for study in map_shared(run_replications, cells):
             cfg = study.config
             cell_id = f"setup{cfg.setup}_theta{cfg.theta_deg:g}_p{cfg.p1}_noise{cfg.noise_var:g}"
             aggregate.append(
@@ -332,7 +308,7 @@ def cmd_match(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     y1, y2, config = _fit_inputs(args, _parse_ranks(args.ranks), "plus", args.replicates)
-    ci = _interval(args, y1, y2, estimate_cdpa(y1, y2, config), args.replicates)
+    ci = bootstrap_ci(y1, y2, estimate_cdpa(y1, y2, config), args.replicates, args.level, args.seed)
     _emit({"command": "bootstrap", **dataclasses.asdict(ci)})
     return 0
 
@@ -355,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--no-center", action="store_true")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
-    seeded.add_argument("--threads", type=_threads, default=_default_threads())
     fit = argparse.ArgumentParser(add_help=False, parents=[data, seeded])
     fit.add_argument("--perm", default="identity", help="identity | dspfp | FILE")
     fit.add_argument("--level", type=float, default=0.95)
@@ -365,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", parents=[fit], help="run the full decomposition", description=(
         "Fit the decomposition and write its eleven pattern matrices and a manifest to --out. "
-        "Each dataset's rank selection, DSPFP's starts and two groups of output files run on "
-        "the calling thread and one shared worker thread, whatever --threads is; the files "
-        "are byte-identical however the work was shared out."))
+        "Each dataset's rank selection, DSPFP's starts, two groups of output files and the "
+        "bootstrap replicates run on the calling thread and the package's worker threads, one "
+        "per further CPU the process may use; the files are byte-identical however the work "
+        "was shared out."))
     group = dec.add_mutually_exclusive_group()
     group.add_argument("--ranks", help="fixed ranks r1,r2,r12")
     group.add_argument("--auto-ranks", action="store_true")
@@ -396,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="standalone row alignment of two channels",
         description=(
             "Align the rows of channel B2 to those of B1. dspfp runs its independent "
-            "ascent starts on the calling thread and the package's one shared worker "
-            "thread, which decompose also uses, whatever --threads is elsewhere, and its "
-            "plan is byte-identical however the starts were shared out. The objective "
+            "ascent starts on the calling thread and the package's worker threads, one per "
+            "further CPU the process may use, and its plan is byte-identical however the "
+            "starts were shared out. The objective "
             "rewards agreeing subspaces, not the planted pairing: on channels whose planted "
             "angle is 30 degrees or more (simulate --theta 30 and up) it can prefer a "
             "non-planted plan even on noiseless bases."

@@ -516,10 +516,10 @@ def select_ranks(
 
     One step per dataset selects its rank ``r_k`` by ``ed_select_rank``
     and denoises it at that rank; the two steps are independent, so the
-    caller runs dataset 1's and the package's shared worker thread
-    dataset 2's (``_worker.map_shared``; the caller runs both when the
-    worker is busy).  A failed step's error is raised once neither runs,
-    dataset 1's when both fail.  The shared rank is then selected by
+    caller runs dataset 1's and a shared worker thread dataset 2's
+    (``_worker.map_shared``; the caller runs both when no worker is
+    free).  A failed step's error is raised once neither runs, dataset
+    1's when both fail.  The shared rank is then selected by
     ``mdl_select_r12`` when both ranks are nonzero and the correlation
     screen at level 0.05 finds a correlated pair, and is 0 otherwise.
     Returns the ranks, the two signal estimates at ``r1`` and ``r2``, and
@@ -542,11 +542,7 @@ def select_ranks(
     Gram route cannot resolve it, the spectrum of that dataset is taken
     once more, from the triangular factor of its thin QR, before the same
     refinement.  The correlation screen stops at the first block of rows
-    whose largest |r| clears the critical value.  Against reading the
-    top-r pairs from ED's reduction, the ranks are unchanged on the
-    reference panel and the written matrices of ``cdpa decompose
-    --auto-ranks`` moved by at most 1.3e-14 of each file's largest entry
-    on the benchmark's four p1 = 4000 draws.
+    whose largest |r| clears the critical value.
     """
     if y1.n != y2.n:
         raise InputError(f"datasets have different sample counts: {y1.n} vs {y2.n}")

@@ -12,7 +12,6 @@ explained variance.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator
@@ -20,6 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from ._linalg import fix_signs, pad_rows, svd
+from ._worker import map_shared
 from .align import (
     PermutationPlan,
     SignChoice,
@@ -290,9 +290,9 @@ def population_cdpa(
     )
 
 
-def check_bootstrap(replicates: int, level: float, seed: int = 0, threads: int = 1) -> None:
+def check_bootstrap(replicates: int, level: float, seed: int = 0) -> None:
     """Reject bootstrap settings that ``bootstrap_ci`` cannot run."""
-    for name, count in (("replicates", replicates), ("seed", seed), ("threads", threads)):
+    for name, count in (("replicates", replicates), ("seed", seed)):
         check_count(count, name, BadConfig)
     check_real(level, "level", BadConfig)
     if seed < 0:
@@ -301,8 +301,6 @@ def check_bootstrap(replicates: int, level: float, seed: int = 0, threads: int =
         raise BadConfig(f"need at least 100 replicates, got {replicates}")
     if not 0.0 < level < 1.0:
         raise BadConfig(f"level must be in (0, 1), got {level}")
-    if threads < 1:
-        raise BadConfig(f"threads must be at least 1, got {threads}")
 
 
 def bootstrap_ci(
@@ -312,19 +310,19 @@ def bootstrap_ci(
     replicates: int = 1000,
     level: float = 0.95,
     seed: int = 0,
-    threads: int = 1,
 ) -> BootstrapInterval:
     """Percentile bootstrap interval for the explained variance of ``fit``.
 
     ``fit`` is the decomposition of ``y1`` and ``y2`` and gives the point
     estimate.  Columns are resampled with replacement jointly across the
     two datasets and refitted with the fit's configuration, its ranks,
-    alignment and sign held fixed, on ``threads`` workers.  Replicate
-    ``i`` draws from the ``i``-th child of ``SeedSequence(seed).spawn``,
-    so results are independent of scheduling and different master seeds
-    give independent streams.
+    alignment and sign held fixed; the replicates are shared out over the
+    package's worker threads (``_worker.map_shared``).  Replicate ``i``
+    draws from the ``i``-th child of ``SeedSequence(seed).spawn``, so
+    results are independent of scheduling and different master seeds give
+    independent streams.
     """
-    check_bootstrap(replicates, level, seed, threads)
+    check_bootstrap(replicates, level, seed)
     n = y1.n
     cfg = replace(
         fit.config,
@@ -342,8 +340,7 @@ def bootstrap_ci(
         )
         return estimate_cdpa(pair[0], pair[1], cfg).patterns.explained
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        values = list(pool.map(one, np.random.SeedSequence(seed).spawn(replicates)))
+    values = map_shared(one, np.random.SeedSequence(seed).spawn(replicates))
     tail = 100.0 * (1.0 - level) / 2.0
     lower, upper = np.percentile(values, [tail, 100.0 - tail])
     return BootstrapInterval(

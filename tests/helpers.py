@@ -1,20 +1,30 @@
 """Shared test utilities: exact-moment constructions, tied-block rotations,
-kernel recording and control of the shared worker thread."""
+kernel recording, control of the shared worker threads and fresh
+interpreters."""
 
 import contextlib
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from cdpa import (
     CanonicalSystem,
+    CdpaConfig,
     ChannelSubspacePair,
     ObservedMatrix,
+    SimulationConfig,
+    bootstrap_ci,
     build_match_problem,
+    estimate_cdpa,
+    generate_setup,
     soft_threshold_denoise,
 )
 import cdpa._worker
@@ -176,25 +186,53 @@ def record_linalg(monkeypatch):
     return shapes
 
 
+# the CPUs this process may run on; a child process inherits them
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+# on one CPU ``map_shared`` starts no worker, so there is none to share with
+needs_worker = pytest.mark.skipif(CPUS < 2, reason="one CPU: no worker thread")
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the ``cdpa`` under
+    test and, from this directory, ``helpers``."""
+    paths = [str(Path(cdpa.__file__).resolve().parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+def pool_work() -> list:
+    """Work that goes through ``map_shared`` at every level: an auto-rank
+    fit, a DSPFP fit at its ranks and a 100-replicate bootstrap of the
+    latter.  Returns the ranks, the plan and the interval."""
+    y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=15.0, p1=60, n=100, seed=1))
+    ranks = estimate_cdpa(y1, y2).ranks
+    fit = estimate_cdpa(y1, y2, CdpaConfig(ranks=ranks, perm="dspfp"))
+    ci = bootstrap_ci(y1, y2, fit, replicates=100, seed=2)
+    plan = fit.permutation
+    return [[ranks.r1, ranks.r2, ranks.r12], plan.perm.tolist(), plan.objective, plan.iterations, ci.lower, ci.upper]
+
+
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
 @contextlib.contextmanager
 def held_worker():
-    """The shared worker thread kept busy for the block, so that a caller
+    """Every shared worker thread kept busy for the block, so that a caller
     of ``map_shared`` runs every item itself."""
-    cdpa._worker.map_shared(lambda item: item, [0])  # the worker exists from here on
-    holding, release = threading.Event(), threading.Event()
+    cdpa._worker.map_shared(lambda item: item, [0])  # the workers exist from here on
+    holding, release = threading.Semaphore(0), threading.Event()
 
     class Held:
         def serve(self):
-            holding.set()
+            holding.release()
             release.wait(60)
 
-    cdpa._worker._inbox.put(Held())
-    assert holding.wait(30)
+    for _ in range(cdpa._worker._workers):
+        cdpa._worker._inbox.put(Held())
     try:
+        for _ in range(cdpa._worker._workers):
+            assert holding.acquire(timeout=30)
         yield
     finally:
         release.set()

@@ -1,11 +1,10 @@
 import dataclasses
+import json
 import os
-import subprocess
 import sys
 import threading
 import time
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from cdpa import (
 from cdpa._linalg import random_orthonormal
 from cdpa.align import _all_permutations, _assign, _climb, _start_cores, _swap_gains
 
-from helpers import dense_match_problem, held_worker
+from helpers import CPUS, dense_match_problem, held_worker, needs_worker, pool_work, run_python
 
 
 # ---------------------------------------------------------- build_match_problem
@@ -231,7 +230,7 @@ def test_dspfp_reports_convergence():
 
 def test_import_loads_the_assignment_solver_only_when_dspfp_runs():
     # a fresh interpreter: this one has loaded scipy.optimize already
-    code = """
+    code = f"""
 import sys
 import threading
 import scipy.linalg, scipy.special
@@ -241,16 +240,15 @@ import cdpa, cdpa.cli
 added = sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "scipy")
 assert added == [], added
 # no thread exists until the first DSPFP solve, which starts one worker
+# for each CPU besides the caller's
 assert threading.active_count() == 1, threading.enumerate()
 q = np.linalg.qr(np.random.default_rng(0).standard_normal((12, 3)))[0]
 cdpa.dspfp_match(cdpa.build_match_problem(q, q[::-1]))
 assert "scipy.optimize" in sys.modules
 cdpa.dspfp_match(cdpa.build_match_problem(q, q[::-1]))
-assert threading.active_count() == 2, threading.enumerate()
+assert threading.active_count() == {CPUS}, threading.enumerate()
 """
-    src = str(Path(cdpa.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = run_python(code)
     assert run.returncode == 0, run.stderr
 
 
@@ -289,13 +287,14 @@ def _serial_plan(prob, max_iter=120):
     return best_perm, best_obj, iterations, converged
 
 
+@needs_worker
 @pytest.mark.parametrize("p", [10, 100])
 def test_dspfp_plan_does_not_depend_on_scheduling(monkeypatch, p):
     rng = np.random.default_rng(37)
     q1, q2 = random_orthonormal(rng, p, 4), random_orthonormal(rng, p, 4)
     prob = build_match_problem(q1, q2)
     want = _serial_plan(prob)
-    dspfp_match(prob)  # the worker exists from here on
+    dspfp_match(prob)  # the workers exist from here on
     caller = threading.current_thread()
     solver = cdpa.align.linear_sum_assignment
     threads, worker_joined = [], threading.Event()
@@ -307,17 +306,17 @@ def test_dspfp_plan_does_not_depend_on_scheduling(monkeypatch, p):
         if me is not caller:
             worker_joined.set()
         elif wait_for_worker:
-            assert worker_joined.wait(30)  # the worker takes a start of its own
+            assert worker_joined.wait(30)  # a worker takes a start of its own
         return solver(cost)
 
     monkeypatch.setattr(cdpa.align, "linear_sum_assignment", recording)
     with held_worker():
         busy = dspfp_match(prob)
-    assert set(threads) == {caller}  # a busy worker holds nobody up
+    assert set(threads) == {caller}  # busy workers hold nobody up
     threads.clear()
     wait_for_worker = True
     free = dspfp_match(prob)
-    assert caller in threads and len(set(threads)) == 2
+    assert caller in threads and 2 <= len(set(threads)) <= CPUS
     for plan in (busy, free):
         np.testing.assert_array_equal(plan.perm, want[0])
         assert (plan.objective, plan.iterations, plan.converged) == want[1:]
@@ -430,16 +429,15 @@ def late():
 
 threading.Thread(target=late).start()
 """
-    src = str(Path(cdpa.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    run = run_python(code)
     assert run.returncode == 0 and run.stdout == "same plan\n", run.stderr
 
 
 def test_one_worker_thread_serves_rank_selection_and_dspfp():
     # importing starts no thread; an auto-rank fit and then a fit that
-    # aligns by DSPFP share one worker thread
-    code = """
+    # aligns by DSPFP share one pool, a worker thread for each CPU besides
+    # the caller's
+    code = f"""
 import threading
 import cdpa
 assert threading.active_count() == 1, threading.enumerate()
@@ -448,17 +446,15 @@ fit = cdpa.estimate_cdpa(y1, y2)
 assert fit.ranks.r12 >= 1, fit.ranks
 cdpa.estimate_cdpa(y1, y2, cdpa.CdpaConfig(ranks=fit.ranks, perm="dspfp"))
 others = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
-assert others == ["cdpa-worker"], others
+assert others == ["cdpa-worker"] * ({CPUS} - 1), others
 """
-    src = str(Path(cdpa.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    run = run_python(code)
     assert run.returncode == 0, run.stderr
 
 
 def test_dspfp_in_a_forked_child_starts_its_own_worker():
     # the child inherits the parent's module state but not its threads
-    code = """
+    code = f"""
 import os, sys, threading, warnings
 import numpy as np
 import cdpa
@@ -469,17 +465,38 @@ want = cdpa.dspfp_match(prob)
 pid = os.fork()
 if pid == 0:
     plan = cdpa.dspfp_match(prob)
-    ok = np.array_equal(plan.perm, want.perm) and threading.active_count() == 2
+    ok = np.array_equal(plan.perm, want.perm) and threading.active_count() == {CPUS}
     os._exit(0 if ok else 1)
 _, status = os.waitpid(pid, 0)
 sys.exit(os.waitstatus_to_exitcode(status))
 """
     if not hasattr(os, "fork"):
         pytest.skip("no fork on this platform")
-    src = str(Path(cdpa.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    run = run_python(code)
     assert run.returncode == 0, run.stderr
+
+
+def test_one_cpu_runs_every_item_on_the_caller():
+    # on one CPU there is no worker: the same work starts no thread and
+    # gives the ranks, plan and interval of this process, bit for bit
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    code = """
+import json, os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+def refuse(thread):
+    raise AssertionError(f"thread {thread.name} started")
+
+threading.Thread.start = refuse
+from helpers import pool_work
+got = pool_work()
+assert threading.active_count() == 1, threading.enumerate()
+print(json.dumps(got))
+"""
+    run = run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == json.loads(json.dumps(pool_work()))
 
 
 # ------------------------------------------------------------- exhaustive

@@ -24,7 +24,7 @@ import cdpa.denoise
 from cdpa.cli import _perm_argument, build_parser, main
 from cdpa._linalg import random_orthonormal
 
-from helpers import exact_signal_pair, held_worker, meet_the_worker, record_linalg, serial_map
+from helpers import exact_signal_pair, held_worker, meet_the_worker, needs_worker, record_linalg, serial_map
 from test_reference_panel import ATOL, RTOL
 
 
@@ -213,6 +213,22 @@ def test_decompose_provided_permutation(bench_files, tmp_path, capsys):
     assert sorted(manifest["permutation"]["indices"]) == list(range(60))
     assert manifest["permutation"]["iterations"] == 0
     assert manifest["permutation"]["converged"] is True
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "not utf-8"])
+def test_decompose_unreadable_permutation_file_is_input_error(bench_files, tmp_path, capsys, unreadable):
+    p1, p2, _ = bench_files
+    perm = tmp_path / "perm"
+    if unreadable == "directory":
+        perm.mkdir()
+    else:
+        perm.write_bytes(b"\xff\xfe")
+    code, out, err = _run(
+        capsys, ["decompose", p1, p2, "--ranks", "3,3,3", "--perm", str(perm), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2 and out == "", err
+    assert f"permutation file {str(perm)!r}" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_decompose_requires_rank_mode(bench_files, tmp_path, capsys):
@@ -424,6 +440,7 @@ def test_decompose_writes_each_output_without_forming_it(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("ranks", [["--auto-ranks"], ["--ranks", "3,3,3", "--perm", "dspfp"]])
+@needs_worker
 def test_decompose_writes_the_same_bytes_however_the_work_is_shared(tmp_path, capsys, monkeypatch, ranks):
     # rank selection and the two groups of output files run on the caller
     # and the shared worker: with both taking part, with the worker held so
@@ -683,14 +700,16 @@ def test_simulate_setup2_autoset_p2(tmp_path, capsys):
     assert json.loads(out)["cells"][0]["p2"] == 900
 
 
-def test_simulate_deterministic(tmp_path, capsys):
-    # byte-identical outputs on one worker and on two concurrent ones
+def test_simulate_deterministic(tmp_path, capsys, monkeypatch):
+    # byte-identical outputs with the cells shared out over the worker
+    # threads and in a serial loop on the caller
     argv = [
         "simulate", "--setup", "1", "--theta", "15,60", "--p1", "30",
         "--noise", "0.5", "--n", "60", "--reps", "3", "--seed", "5",
     ]
-    _, out_a, _ = _run(capsys, argv + ["--threads", "1", "--out", str(tmp_path / "a")])
-    _, out_b, _ = _run(capsys, argv + ["--threads", "2", "--out", str(tmp_path / "b")])
+    _, out_a, _ = _run(capsys, argv + ["--out", str(tmp_path / "a")])
+    serial_map(monkeypatch)
+    _, out_b, _ = _run(capsys, argv + ["--out", str(tmp_path / "b")])
     assert out_a == out_b
     for name in ("aggregate.json", "replications.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -796,38 +815,6 @@ def test_bootstrap_checks_settings_before_fit(bench_files, capsys, monkeypatch, 
 # ------------------------------------------------------------------ misc
 
 
-def test_threads_env_default(monkeypatch, capsys):
-    from cdpa import BadConfig
-    from cdpa.cli import _default_threads
-
-    monkeypatch.setenv("CDPA_THREADS", "3")
-    assert _default_threads() == 3
-    for bad in ("0", "-4", "two"):
-        monkeypatch.setenv("CDPA_THREADS", bad)
-        with pytest.raises(BadConfig):
-            _default_threads()
-        code, _, err = _run(capsys, ["oracle", "--theta", "15"])
-        assert code == 2 and "CDPA_THREADS" in err
-    monkeypatch.delenv("CDPA_THREADS")
-    assert _default_threads() == 1
-
-
-@pytest.mark.parametrize("threads", ["0", "-4"])
-def test_threads_below_one_rejected(bench_files, tmp_path, capsys, threads):
-    p1, p2, _ = bench_files
-    runs = [
-        ["simulate", "--setup", "1", "--theta", "15", "--p1", "30", "--n", "60",
-         "--reps", "1", "--out", str(tmp_path / "sim")],
-        ["bootstrap", p1, p2, "--ranks", "5,5,5", "--replicates", "100"],
-        ["decompose", p1, p2, "--ranks", "5,5,5", "--out", str(tmp_path / "dec")],
-    ]
-    for argv in runs:
-        code, out, err = _run(capsys, argv + ["--threads", threads])
-        assert code == 2 and "--threads must be at least 1" in err
-        assert out == ""
-    assert not (tmp_path / "sim").exists() and not (tmp_path / "dec").exists()
-
-
 # Each subcommand's options as the parser declared them before the shared
 # options moved into parent parsers: option strings (the dest for a
 # positional), default, and whether the option is required.
@@ -837,14 +824,14 @@ PARSER_TABLE = {
         (("--auto-ranks",), False, False), (("--bootstrap",), 0, False),
         (("--level",), 0.95, False), (("--no-center",), False, False),
         (("--out",), None, True), (("--perm",), "identity", False), (("--ranks",), None, False),
-        (("--seed",), 0, False), (("--sign",), "auto", False), (("--threads",), 1, False),
+        (("--seed",), 0, False), (("--sign",), "auto", False),
         (("y1",), None, True), (("y2",), None, True),
     ],
     "simulate": [
         (("--n",), 300, False), (("--noise",), "1.0", False), (("--out",), None, True),
         (("--p1",), None, True), (("--reps",), 100, False), (("--seed",), 0, False),
         (("--setup",), None, True), (("--structure-seed",), 0, False),
-        (("--theta",), None, True), (("--threads",), 1, False),
+        (("--theta",), None, True),
     ],
     "oracle": [(("--theta",), None, True)],
     "match": [
@@ -854,14 +841,13 @@ PARSER_TABLE = {
     "bootstrap": [
         (("--level",), 0.95, False), (("--no-center",), False, False),
         (("--perm",), "identity", False), (("--ranks",), None, True),
-        (("--replicates",), 1000, False), (("--seed",), 0, False), (("--threads",), 1, False),
+        (("--replicates",), 1000, False), (("--seed",), 0, False),
         (("y1",), None, True), (("y2",), None, True),
     ],
 }
 
 
-def test_parser_options_match_the_declared_table(monkeypatch):
-    monkeypatch.delenv("CDPA_THREADS", raising=False)
+def test_parser_options_match_the_declared_table():
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )

@@ -45,6 +45,7 @@ from helpers import (
     rel_err,
     rotate_pair,
     rotate_system,
+    serial_map,
 )
 
 LAM = [500.0, 400.0, 300.0, 200.0, 100.0]
@@ -347,12 +348,15 @@ def test_bootstrap_width_shrinks_with_sample_size():
     assert widths[200] < widths[100]
 
 
-def test_bootstrap_does_not_depend_on_threads():
+def test_bootstrap_does_not_depend_on_threads(monkeypatch):
+    # the replicates shared out over the worker threads give the interval
+    # of a serial loop on the caller, bit for bit
     cfg = SimulationConfig(setup=1, theta_deg=30.0, p1=40, n=80, noise_var=0.5, seed=12)
     y1, y2, truth = generate_setup(cfg)
     fit = _fixed_fit(y1, y2, RankProfile(5, 5, truth.r12))
-    one, two = (bootstrap_ci(y1, y2, fit, replicates=100, seed=3, threads=t) for t in (1, 2))
-    assert one == two
+    shared = bootstrap_ci(y1, y2, fit, replicates=100, seed=3)
+    serial_map(monkeypatch)
+    assert bootstrap_ci(y1, y2, fit, replicates=100, seed=3) == shared
 
 
 def test_bootstrap_guards():
@@ -364,10 +368,8 @@ def test_bootstrap_guards():
     with pytest.raises(BadConfig):
         bootstrap_ci(y, y, fit, replicates=100, level=1.5)
     with pytest.raises(BadConfig):
-        bootstrap_ci(y, y, fit, replicates=100, threads=0)
-    with pytest.raises(BadConfig):
         bootstrap_ci(y, y, fit, replicates=100, seed=-1)
-    for counts in ({"replicates": 100.5}, {"seed": 1.5}, {"threads": True}):
+    for counts in ({"replicates": 100.5}, {"seed": 1.5}):
         with pytest.raises(BadConfig, match="integer"):
             bootstrap_ci(y, y, fit, **{"replicates": 100, **counts})
     for level in ("0.9", None, True):
