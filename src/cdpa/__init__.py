@@ -35,7 +35,6 @@ from .denoise import (
     correlation_screen,
     ed_select_rank,
     mdl_select_r12,
-    noise_root_trace,
     noise_trace,
     select_ranks,
     soft_threshold_denoise,

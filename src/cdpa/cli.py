@@ -117,8 +117,8 @@ def cmd_ranks(args) -> int:
     y1, y2 = _load(args.y1), _load(args.y2)
     if not args.no_center:
         y1, y2 = center_rows(y1), center_rows(y2)
-    ranks, _, _, screen = select_ranks(y1, y2)
-    _emit({"r1": ranks.r1, "r2": ranks.r2, "r12": ranks.r12, "screen": screen})
+    ranks, _, _ = select_ranks(y1, y2)
+    _emit({"r1": ranks.r1, "r2": ranks.r2, "r12": ranks.r12, "screen": ranks.r12 > 0})
     return 0
 
 

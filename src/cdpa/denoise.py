@@ -197,25 +197,24 @@ class ObservedMatrix:
         refines ``q_r``: the thin QR ``m q_r = o t`` and the SVD
         ``t = a diag(s_r) b.T`` give the long-side vectors ``o a``, the
         short-side vectors ``q_r b`` and the top ``r`` singular values
-        ``s_r``, so both sides are orthonormal to round-off.  The step is
-        taken once per rank and reads nothing that depends on which ranks
-        or spectra were read before, so the denoiser, the noise trace and
-        the shared-rank criterion read the same values in every call order.
+        ``s_r``, so both sides are orthonormal to round-off.  The step
+        reads nothing that depends on which ranks or spectra were read
+        before, so a rank's factors are the same bits in every call order.
+        Its one reader is the denoiser, once per dataset, so the factors are
+        not kept.
         """
-        if r not in self._cache:
-            tall = self.p >= self.n
-            m = self.values if tall else self.values.T
-            if self.resolves(r):
-                _, q, tail = self._top(r)
-                residual = math.ldexp(math.sqrt(max(tail, 0.0)), self._exponent)
-            else:
-                _, s, vt = svd(np.linalg.qr(m, mode="r"))
-                q, residual = vt[:r].T, math.hypot(*s[r:])
-            o, t = np.linalg.qr(m @ q)
-            a, s_r, bt = svd(t)
-            u, v = (o @ a, q @ bt.T) if tall else (q @ bt.T, o @ a)
-            self._cache[r] = s_r, residual, u, v
-        return self._cache[r]
+        tall = self.p >= self.n
+        m = self.values if tall else self.values.T
+        if self.resolves(r):
+            _, q, tail = self._top(r)
+            residual = math.ldexp(math.sqrt(max(tail, 0.0)), self._exponent)
+        else:
+            _, s, vt = svd(np.linalg.qr(m, mode="r"))
+            q, residual = vt[:r].T, math.hypot(*s[r:])
+        o, t = np.linalg.qr(m @ q)
+        a, s_r, bt = svd(t)
+        u, v = (o @ a, q @ bt.T) if tall else (q @ bt.T, o @ a)
+        return s_r, residual, u, v
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,10 @@ class SignalEstimate:
 
     The p x n estimate ``xhat = left_vectors @ diag(soft_singular_values)
     @ right_vectors.T`` is formed only when it is read, a block of columns
-    at a time by ``xhat_columns``.
+    at a time by ``xhat_columns``.  ``noise_root_trace`` is the square root
+    of the noise covariance trace estimate ``||Y - xhat||_F^2 / n``, which
+    the denoiser forms from the spectrum it reads; the fit reads nothing
+    more of ``Y`` after the denoiser.
     """
 
     rank: int
@@ -249,6 +251,7 @@ class SignalEstimate:
     tau: float
     left_vectors: np.ndarray
     right_vectors: np.ndarray
+    noise_root_trace: float
 
     @property
     def p(self) -> int:
@@ -337,9 +340,12 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
     ``tau = sum_{l>r} sigma_l^2 / (n*p - n*r - p*r)``.  The top ``r``
     squared singular values are shrunk by ``tau * p`` and floored at zero
     before reconstruction.  The residual energy ``sum_{l>r} sigma_l^2`` is
-    the squared residual norm of ``y.factors(r)``.  Both are formed
-    relative to the largest singular value, so no step squares the raw
-    values.  Rank 0 is the zero-width case: the estimate is zero and
+    the squared residual norm of ``y.factors(r)``.  The noise root trace
+    ``sqrt(||Y - xhat||_F^2 / n)`` has the closed form ``sqrt((sum_{l>r}
+    sigma_l^2 + sum_{l<=r} (sigma_l - s_soft,l)^2) / n)``.  All three are
+    formed relative to the largest singular value, and the root is scaled
+    once, so no step squares the raw values or a value that may be
+    subnormal.  Rank 0 is the zero-width case: the estimate is zero and
     ``tau = ||Y||_F^2 / (n*p)``.
 
     Raises
@@ -364,6 +370,8 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
     tau_rel = float(t[r] ** 2 / denom)
     tau = _squared(s0, tau_rel)
     s_soft = s0 * np.sqrt(np.maximum(t[:r] ** 2 - tau_rel * p, 0.0))
+    t_soft = s_soft / s0 if s0 > 0 else s_soft
+    noise_root = s0 * math.sqrt(float(t[r] ** 2 + np.sum((t[:r] - t_soft) ** 2)) / n)
     u, vt = fix_signs(u, v.T)
     return SignalEstimate(
         rank=r,
@@ -371,6 +379,7 @@ def soft_threshold_denoise(y: ObservedMatrix, r: int) -> SignalEstimate:
         tau=tau,
         left_vectors=u,
         right_vectors=vt.T,
+        noise_root_trace=noise_root,
     )
 
 
@@ -482,24 +491,23 @@ def _standardized_rows(x: SignalEstimate) -> tuple[np.ndarray, np.ndarray]:
     return load / norms[:, None], w
 
 
-def mdl_select_r12(
-    y1: ObservedMatrix, y2: ObservedMatrix, r1: int, r2: int
-) -> int:
+def mdl_select_r12(x1: SignalEstimate, x2: SignalEstimate) -> int:
     """Select the shared rank by the penalized subspace-affinity criterion.
 
-    ``s_l`` are the singular values of the product of the two top right
-    singular subspaces; the criterion ``n * sum_{l<=r} log(1 - s_l^2) +
-    r * (r1 + r2 - r) * log(n)`` is minimized over ``r in [1, min(r1, r2)]``.
-    It reads the top right singular vectors of ``factors``, which the
-    denoiser has already refined at the same ranks in ``select_ranks``.
+    ``s_l`` are the singular values of the product of the two estimates'
+    right singular vectors (ranks ``r1``, ``r2``); the criterion ``n *
+    sum_{l<=r} log(1 - s_l^2) + r * (r1 + r2 - r) * log(n)`` is minimized
+    over ``r in [1, min(r1, r2)]``.  Flipping the sign of a column leaves
+    the singular values unchanged, so the denoiser's sign convention does
+    not move the selected rank.
     """
-    if y1.n != y2.n:
-        raise InputError("datasets have different sample counts")
+    if x1.n != x2.n:
+        raise InputError("signal estimates have different sample counts")
+    r1, r2 = x1.rank, x2.rank
     if min(r1, r2) < 1:
         raise InputError("mdl_select_r12 requires r1, r2 >= 1")
-    n = y1.n
-    v1, v2 = y1.factors(r1)[3], y2.factors(r2)[3]
-    s = svd(v1.T @ v2, compute_uv=False)
+    n = x1.n
+    s = svd(x1.right_vectors.T @ x2.right_vectors, compute_uv=False)
     s2 = np.minimum(s**2, 1.0 - 1e-12)  # guard against coincident subspaces
     rmax = min(r1, r2)
     crit = [
@@ -511,7 +519,7 @@ def mdl_select_r12(
 
 def select_ranks(
     y1: ObservedMatrix, y2: ObservedMatrix
-) -> tuple[RankProfile, SignalEstimate, SignalEstimate, bool]:
+) -> tuple[RankProfile, SignalEstimate, SignalEstimate]:
     """Select the ranks and denoise both datasets.
 
     One step per dataset selects its rank ``r_k`` by ``ed_select_rank``
@@ -521,9 +529,9 @@ def select_ranks(
     free).  A failed step's error is raised once neither runs, dataset
     1's when both fail.  The shared rank is then selected by
     ``mdl_select_r12`` when both ranks are nonzero and the correlation
-    screen at level 0.05 finds a correlated pair, and is 0 otherwise.
-    Returns the ranks, the two signal estimates at ``r1`` and ``r2``, and
-    the screen result.
+    screen at level 0.05 finds a correlated pair, and is 0 otherwise, so
+    the screen passed exactly when ``r12 > 0``.  Returns the ranks and the
+    two signal estimates at ``r1`` and ``r2``.
 
     Each dataset forms its short-side Gram matrix once and keeps it
     (``ObservedMatrix.gram``).  ED reads all its singular values from one
@@ -535,9 +543,9 @@ def select_ranks(
     smaller than ``18 (r + 3)``, from ED's reduction (bisection, inverse
     iteration and one back-transform).  The tail energy
     ``sum_{l>r} s_l**2`` is the trace minus the top ``r`` eigenvalues.  It
-    refines the top-r vectors of both sides, which MDL then reads
-    (``ObservedMatrix.factors``); a fixed-rank fit makes the same top-r
-    solve without the reduction for ED.  When the kept energy ``s_r**2`` or
+    refines the top-r vectors of both sides (``ObservedMatrix.factors``),
+    which MDL then reads from the estimates; a fixed-rank fit makes the
+    same top-r solve without the reduction for ED.  When the kept energy ``s_r**2`` or
     the tail energy is within ``1e3 * m * eps * s_0**2`` of zero, where the
     Gram route cannot resolve it, the spectrum of that dataset is taken
     once more, from the triangular factor of its thin QR, before the same
@@ -549,62 +557,35 @@ def select_ranks(
     x1, x2 = map_shared(lambda y: soft_threshold_denoise(y, ed_select_rank(y)), (y1, y2))
     r1, r2 = x1.rank, x2.rank
     screen = min(r1, r2) >= 1 and correlation_screen(x1, x2)
-    r12 = mdl_select_r12(y1, y2, r1, r2) if screen else 0
-    return RankProfile(r1=r1, r2=r2, r12=r12), x1, x2, screen
+    r12 = mdl_select_r12(x1, x2) if screen else 0
+    return RankProfile(r1=r1, r2=r2, r12=r12), x1, x2
 
 
-def compute_diagnostics(
-    x1: SignalEstimate,
-    x2: SignalEstimate,
-    noise_root_traces: tuple[float, float],
-) -> Diagnostics:
+def compute_diagnostics(x1: SignalEstimate, x2: SignalEstimate) -> Diagnostics:
     """Signal-to-noise ratios and the clamped rate quantity.
 
     ``snr_k`` is the signal covariance trace over the noise covariance
     trace estimate, formed as the square of the ratio of their roots
-    (``SignalEstimate.root_trace`` over ``noise_root_trace``), whose scales
-    cancel before anything is squared, so that data at 1e-160, whose
-    traces are subnormal, gives the same ratios.  The noise root is
-    floored at ``1e-6`` times the signal root so that the ratio does not
-    depend on the scale of the data (0 for a zero signal); the rate
-    quantity is ``min(1/sqrt(n) + sum_k sqrt(log(p_k) / (n * snr_k)), 1)``.
+    (``SignalEstimate.root_trace`` over ``SignalEstimate.noise_root_trace``),
+    whose scales cancel before anything is squared, so that data at
+    1e-160, whose traces are subnormal, gives the same ratios.  The noise
+    root is floored at ``1e-6`` times the signal root so that the ratio
+    does not depend on the scale of the data (0 for a zero signal); the
+    rate quantity is ``min(1/sqrt(n) + sum_k sqrt(log(p_k) / (n * snr_k)), 1)``.
     """
     n = x1.n
     snr = []
-    for x, root_noise in zip((x1, x2), noise_root_traces):
+    for x in (x1, x2):
         root_signal = x.root_trace
-        snr.append((root_signal / max(root_noise, 1e-6 * root_signal)) ** 2 if root_signal > 0 else 0.0)
+        snr.append((root_signal / max(x.noise_root_trace, 1e-6 * root_signal)) ** 2 if root_signal > 0 else 0.0)
     delta = 1.0 / np.sqrt(n)
     for x, s in zip((x1, x2), snr):
         delta += np.sqrt(np.log(x.p) / (n * max(s, 1e-300)))
     return Diagnostics(snr=(snr[0], snr[1]), delta_theta=float(min(delta, 1.0)))
 
 
-def _noise_energy(y: ObservedMatrix, xhat: SignalEstimate) -> tuple[float, float]:
-    """``(s_0, e)`` with ``s_0`` the largest singular value of ``y`` and
-    ``s_0**2 * e`` the noise covariance trace ``||Y - xhat||_F^2 / n``.
-
-    ``xhat`` is ``y``'s own soft-threshold estimate, so the residual
-    norm has the closed form ``sum_{l>r} s_l^2 + sum_{l<=r} (s_l -
-    s_soft,l)^2``, formed relative to the largest value; ``y.factors``
-    gives the top ``r`` singular values and the residual norm
-    ``sqrt(sum_{l>r} s_l^2)``, as it gave them to the denoiser.
-    """
-    r = xhat.rank
-    s, residual, _, _ = y.factors(r)
-    s0, t = _relative(np.append(s, residual))
-    t_soft = xhat.soft_singular_values / s0 if s0 > 0 else xhat.soft_singular_values
-    return s0, float(t[r] ** 2 + np.sum((t[:r] - t_soft) ** 2)) / y.n
-
-
-def noise_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:
-    """Residual-based noise covariance trace estimate ``||Y - xhat||_F^2 / n``."""
-    return _squared(*_noise_energy(y, xhat))
-
-
-def noise_root_trace(y: ObservedMatrix, xhat: SignalEstimate) -> float:
-    """``sqrt(noise_trace(y, xhat))``, formed relative to the largest
-    singular value and scaled once, so that no step squares a value that
-    may be subnormal; ``compute_diagnostics`` reads it."""
-    s0, energy = _noise_energy(y, xhat)
-    return s0 * math.sqrt(energy)
+def noise_trace(xhat: SignalEstimate) -> float:
+    """The noise covariance trace estimate ``||Y - xhat||_F^2 / n``, the
+    square of ``xhat.noise_root_trace``; raises ``NumericalError`` when the
+    square overflows."""
+    return _squared(xhat.noise_root_trace, 1.0)

@@ -91,7 +91,8 @@ def read_matrix_binary(path) -> np.ndarray:
 
 def _parse_text(path) -> np.ndarray:
     with _reading(path) as fh:
-        text = fh.read().decode(errors="replace")  # junk bytes fail as unparsable text
+        # a leading byte-order mark is dropped; junk bytes fail as unparsable text
+        text = fh.read().decode("utf-8-sig", errors="replace")
     lines = [ln for ln in text.splitlines()]
     rows: list[list[float]] = []
     delim = None

@@ -23,7 +23,6 @@ from ._worker import map_shared
 from .align import (
     PermutationPlan,
     SignChoice,
-    as_permutation,
     build_match_problem,
     choose_sign,
     dspfp_match,
@@ -45,7 +44,6 @@ from .denoise import (
     SignalEstimate,
     center_rows,
     compute_diagnostics,
-    noise_root_trace,
     select_ranks,
     soft_threshold_denoise,
 )
@@ -249,7 +247,6 @@ def population_cdpa(
     v2: np.ndarray,
     lam2: np.ndarray,
     z_cross: np.ndarray,
-    permutation: np.ndarray | None = None,
 ) -> PopulationPatterns:
     """Analytic decomposition for a known factor model.
 
@@ -270,15 +267,10 @@ def population_cdpa(
     b1 = (v1 * np.sqrt(lam1)) @ u1[:, :r12]
     b2 = (v2 * np.sqrt(lam2)) @ u2[:, :r12]
     pmax = max(b1.shape[0], b2.shape[0])
-    perm = (
-        identity_permutation(pmax)
-        if permutation is None
-        else as_permutation(permutation, pmax)
-    )
     bases = tuple(pad_rows(orthonormal_basis(b), pmax) for b in (b1, b2))
     scales = (float(np.sqrt(np.sum(lam1))), float(np.sqrt(np.sum(lam2))))
-    padded = (pad_rows(b1, pmax), pad_rows(b2, pmax)[perm])
-    b_c = common_loadings(principal_angles(*bases, perm), *padded, scales)[0]
+    padded = (pad_rows(b1, pmax), pad_rows(b2, pmax))
+    b_c = common_loadings(principal_angles(*bases, identity_permutation(pmax)), *padded, scales)[0]
     a = common_factor_coefficients(rho)
     var_c0 = a**2 * (2.0 + 2.0 * rho)  # factor scores are uncorrelated across pairs
     contributions = var_c0 * np.sum(b_c**2, axis=0)
@@ -444,12 +436,12 @@ def estimate_cdpa(
         y1, y2 = center_rows(y1), center_rows(y2)
 
     if config.ranks is None:
-        ranks, x1, x2, _ = select_ranks(y1, y2)
+        ranks, x1, x2 = select_ranks(y1, y2)
     else:
         ranks = config.ranks
         x1, x2 = soft_threshold_denoise(y1, ranks.r1), soft_threshold_denoise(y2, ranks.r2)
 
-    diagnostics = compute_diagnostics(x1, x2, (noise_root_trace(y1, x1), noise_root_trace(y2, x2)))
+    diagnostics = compute_diagnostics(x1, x2)
     system = canonical_system(x1, x2, ranks.r12) if ranks.r12 else None
     patterns, pair, sign, sign_choice = assemble_patterns(
         x1, x2, system, config.perm, config.sign

@@ -40,9 +40,13 @@ def orthonormal_basis(channel: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    InputError
+        If the channel is empty or has a non-finite entry.
     ChannelRankDeficient
         If the channel's smallest singular value is negligible.
     """
+    if channel.size == 0 or not np.all(np.isfinite(channel)):
+        raise InputError(f"channel of shape {channel.shape} must be nonempty and finite")
     u, s, _ = svd(channel)
     if s[-1] <= 1e-10 * s[0]:
         raise ChannelRankDeficient(

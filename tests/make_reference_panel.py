@@ -123,7 +123,7 @@ def summarize(case: dict) -> dict:
     y1, y2, config = _inputs(case)
     if config.center:
         y1, y2 = center_rows(y1), center_rows(y2)
-    discrete = {"screen": select_ranks(y1, y2)[3] if config.ranks is None else None}
+    discrete = {"screen": select_ranks(y1, y2)[0].r12 > 0 if config.ranks is None else None}
     try:
         fit = estimate_cdpa(y1, y2, config)
     except CdpaError as exc:

@@ -26,6 +26,7 @@ from cdpa import (
     mdl_select_r12,
     oracle_explained_variance,
     population_cdpa,
+    soft_threshold_denoise,
 )
 from cdpa._linalg import random_orthonormal
 from cdpa.align import _all_permutations
@@ -337,7 +338,7 @@ def test_criterion_6_rank_selection():
                 seed=30_000 + i,
             )
             y1, y2, _ = generate_setup(cfg)
-            hits += mdl_select_r12(y1, y2, 5, 5) == want
+            hits += mdl_select_r12(soft_threshold_denoise(y1, 5), soft_threshold_denoise(y2, 5)) == want
         mdl_rates[theta] = hits
         assert hits >= 90, f"shared-rank selector at {theta} deg: {hits}/100"
     print(

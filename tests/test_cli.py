@@ -636,6 +636,26 @@ def test_match_rejects_directory_out_before_aligning(tmp_path, capsys, monkeypat
     assert code == 2 and out == "" and f"error: {tmp_path}: cannot write" in err, err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [lambda q: np.where(q == q[2, 1], np.inf, q), lambda q: np.where(q == q[2, 1], np.nan, q),
+     lambda q: np.zeros((30, 0)), lambda q: np.zeros((0, 40))],
+    ids=["inf", "nan", "no-columns", "no-rows"],
+)
+def test_match_rejects_empty_or_non_finite_channels(tmp_path, capsys, bad):
+    # a channel that no fit could produce is bad input: exit 2, naming its
+    # shape, before any plan is written
+    b1 = bad(random_orthonormal(np.random.default_rng(6), 8, 3))
+    write_matrix_binary(tmp_path / "b1.cdpm", b1)
+    write_matrix_binary(tmp_path / "b2.cdpm", b1 if b1.size == 0 else np.ones((8, 3)))
+    plan = tmp_path / "plan.json"
+    argv = ["match", str(tmp_path / "b1.cdpm"), str(tmp_path / "b2.cdpm"), "--out", str(plan)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == "", err
+    assert f"error: channel of shape {b1.shape}" in err and "Traceback" not in err, err
+    assert not plan.exists()
+
+
 @pytest.mark.parametrize("parent", ["nodir", "b1.cdpm"])
 def test_match_rejects_out_without_parent_directory_before_aligning(tmp_path, capsys, monkeypatch, parent):
     import cdpa.cli

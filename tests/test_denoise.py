@@ -30,7 +30,6 @@ from cdpa import (
     estimate_cdpa,
     generate_setup,
     mdl_select_r12,
-    noise_root_trace,
     noise_trace,
     select_ranks,
     soft_threshold_denoise,
@@ -453,8 +452,8 @@ def test_screen_critical_value_is_norm_isf_bit_for_bit(p1, p2):
 def test_mdl_identical_datasets():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 120))
-    y = ObservedMatrix(x)
-    assert mdl_select_r12(y, ObservedMatrix(x.copy()), 4, 4) == 4
+    x1, x2 = estimates_from(x, x.copy(), 4, 4)
+    assert mdl_select_r12(x1, x2) == 4
 
 
 @pytest.mark.parametrize("theta,want", [(15.0, 5), (60.0, 4), (75.0, 3)])
@@ -465,7 +464,7 @@ def test_mdl_benchmark_recovery(theta, want):
             setup=1, theta_deg=theta, p1=300, n=1000, noise_var=1.0, seed=10_000 + i
         )
         y1, y2, _ = generate_setup(cfg)
-        hits += mdl_select_r12(y1, y2, 5, 5) == want
+        hits += mdl_select_r12(soft_threshold_denoise(y1, 5), soft_threshold_denoise(y2, 5)) == want
     assert hits >= 27  # >= 90 percent of seeds
 
 
@@ -475,8 +474,8 @@ def test_mdl_benchmark_recovery(theta, want):
 def test_diagnostics_noiseless_limit():
     rng = np.random.default_rng(16)
     x1, x2, _ = exact_signal_pair(rng, 40, 40, [5, 4, 3], [0.9, 0.5, 0.2], 100)
-    e1, e2 = estimates_from(x1, x2, 3, 3)
-    diag = compute_diagnostics(e1, e2, (np.sqrt(1e-15), np.sqrt(1e-15)))
+    e1, e2 = (replace(e, noise_root_trace=np.sqrt(1e-15)) for e in estimates_from(x1, x2, 3, 3))
+    diag = compute_diagnostics(e1, e2)
     assert diag.snr[0] > 1e10
     np.testing.assert_allclose(diag.delta_theta, 1 / np.sqrt(100), rtol=1e-4)
 
@@ -488,8 +487,7 @@ def test_diagnostics_do_not_depend_on_scale():
     diags = []
     for scale in (1.0, 1e-8, 1e-158, 1e-160):
         ys = [ObservedMatrix(scale * y.values) for y in (y1, y2)]
-        xs = [soft_threshold_denoise(y, 5) for y in ys]
-        diags.append(compute_diagnostics(*xs, tuple(noise_root_trace(y, x) for y, x in zip(ys, xs))))
+        diags.append(compute_diagnostics(*(soft_threshold_denoise(y, 5) for y in ys)))
     for diag in diags[1:]:
         np.testing.assert_allclose(diag.snr, diags[0].snr, rtol=1e-10)
         np.testing.assert_allclose(diag.delta_theta, diags[0].delta_theta, rtol=1e-10)
@@ -505,7 +503,9 @@ def test_diagnostics_formula_value():
     e1, e2 = estimates_from(x1, x2, 5, 5)
     tr1 = np.sum(e1.soft_singular_values**2) / 300
     tr2 = np.sum(e2.soft_singular_values**2) / 300
-    diag = compute_diagnostics(e1, e2, (np.sqrt(tr1 / 5.0), np.sqrt(tr2 / 5.0)))
+    diag = compute_diagnostics(
+        replace(e1, noise_root_trace=np.sqrt(tr1 / 5.0)), replace(e2, noise_root_trace=np.sqrt(tr2 / 5.0))
+    )
     expected = 1 / np.sqrt(300) + 2 * np.sqrt(np.log(300) / (300 * 5.0))
     np.testing.assert_allclose(diag.delta_theta, expected, rtol=1e-12)
     np.testing.assert_allclose(expected, 0.181064, atol=5e-7)
@@ -515,8 +515,8 @@ def test_diagnostics_formula_value():
 def test_diagnostics_clamped_at_one():
     rng = np.random.default_rng(18)
     x1, x2, _ = exact_signal_pair(rng, 50, 50, [5.0, 2.0], [0.5, 0.1], 40)
-    e1, e2 = estimates_from(x1, x2, 2, 2)
-    diag = compute_diagnostics(e1, e2, (np.sqrt(1e9), np.sqrt(1e9)))
+    e1, e2 = (replace(e, noise_root_trace=np.sqrt(1e9)) for e in estimates_from(x1, x2, 2, 2))
+    diag = compute_diagnostics(e1, e2)
     assert diag.delta_theta == 1.0
 
 
@@ -525,8 +525,8 @@ def test_noise_trace_residual():
     y = ObservedMatrix(rng.standard_normal((30, 70)))
     est = soft_threshold_denoise(y, 2)
     want = np.sum((y.values - est.xhat) ** 2) / 70
-    np.testing.assert_allclose(noise_trace(y, est), want, rtol=1e-12)
-    np.testing.assert_allclose(noise_root_trace(y, est), np.sqrt(want), rtol=1e-12)
+    np.testing.assert_allclose(noise_trace(est), want, rtol=1e-12)
+    np.testing.assert_allclose(est.noise_root_trace, np.sqrt(want), rtol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(300, 120), (120, 300)])
@@ -536,7 +536,7 @@ def test_noise_trace_closed_form_matches_residual(shape, r):
     y = ObservedMatrix(rng.standard_normal(shape) + 5.0 * rng.standard_normal((shape[0], 1)))
     est = soft_threshold_denoise(y, r)
     np.testing.assert_allclose(
-        noise_trace(y, est), np.sum((y.values - est.xhat) ** 2) / shape[1], rtol=1e-12
+        noise_trace(est), np.sum((y.values - est.xhat) ** 2) / shape[1], rtol=1e-12
     )
 
 
@@ -684,7 +684,7 @@ def test_gram_fallback_constant_rows(monkeypatch):
     assert shapes["svd"] == [(30, 30), (1, 1), (20, 20), (1, 1)]
     for x, y in ((x1, y1), (x2, y2)):
         assert np.linalg.norm(x.xhat - y.values) <= 1e-12 * np.linalg.norm(y.values)
-        assert noise_trace(y, x) <= 1e-24 * np.sum(y.values**2)
+        assert noise_trace(x) <= 1e-24 * np.sum(y.values**2)
     # centred, every row is zero up to round-off: the fit is finite
     fit = estimate_cdpa(y1, y2)
     assert all(np.all(np.isfinite(m)) for m in (fit.patterns.c, *fit.patterns.delta))
@@ -706,7 +706,7 @@ def test_gram_fallback_above_the_true_rank(shape):
     energy = np.sum(x**2)
     assert np.linalg.norm(est.xhat - x) <= 1e-12 * np.linalg.norm(x)
     assert est.tau <= 1e-24 * energy
-    assert noise_trace(y, est) <= 1e-24 * energy
+    assert noise_trace(est) <= 1e-24 * energy
 
 
 def test_gram_factorizations_run_concurrently(monkeypatch):
@@ -726,7 +726,6 @@ def test_gram_factorizations_run_concurrently(monkeypatch):
         factors = list(pool.map(lambda y: y.factors(2), ys))
     for y, (s, *_) in zip(ys, factors):
         np.testing.assert_allclose(s, np.linalg.svd(y.values, compute_uv=False)[:2], rtol=1e-10)
-        assert y.factors(2)[0] is s
 
 
 def test_gram_route_refines_vectors_near_the_resolution_floor():
@@ -752,8 +751,8 @@ def test_gram_zero_matrix():
     y = ObservedMatrix(np.zeros((8, 30)))
     est = soft_threshold_denoise(y, 1)
     assert est.tau == 0.0 and not np.any(est.xhat)
-    assert noise_trace(y, est) == 0.0
-    assert noise_trace(y, soft_threshold_denoise(y, 0)) == 0.0
+    assert noise_trace(est) == 0.0
+    assert noise_trace(soft_threshold_denoise(y, 0)) == 0.0
 
 
 # ------------------------------------------------- filtered top-r iteration
@@ -888,3 +887,21 @@ def test_select_ranks_raises_an_overflowing_dataset_s_numerical_error(scales, ra
     # it overflows, which is a NumericalError naming the value
     with pytest.raises(NumericalError, match=raised):
         select_ranks(*_scaled_pair(scales))
+
+
+@pytest.mark.parametrize("ranks, perm", [(None, "identity"), (RankProfile(5, 5, 3), "dspfp")])
+def test_fit_factors_each_dataset_once(monkeypatch, ranks, perm):
+    # after the denoiser the fit reads only the two signal estimates: the
+    # shared rank, the diagnostics and the assembly factor nothing again
+    calls = []
+    real = ObservedMatrix.factors
+
+    def counted(self, r):
+        calls.append(id(self))
+        return real(self, r)
+
+    monkeypatch.setattr(ObservedMatrix, "factors", counted)
+    y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=30.0, p1=100, n=200, seed=3))
+    fit = estimate_cdpa(y1, y2, CdpaConfig(ranks=ranks, perm=perm))
+    assert fit.ranks.r12 >= 1 and fit.permutation.method == ("identity" if ranks is None else "dspfp")
+    assert len(calls) == 2 and len(set(calls)) == 2

@@ -104,6 +104,22 @@ def test_csv_header_and_row_names(tmp_path):
     np.testing.assert_allclose(read_matrix(path), [[1, 2.5, 3], [-4, 5, 0.6]])
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1,2,3\n4,5,6\n", "s1,s2,s3\n1,2,3\n4,5,6\n", "a,1,2,3\nb,4,5,6\n", "name,s1,s2,s3\na,1,2,3\nb,4,5,6\n"],
+    ids=["neither", "header", "row-names", "both"],
+)
+def test_csv_byte_order_mark_is_dropped(tmp_path, text):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark, which
+    # must not turn the first field into a row name
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    np.testing.assert_array_equal(read_matrix(marked), read_matrix(plain))
+    np.testing.assert_array_equal(read_matrix(marked), [[1, 2, 3], [4, 5, 6]])
+
+
 def test_tsv(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("s1\ts2\n1\t2\n3\t4\n")
