@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NumericalError
 
@@ -39,7 +38,10 @@ def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
 
 def _lapack(name: str, *args, **kwargs):
     """Call scipy's LAPACK wrapper ``name`` and return its outputs but the
-    trailing ``info``; a nonzero ``info`` is raised as ``NumericalError``."""
+    trailing ``info``; a nonzero ``info`` is raised as ``NumericalError``.
+    ``scipy.linalg`` loads on the first call, not with the package."""
+    from scipy.linalg import lapack
+
     *out, info = getattr(lapack, name)(*args, **kwargs)
     if info > 0:
         raise NumericalError(f"LAPACK {name} did not converge (info={info})")

@@ -17,9 +17,9 @@ degrees or more (``SimulationConfig.theta_deg``), it can prefer a
 non-planted plan even on noiseless bases, and no solver closes that gap.
 
 The ascent's linear assignments use scipy's ``linear_sum_assignment``,
-a module attribute that imports ``scipy.optimize`` when first read, so
-``import cdpa`` does not pay for it and fits that never align rows
-never load it.
+a module attribute that imports ``scipy.optimize`` when first read.  As
+``import cdpa`` loads no scipy at all, fits that never align rows never
+load ``scipy.optimize``.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._linalg import (
     filtered_top,
@@ -450,7 +449,10 @@ def correlation_screen(x1: SignalEstimate, x2: SignalEstimate) -> bool:
 
 def _screen_critical_z(pairs: int) -> float:
     """The two-sided Bonferroni critical value over ``pairs`` tests,
-    ``scipy.stats.norm.isf(q)``, which scipy defines as ``-ndtri(q)``."""
+    ``scipy.stats.norm.isf(q)``, which scipy defines as ``-ndtri(q)``;
+    ``scipy.special`` loads on the first call, not with the package."""
+    from scipy.special import ndtri
+
     return -ndtri(_SCREEN_ALPHA / (2.0 * pairs))
 
 

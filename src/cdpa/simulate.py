@@ -245,8 +245,10 @@ def generate_setup(
     root = np.sqrt(EIGENVALUES)[:, None]
     x1 = structure.v1 @ (root * z1)
     x2 = structure.v2 @ (root * z2)
-    e1 = rng.normal(0.0, np.sqrt(config.noise_var), size=x1.shape)
-    e2 = rng.normal(0.0, np.sqrt(config.noise_var), size=x2.shape)
+    y1, y2 = rng.standard_normal(x1.shape), rng.standard_normal(x2.shape)
+    for y, x in ((y1, x1), (y2, x2)):  # x + rng.normal(0, sd)'s bits, in place
+        y *= np.sqrt(config.noise_var)
+        y += x
 
     a = common_factor_coefficients(rho[:r12])
     c0_true = a[:, None] * (z1[:r12] + z2[:r12])
@@ -260,8 +262,8 @@ def generate_setup(
         population=structure.population,
     )
     return (
-        ObservedMatrix(x1 + e1),
-        ObservedMatrix(x2 + e2),
+        ObservedMatrix(y1),
+        ObservedMatrix(y2),
         truth,
     )
 
