@@ -36,63 +36,14 @@ def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
         raise NumericalError(f"SVD of a {a.shape} matrix failed: {exc}") from exc
 
 
-def _lapack(name: str, *args, **kwargs):
-    """Call scipy's LAPACK wrapper ``name`` and return its outputs but the
-    trailing ``info``; a nonzero ``info`` is raised as ``NumericalError``.
-    ``scipy.linalg`` loads on the first call, not with the package."""
-    from scipy.linalg import lapack
-
-    *out, info = getattr(lapack, name)(*args, **kwargs)
-    if info > 0:
-        raise NumericalError(f"LAPACK {name} did not converge (info={info})")
-    if info < 0:
-        raise NumericalError(f"LAPACK {name} rejected argument {-info}")
-    return out[0] if len(out) == 1 else out
-
-
-def tridiagonalize(a: np.ndarray):
-    """Householder reduction ``a = Q T Q.T`` of the symmetric ``a`` (one
-    triangle is read) by LAPACK ``dsytrd`` with the optimal workspace, done
-    in place when ``a`` is C- or Fortran-contiguous: ``(c, d, e, tau)``, the
-    diagonal ``d`` and subdiagonal ``e`` of ``T``, and the reflectors of
-    ``Q`` stored below the subdiagonal of ``c`` with their factors ``tau``.
-    """
-    m = a.shape[0]
-    lwork = int(_lapack("dsytrd_lwork", m, lower=1))
-    # a symmetric C-ordered matrix is its own transpose, which is Fortran-ordered
-    return _lapack("dsytrd", a.T if a.flags.c_contiguous else a, lower=1, lwork=lwork, overwrite_a=1)
-
-
-def tridiagonal_eigvalsh(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """All eigenvalues of the symmetric tridiagonal matrix with diagonal ``d``
-    and subdiagonal ``e``, in ascending order, by LAPACK ``dsterf``; a 1 x 1
-    matrix, whose empty ``e`` scipy's wrapper rejects, is its own eigenvalue."""
-    return d.copy() if d.size == 1 else _lapack("dsterf", d, e)
-
-
-def tridiagonal_top(c: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray, r: int):
-    """The ``r`` largest eigenvalues, descending, and their eigenvectors as
-    columns, of the matrix that ``tridiagonalize`` returned as ``(c, d, e,
-    tau)``.  Bisection (``dstebz``) finds the eigenvalues of ``T``, inverse
-    iteration (``dstein``) their vectors, and one ``dormqr`` applies ``Q``
-    to them; no other eigenpair is computed.
-    """
-    m = d.size
-    if r == 0:
-        return np.zeros(0), np.zeros((m, 0))
-    tiny = 2.0 * np.finfo(np.float64).tiny  # bisect to full relative accuracy
-    k, w, iblock, isplit = _lapack("dstebz", d, e, 2, 0.0, 0.0, m - r + 1, m, tiny, "B")
-    w = w[:k]
-    z = _lapack("dstein", d, e, w, iblock, isplit)
-    if m > 1:
-        # H(i) leaves row 0 alone; its reflector fills c[i + 1:, i], so the
-        # (m - 1)-row reflector block starts one element into c's buffer
-        c = np.asfortranarray(c)
-        block = np.ndarray((m, m - 1), buffer=c, offset=c.itemsize, order="F")
-        lwork = int(_lapack("dormqr", "L", "N", block, tau, z[1:], -1)[1][0])
-        z[1:] = _lapack("dormqr", "L", "N", block, tau, z[1:], lwork)[0]
-    order = np.argsort(-w, kind="stable")  # dstebz orders by split block
-    return w[order], z[:, order]
+def eigh(g: np.ndarray, values_only: bool = False):
+    """``np.linalg.eigh`` of the symmetric ``g``, or ``np.linalg.eigvalsh``
+    when ``values_only``, with a failure to converge raised as
+    ``NumericalError``."""
+    try:
+        return np.linalg.eigvalsh(g) if values_only else np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolve of a {g.shape} matrix failed: {exc}") from exc
 
 
 _EPS = np.finfo(np.float64).eps
@@ -140,16 +91,17 @@ def filtered_top(g: np.ndarray, r: int):
       smaller pairs.  Converged pairs that fail it are returned as None at
       once, since further rounds would not change it.
 
-    The budget is the flops of the tridiagonal reduction that the
-    iteration replaces, ``4/3 m**3``.  A round takes four products of ``2
-    m**2 b`` flops, so ``m // (6 b)`` rounds fit in it, and the iteration
-    gives up after them.  When fewer than three rounds fit, that is when
-    ``m < 18 b``, it is not tried.  It also gives up when at most ``r``
-    Ritz values of the block exceed the round-off of ``g``: there is no
-    resolved gap below the kept pairs to filter across (a zero, rank-1 or
-    exactly low-rank ``g``).  A None thus costs at most one reduction's
-    flops, spent in matrix products, which run faster than the
-    reduction's.
+    The budget is the cost of the dense ``eigh`` of ``g`` that reads the
+    pairs when the iteration declines: about twice that of a tridiagonal
+    reduction (``4/3 m**3`` flops) at m = 100 to 400, so ``8/3 m**3``.  A
+    round takes four products of ``2 m**2 b`` flops, so ``m // (3 b)``
+    rounds fit in it, and the iteration gives up after them.  When fewer
+    than three rounds fit, that is when ``m < 9 b``, it is not tried.  It
+    also gives up when at most ``r`` Ritz values of the block exceed the
+    round-off of ``g``: there is no resolved gap below the kept pairs to
+    filter across (a zero, rank-1 or exactly low-rank ``g``).  A None thus
+    costs at most the fallback's flops, spent in matrix products, which
+    run faster than the eigensolver's.
 
     Raises ``NumericalError`` when the QR or the Ritz eigensolve fails.
     """
@@ -157,7 +109,7 @@ def filtered_top(g: np.ndarray, r: int):
     if r == 0:
         return np.zeros(0), np.zeros((m, 0))
     b = r + 3
-    rounds = m // (6 * b)
+    rounds = m // (3 * b)
     if rounds < 3:
         return None
     idx = np.argsort(-np.diagonal(g), kind="stable")[: 2 * b]
@@ -198,11 +150,8 @@ def filtered_top(g: np.ndarray, r: int):
 
 def _ritz(h: np.ndarray):
     """Eigenvalues, descending, and eigenvectors of the symmetric part of the
-    small ``h``, with a failed eigensolve raised as ``NumericalError``."""
-    try:
-        theta, s = np.linalg.eigh((h + h.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Ritz eigensolve of a {h.shape} matrix failed: {exc}") from exc
+    small ``h``."""
+    theta, s = eigh((h + h.T) / 2.0)
     return theta[::-1], s[:, ::-1]
 
 

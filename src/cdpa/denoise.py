@@ -6,34 +6,29 @@ a noise-calibrated constant, the per-dataset signal ranks are selected
 from eigenvalue gaps, and the shared rank is selected by a penalized
 log-likelihood criterion over the affinity of the right singular
 subspaces.  Each dataset's short-side Gram matrix is formed once and
-kept.  Rank selection reads all its eigenvalues from one tridiagonal
-reduction of a copy.  Each rank takes only its top-r eigenpairs, from a
-certified Chebyshev-filtered subspace iteration that spends at most the
-flops of that reduction, or from a reduction when the iteration cannot
-certify them or the Gram is too small for it; the tail energy is the
-trace minus their sum.  For ranks that the Gram spectrum cannot
-resolve, the spectrum comes from the SVD of the triangular factor of a
-thin QR instead, and one Rayleigh-Ritz step gives the vectors either
-way.  The correlation screen scores the cross-dataset pairs a block of
-rows at a time and stops at the first block that decides it.
+kept.  Rank selection reads all its eigenvalues from one values-only
+eigensolve (``np.linalg.eigvalsh``).  Each rank takes only its top-r
+eigenpairs, from a certified Chebyshev-filtered subspace iteration that
+spends at most the flops of a dense eigensolve, or from a dense ``eigh``
+when the iteration cannot certify them or the Gram is too small for it;
+the tail energy is the trace minus their sum.  For ranks that the Gram
+spectrum cannot resolve, the spectrum comes from the SVD of the
+triangular factor of a thin QR instead, and one Rayleigh-Ritz step gives
+the vectors either way.  The correlation screen scores the cross-dataset
+pairs a block of rows at a time and stops at the first block that
+decides it.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (
-    filtered_top,
-    fix_signs,
-    svd,
-    tridiagonal_eigvalsh,
-    tridiagonal_top,
-    tridiagonalize,
-)
+from ._linalg import eigh, filtered_top, fix_signs, svd
 from ._worker import map_shared
 from .errors import (
     DegenerateThreshold,
@@ -118,8 +113,8 @@ class ObservedMatrix:
         values and scaled by ``4**-k`` after, which rounds bit for bit as
         the scaled product does (scaling by a power of two commutes with
         rounding wherever no product is subnormal) without a scaled copy
-        of the data.  Formed once and kept: the top-r solves read it, and
-        the tridiagonal reductions work on copies of it.
+        of the data.  Formed once and kept: the top-r solves and the
+        eigensolvers read it.
         """
         if "gram" not in self._cache:
             k = self._exponent
@@ -130,14 +125,12 @@ class ObservedMatrix:
 
     @property
     def spectrum(self) -> np.ndarray:
-        """All min(n, p) singular values in descending order, from a
-        tridiagonal reduction of a copy of ``gram`` (``tridiagonalize``) read
-        by ``dsterf`` (values only), negative eigenvalues clamped to zero.
-        Only rank selection (``ed_select_rank``) reads it.  The reduction
-        is kept until the first top-r read (``_top``)."""
+        """All min(n, p) singular values in descending order, from the
+        eigenvalues of ``gram`` (``np.linalg.eigvalsh``, values only),
+        negative eigenvalues clamped to zero.  Only rank selection
+        (``ed_select_rank``) reads it; the top-r solves (``_top``) do not."""
         if "spectrum" not in self._cache:
-            reduced = self._cache["reduced"] = tridiagonalize(self.gram[0].copy())
-            w = tridiagonal_eigvalsh(reduced[1], reduced[2])[::-1]
+            w = eigh(self.gram[0], values_only=True)[::-1]
             self._cache["spectrum"] = np.ldexp(np.sqrt(np.maximum(w, 0.0)), self._exponent)
         return self._cache["spectrum"]
 
@@ -147,19 +140,19 @@ class ObservedMatrix:
 
         The pairs come from the certified Chebyshev-filtered subspace
         iteration (``filtered_top``).  When it declines (``g`` smaller than
-        18 (r + 3), or no certificate within the flops of one reduction),
-        they are read from a tridiagonal reduction of a copy of ``g``
-        instead (bisection, inverse iteration and one back-transform,
-        ``tridiagonal_top``): the one ``spectrum`` kept, which the first
-        top-r read drops either way, or a fresh one.  Either way they depend
-        on ``g`` and ``r`` alone, so a rank's pairs are the same bits in
-        every call order.
+        9 (r + 3), or no certificate within the flops of a dense
+        eigensolve), they are the top ``r`` pairs of one ``np.linalg.eigh``
+        of ``g``.  Either way they depend on ``g`` and ``r`` alone, so a
+        rank's pairs are the same bits in every call order.
         """
         if ("top", r) not in self._cache:
             g, _ = self.gram
-            reduced = self._cache.pop("reduced", None)
             top = filtered_top(g, r)
-            w, q = top if top is not None else tridiagonal_top(*(reduced or tridiagonalize(g.copy())), r)
+            if top is None:
+                w, q = eigh(g)
+                # a copy, so that the cache does not keep all m vectors
+                top = w[::-1][:r], q[:, ::-1][:, :r].copy()
+            w, q = top
             self._cache["top", r] = w, q, float(np.trace(g)) - float(np.sum(w))
         return self._cache["top", r]
 
@@ -187,7 +180,7 @@ class ObservedMatrix:
 
         With ``m = Y`` (p >= n) or ``Y.T`` (p < n), the short-side vectors
         ``q_r`` are the top-``r`` eigenvectors of ``gram`` (``_top``: the
-        certified filtered iteration, or a tridiagonal reduction when it
+        certified filtered iteration, or a dense ``eigh`` when it
         declines), and the tail energy is its trace minus its top ``r``
         eigenvalues, when that resolves rank ``r``; otherwise both come
         from the SVD of the
@@ -448,12 +441,12 @@ def correlation_screen(x1: SignalEstimate, x2: SignalEstimate) -> bool:
 
 
 def _screen_critical_z(pairs: int) -> float:
-    """The two-sided Bonferroni critical value over ``pairs`` tests,
-    ``scipy.stats.norm.isf(q)``, which scipy defines as ``-ndtri(q)``;
-    ``scipy.special`` loads on the first call, not with the package."""
-    from scipy.special import ndtri
-
-    return -ndtri(_SCREEN_ALPHA / (2.0 * pairs))
+    """The two-sided Bonferroni critical value over ``pairs`` tests, the
+    standard normal quantile ``-NormalDist().inv_cdf(q)`` at ``q = 0.05 /
+    (2 pairs)``.  It is within 3 ulp of ``scipy.stats.norm.isf(q)`` at
+    the sizes tested, so the two can decide the screen differently only
+    when the largest z-score lies within those ulp of it."""
+    return -statistics.NormalDist().inv_cdf(_SCREEN_ALPHA / (2.0 * pairs))
 
 
 def _max_correlation(x1: SignalEstimate, x2: SignalEstimate) -> float:
@@ -537,17 +530,17 @@ def select_ranks(
 
     Each dataset forms its short-side Gram matrix once and keeps it
     (``ObservedMatrix.gram``).  ED reads all its singular values from one
-    tridiagonal reduction of a copy (``dsterf``, values only;
+    values-only eigensolve of it (``np.linalg.eigvalsh``;
     ``ObservedMatrix.spectrum``).  The denoiser takes the top ``r``
     eigenpairs of the selected rank from the certified Chebyshev-filtered
     subspace iteration (``filtered_top``), which spends at most the flops
-    of one reduction, or, when it cannot certify them or the Gram is
-    smaller than ``18 (r + 3)``, from ED's reduction (bisection, inverse
-    iteration and one back-transform).  The tail energy
-    ``sum_{l>r} s_l**2`` is the trace minus the top ``r`` eigenvalues.  It
-    refines the top-r vectors of both sides (``ObservedMatrix.factors``),
-    which MDL then reads from the estimates; a fixed-rank fit makes the
-    same top-r solve without the reduction for ED.  When the kept energy ``s_r**2`` or
+    of one dense eigensolve, or, when it cannot certify them or the Gram is
+    smaller than ``9 (r + 3)``, from one ``np.linalg.eigh`` of the Gram.
+    The tail energy ``sum_{l>r} s_l**2`` is the trace minus the top ``r``
+    eigenvalues.  It refines the top-r vectors of both sides
+    (``ObservedMatrix.factors``), which MDL then reads from the estimates;
+    a fixed-rank fit makes the same top-r solve without ED's eigensolve.
+    When the kept energy ``s_r**2`` or
     the tail energy is within ``1e3 * m * eps * s_0**2`` of zero, where the
     Gram route cannot resolve it, the spectrum of that dataset is taken
     once more, from the triangular factor of its thin QR, before the same

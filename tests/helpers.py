@@ -13,7 +13,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from cdpa import (
     CanonicalSystem,
@@ -136,31 +135,20 @@ def dense_match_problem(q1, q2a):
 def record_linalg(monkeypatch):
     """Record every matrix passed to a dense decomposition kernel.
 
-    Returns ``{"svd": [...], "eigh": [...], "reduce": [...], "spectrum":
-    [...], "top": [...], "iterate": [...], "gram": [...]}``: the shapes
-    passed to ``np.linalg.svd``, to any dense symmetric eigensolver
-    (``eigh`` or ``eigvalsh`` of numpy or scipy), and to the tridiagonal
-    reduction (LAPACK ``dsytrd``); the ``(m, m)`` order of each
-    values-only read of a whole reduced spectrum (``dsterf``); ``((m, m),
-    k)`` for each read of only the top ``k`` eigenpairs of a reduced
-    matrix (``dstein``) and for each top-``k`` filtered subspace iteration
-    (``filtered_top``, recorded whether or not it certifies); and the
-    shape of each Gram matrix that an ``ObservedMatrix`` forms.
+    Returns ``{"svd": [...], "eigh": [...], "spectrum": [...], "iterate":
+    [...], "gram": [...]}``: the shapes passed to ``np.linalg.svd``, to
+    ``np.linalg.eigh`` (eigenpairs: the filtered iteration's Ritz steps
+    and a declined top-r solve) and to ``np.linalg.eigvalsh`` (values
+    only: the whole spectrum that rank selection reads); ``((m, m), k)``
+    for each top-``k`` filtered subspace iteration (``filtered_top``,
+    recorded whether or not it certifies); and the shape of each Gram
+    matrix that an ``ObservedMatrix`` forms.
     """
-    shapes = {"svd": [], "eigh": [], "reduce": [], "spectrum": [], "top": [], "iterate": [], "gram": []}
-
-    def order(d):
-        return (np.size(d), np.size(d))
-
+    shapes = {"svd": [], "eigh": [], "spectrum": [], "iterate": [], "gram": []}
     kernels = [
         (np.linalg, "svd", lambda a, *_: ("svd", np.shape(a))),
         (np.linalg, "eigh", lambda a, *_: ("eigh", np.shape(a))),
-        (np.linalg, "eigvalsh", lambda a, *_: ("eigh", np.shape(a))),
-        (scipy.linalg, "eigh", lambda a, *_: ("eigh", np.shape(a))),
-        (scipy.linalg, "eigvalsh", lambda a, *_: ("eigh", np.shape(a))),
-        (scipy.linalg.lapack, "dsytrd", lambda a, *_: ("reduce", np.shape(a))),
-        (scipy.linalg.lapack, "dsterf", lambda d, *_: ("spectrum", order(d))),
-        (scipy.linalg.lapack, "dstein", lambda d, e, w, *_: ("top", (order(d), np.size(w)))),
+        (np.linalg, "eigvalsh", lambda a, *_: ("spectrum", np.shape(a))),
         (cdpa.denoise, "filtered_top", lambda g, r: ("iterate", (np.shape(g), r))),
     ]
     for module, name, entry in kernels:

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from cdpa import (
     CdpaConfig,
@@ -22,7 +21,7 @@ from cdpa import (
 )
 import cdpa.denoise
 from cdpa.cli import _perm_argument, build_parser, main
-from cdpa._linalg import random_orthonormal
+from cdpa._linalg import filtered_top, random_orthonormal
 
 from helpers import exact_signal_pair, held_worker, meet_the_worker, needs_worker, record_linalg, serial_map
 from test_reference_panel import ATOL, RTOL
@@ -111,15 +110,13 @@ def test_ranks_benchmark_files(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert (payload["r1"], payload["r2"], payload["r12"]) == (5, 5, 5)
-    # per dataset, one Gram matrix; one tridiagonal reduction, whose values
-    # alone ED reads; one certified filtered iteration for the top 5 pairs,
-    # which denoising and MDL read; no dense eigensolver above the order
-    # 2 (5 + 3) of the iteration's start, no SVD fallback
+    # per dataset, one Gram matrix; one values-only eigensolve of it, which
+    # ED reads; one certified filtered iteration for the top 5 pairs, which
+    # denoising and MDL read; no eigh above the order 2 (5 + 3) of the
+    # iteration's start, no SVD fallback
     assert shapes["gram"] == [(300, 300), (300, 300)]
-    assert shapes["reduce"] == [(300, 300), (300, 300)]
     assert shapes["spectrum"] == [(300, 300), (300, 300)]
     assert shapes["iterate"] == [((300, 300), 5), ((300, 300), 5)]
-    assert shapes["top"] == []
     assert shapes["eigh"] and all(max(s) <= 16 for s in shapes["eigh"])
     assert [s for s in shapes["svd"] if min(s) > 10] == []
 
@@ -298,32 +295,30 @@ def test_decompose_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_eigh_failure_is_a_numerical_error(bench_files, tmp_path, capsys, monkeypatch):
-    def failing(name):
-        real = getattr(scipy.linalg.lapack, name)
-
-        def run(*args, **kwargs):
-            *out, _ = real(*args, **kwargs)
-            return (*out, 1)  # LAPACK's info > 0: no convergence
-
-        return run
-
-    # the values-only read of rank selection and the top-r read of a rank
-    for name in ("dsterf", "dstein"):
-        monkeypatch.setattr(scipy.linalg.lapack, name, failing(name))
+    # auto ranks read each Gram's spectrum by eigvalsh; at m = 60 < 9 (5 + 3)
+    # fixed ranks 5 decline the filtered iteration and read the pairs from
+    # one eigh of the Gram; a failure of either is a numerical failure
     p1, p2, _ = bench_files
     y1, y2 = (ObservedMatrix(read_matrix_binary(p)) for p in (p1, p2))
-    for config in (CdpaConfig(), CdpaConfig(ranks=RankProfile(5, 5, 5))):
-        with pytest.raises(NumericalError, match="did not converge"):
-            estimate_cdpa(y1, y2, config)
-    for ranks in (["--auto-ranks"], ["--ranks", "5,5,5"]):
-        code, _, err = _run(capsys, ["decompose", p1, p2, *ranks, "--out", str(tmp_path / "x")])
-        assert code == 3
-        assert "numerical failure" in err
+    assert all(filtered_top(cdpa.center_rows(y).gram[0], 5) is None for y in (y1, y2))
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    for kernel, ranks in (("eigvalsh", None), ("eigh", RankProfile(5, 5, 5))):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, kernel, failing)
+            with pytest.raises(NumericalError, match="injected failure"):
+                estimate_cdpa(y1, y2, CdpaConfig(ranks=ranks))
+            argv = ["--auto-ranks"] if ranks is None else ["--ranks", "5,5,5"]
+            code, _, err = _run(capsys, ["decompose", p1, p2, *argv, "--out", str(tmp_path / kernel)])
+        assert code == 3, kernel
+        assert "numerical failure" in err, kernel
 
 
 @pytest.mark.parametrize("kernel", ["eigh", "qr"])
 def test_filtered_top_failure_is_a_numerical_error(tmp_path, capsys, monkeypatch, kernel):
-    # at m = 160 >= 18 (5 + 3) fixed ranks take the filtered iteration; a
+    # at m = 160 >= 9 (5 + 3) fixed ranks take the filtered iteration; a
     # failed Ritz eigensolve or QR there is a numerical failure: exit 3
     y1, y2, _ = generate_setup(SimulationConfig(setup=1, theta_deg=30.0, p1=160, n=160, seed=8))
     paths = [str(tmp_path / f"y{k}.cdpm") for k in (1, 2)]

@@ -3,6 +3,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from cdpa import (
     soft_threshold_denoise,
 )
 import cdpa.denoise
-from cdpa._linalg import filtered_top, random_orthonormal, tridiagonal_top, tridiagonalize
+from cdpa._linalg import filtered_top, random_orthonormal
 from cdpa.denoise import _max_correlation, _screen_critical_z
 
 from helpers import estimates_from, exact_signal_pair, held_worker, record_linalg
@@ -440,10 +441,14 @@ def test_screen_stops_at_the_deciding_block(monkeypatch):
 @pytest.mark.parametrize(
     "p1, p2", [(1, 1), (2, 3), (40, 55), (100, 100), (300, 300), (4000, 900), (10**5, 900)]
 )
-def test_screen_critical_value_is_norm_isf_bit_for_bit(p1, p2):
-    # the screen's test reads the critical value without importing scipy.stats
-    want = norm.isf(0.05 / (2.0 * p1 * p2))
-    assert _screen_critical_z(p1 * p2) == want
+def test_screen_critical_value_is_the_normal_quantile(p1, p2):
+    # the screen reads the critical value from the standard library, bit for
+    # bit; scipy's norm.isf differs from it by at most 3 ulp on these sizes
+    # (3 at p1 p2 = 1, 2 at 9e7, 1 at 1e4, 0 elsewhere)
+    q = 0.05 / (2.0 * p1 * p2)
+    z = _screen_critical_z(p1 * p2)
+    assert z == -NormalDist().inv_cdf(q)
+    assert abs(z - norm.isf(q)) <= 3 * np.spacing(z)
 
 
 # ------------------------------------------------------------- mdl_select_r12
@@ -567,8 +572,9 @@ def test_center_rows_overflow_is_an_input_error():
 
 
 def test_top_pairs_reduce_again_to_the_same_bits():
-    # the reflectors are dropped after a top-r read, so a later rank reduces
-    # the Gram again, and reads what a fresh matrix reads
+    # at m = 40 < 9 (r + 3) each rank declines the filtered iteration and
+    # takes its own eigh of the Gram; a later rank reads what a fresh
+    # matrix reads
     rng = np.random.default_rng(28)
     y = ObservedMatrix(rng.standard_normal((70, 40)) @ np.diag(np.linspace(1.0, 4.0, 40)))
     y.factors(2)
@@ -577,18 +583,22 @@ def test_top_pairs_reduce_again_to_the_same_bits():
 
 
 def test_top_pairs_read_the_reduction_of_rank_selection_once(monkeypatch):
-    # below 18 (r + 3) the iteration declines: the first top-r read takes
-    # ED's reduction and drops it, a later rank reduces again, and both
-    # read what a fresh matrix reads
+    # below 9 (r + 3) the iteration declines: ED's values-only eigensolve
+    # keeps no vectors, so each rank's first top-r read takes one eigh of
+    # the Gram and a repeated read takes none; every read gives what a
+    # fresh matrix gives
     rng = np.random.default_rng(28)
     y = ObservedMatrix(rng.standard_normal((70, 40)) @ np.diag(np.linspace(1.0, 4.0, 40)))
     fresh = [ObservedMatrix(y.values.copy()).factors(r) for r in (2, 4)]
     shapes = record_linalg(monkeypatch)
     y.spectrum
-    for r, want, reductions in zip((2, 4), fresh, (1, 2)):
-        for a, b in zip(y.factors(r), want):
-            np.testing.assert_array_equal(a, b)
-        assert "reduced" not in y._cache and len(shapes["reduce"]) == reductions
+    assert shapes["spectrum"] == [(40, 40)]
+    for r, want, solves in zip((2, 4), fresh, (1, 2)):
+        for _ in range(2):
+            for a, b in zip(y.factors(r), want):
+                np.testing.assert_array_equal(a, b)
+        assert shapes["eigh"] == [(40, 40)] * solves
+    assert shapes["spectrum"] == [(40, 40)]
 
 
 @pytest.mark.parametrize("shape", [(300, 120), (120, 300), (150, 150)])
@@ -649,8 +659,10 @@ def test_gram_fallback_rank_one_data(monkeypatch):
     y = ObservedMatrix(x)
     est = soft_threshold_denoise(y, 1)
     assert not y.resolves(1)  # the tail energy is round-off
+    # m = 40 >= 9 (1 + 3): the iteration takes its 8 x 8 start and declines,
+    # as one Ritz value clears the round-off; one eigh gives the pairs
     assert shapes == {
-        "svd": [(40, 40), (1, 1)], "eigh": [], "reduce": [(40, 40)], "spectrum": [], "top": [((40, 40), 1)],
+        "svd": [(40, 40), (1, 1)], "eigh": [(8, 8), (40, 40)], "spectrum": [],
         "iterate": [((40, 40), 1)], "gram": [(40, 40)],
     }
     tau, xhat = _svd_reference(x, 1)
@@ -667,8 +679,8 @@ def test_gram_fallback_exact_low_rank_wide(monkeypatch):
     y = ObservedMatrix(x)
     est = soft_threshold_denoise(y, 3)
     assert shapes == {
-        "svd": [(12, 12), (3, 3)], "eigh": [], "reduce": [(12, 12)], "spectrum": [], "top": [((12, 12), 3)],
-        "iterate": [((12, 12), 3)], "gram": [(12, 12)],
+        "svd": [(12, 12), (3, 3)], "eigh": [(12, 12)], "spectrum": [], "iterate": [((12, 12), 3)],
+        "gram": [(12, 12)],
     }
     assert est.tau <= 1e-20
     assert np.linalg.norm(est.xhat - x) <= 1e-12 * np.linalg.norm(x)
@@ -710,16 +722,17 @@ def test_gram_fallback_above_the_true_rank(shape):
 
 
 def test_gram_factorizations_run_concurrently(monkeypatch):
-    # each reduction waits for the other: a lock shared by all instances
+    # each eigensolve waits for the other: a lock shared by all instances
     # would hold the second thread back until the barrier times out
     barrier = threading.Barrier(2, timeout=5)
-    real = cdpa.denoise.tridiagonalize
+    real = cdpa.denoise.eigh
 
     def waiting(a):
         barrier.wait()
         return real(a)
 
-    monkeypatch.setattr(cdpa.denoise, "tridiagonalize", waiting)
+    # at m = 20 < 9 (2 + 3) each rank-2 read takes one eigh of the Gram
+    monkeypatch.setattr(cdpa.denoise, "eigh", waiting)
     rng = np.random.default_rng(26)
     ys = [ObservedMatrix(rng.standard_normal((30, 20))) for _ in range(2)]
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -770,7 +783,7 @@ def test_filtered_top_matches_the_reduction_on_a_gapped_spectrum():
     for y in (y1, y2, ObservedMatrix(y1.values[:, cols])):
         g, _ = y.gram
         w, q = filtered_top(g, 5)
-        want_w, want_q = tridiagonal_top(*tridiagonalize(g.copy()), 5)
+        want_w, want_q = _eigh_top(g, 5)
         np.testing.assert_allclose(w, want_w, rtol=1e-13)
         # the same vectors, up to sign
         np.testing.assert_allclose(np.abs(np.sum(q * want_q, axis=0)), 1.0, rtol=0, atol=1e-12)
@@ -788,8 +801,13 @@ def test_filtered_top_declines_when_the_start_misses_the_top_block():
     g[:100, :100] = np.diag(np.linspace(2.0, 1.1, 100))
     g[100:, 100:] = 0.1 * np.eye(200) + 10.0 * u @ u.T
     assert filtered_top(g, 5) is None
-    w, _ = tridiagonal_top(*tridiagonalize(g.copy()), 5)
-    assert w[0] == pytest.approx(10.1)
+    assert np.linalg.eigvalsh(g)[-1] == pytest.approx(10.1)
+
+
+def _eigh_top(g, r):
+    """The top ``r`` eigenpairs of ``g``, descending, from ``np.linalg.eigh``."""
+    w, q = np.linalg.eigh(g)
+    return w[::-1][:r], q[:, ::-1][:, :r]
 
 
 def _degenerate(shape, seed):
@@ -806,9 +824,9 @@ def _degenerate(shape, seed):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shape", [(300, 300), (400, 300), (300, 400)])
 def test_degenerate_inputs_fall_back_to_the_reduction(shape, monkeypatch):
-    # m = 300 is at least 18 (r + 3), so every input tries the iteration;
-    # none can be certified, and the pairs are those of the reduction, bit
-    # for bit, after at most m // (6 (r + 3)) filtered rounds
+    # m = 300 is at least 9 (r + 3), so every input tries the iteration;
+    # none can be certified, and after at most m // (3 (r + 3)) filtered
+    # rounds the pairs are those of one eigh of the Gram, bit for bit
     shapes = record_linalg(monkeypatch)
     for (name, x, r), (_, x2, _) in zip(_degenerate(shape, 30), _degenerate(shape, 31)):
         y = ObservedMatrix(x)
@@ -816,8 +834,10 @@ def test_degenerate_inputs_fall_back_to_the_reduction(shape, monkeypatch):
         shapes["eigh"].clear()
         w, q, _ = y._top(r)
         assert shapes["iterate"][-1] == ((300, 300), r), name
-        assert len(shapes["eigh"]) <= 300 // (6 * (r + 3)) + 1, name
-        want_w, want_q = tridiagonal_top(*tridiagonalize(g.copy()), r)
+        *ritz, fallback = shapes["eigh"]
+        assert fallback == (300, 300) and len(ritz) <= 300 // (3 * (r + 3)) + 1, name
+        assert all(max(s) <= 2 * (r + 3) for s in ritz), name
+        want_w, want_q = _eigh_top(g, r)
         np.testing.assert_array_equal(w, want_w)
         np.testing.assert_array_equal(q, want_q)
         try:
@@ -831,17 +851,18 @@ def test_degenerate_inputs_fall_back_to_the_reduction(shape, monkeypatch):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shape", [(300, 300), (400, 300), (300, 400)])
 def test_auto_ranks_reduce_each_degenerate_gram_once(shape, monkeypatch):
-    # where the iteration declines, the top-r pairs come from ED's own
-    # reduction, which the read then drops; they are those of a fresh
-    # reduction at the same rank, bit for bit
+    # ED reads each Gram's values once; where the iteration declines, the
+    # selected rank's pairs come from one eigh of the Gram, and they are
+    # those of a fresh matrix at the same rank, bit for bit
     shapes = record_linalg(monkeypatch)
     for (name, x1, _), (_, x2, _) in zip(_degenerate(shape, 30), _degenerate(shape, 31)):
         ys = ObservedMatrix(x1), ObservedMatrix(x2)
-        shapes["reduce"].clear()
+        shapes["spectrum"].clear()
+        shapes["eigh"].clear()
         ranks, *_ = select_ranks(*ys)
-        assert shapes["reduce"] == [(300, 300), (300, 300)], name
+        assert shapes["spectrum"] == [(300, 300), (300, 300)], name
+        assert shapes["eigh"].count((300, 300)) <= 2, name
         for y, r in zip(ys, (ranks.r1, ranks.r2)):
-            assert "reduced" not in y._cache, name
             for a, b in zip(y.factors(r), ObservedMatrix(y.values.copy()).factors(r)):
                 np.testing.assert_array_equal(a, b)
 

@@ -524,16 +524,13 @@ def test_estimate_auto_ranks_takes_one_gram_eigh_per_dataset(monkeypatch):
     result = estimate_cdpa(y1, y2)
     assert result.ranks.r12 >= 1 and result.sign_choice is not None
     # both datasets have p >= n, so each forms one n x n Gram matrix and
-    # reduces it once, for ED's values alone; the selected rank takes its
-    # top-r pairs from one certified filtered iteration; no dense
-    # eigensolver above the order 2 (r + 3) of the iteration's start, no
-    # SVD fallback
+    # takes one values-only eigensolve of it, for ED; the selected rank
+    # takes its top-r pairs from one certified filtered iteration; no eigh
+    # above the order 2 (r + 3) of the iteration's start, no SVD fallback
     ranks = (result.ranks.r1, result.ranks.r2)
     assert shapes["gram"] == [(300, 300), (300, 300)]
-    assert shapes["reduce"] == [(300, 300), (300, 300)]
     assert shapes["spectrum"] == [(300, 300), (300, 300)]
     assert shapes["iterate"] == [((300, 300), r) for r in ranks]
-    assert shapes["top"] == []
     assert shapes["eigh"] and all(max(s) <= 2 * (max(ranks) + 3) for s in shapes["eigh"])
     assert [s for s in shapes["svd"] if min(s) > 10] == []
 
@@ -546,20 +543,13 @@ def test_estimate_fixed_ranks_takes_one_top_r_solve_per_dataset(monkeypatch, p1)
     shapes = record_linalg(monkeypatch)
     estimate_cdpa(y1, y2, CdpaConfig(ranks=RankProfile(5, 4, 3)))
     m = min(p1, 300)
-    # one Gram matrix per dataset and one top-r solve per rank: at m = 300
-    # (at least 18 (r + 3)) a certified filtered iteration and no
-    # reduction; at m = 100 the iteration declines and one reduction
-    # gives the pairs; no whole spectrum, no dense eigensolver above the
-    # order 2 (r + 3) of the iteration's start, no SVD fallback
+    # one Gram matrix per dataset and one top-r solve per rank: at m = 100
+    # and 300 (at least 9 (r + 3)) a certified filtered iteration; no
+    # whole spectrum, no eigh above the order 2 (r + 3) of the iteration's
+    # start, no SVD fallback
     assert shapes["gram"] == [(m, m), (m, m)]
     assert shapes["iterate"] == [((m, m), 5), ((m, m), 4)]
-    if m >= 18 * 8:
-        assert shapes["reduce"] == [] and shapes["top"] == []
-        assert shapes["eigh"] and all(max(s) <= 16 for s in shapes["eigh"])
-    else:
-        assert shapes["reduce"] == [(m, m), (m, m)]
-        assert shapes["top"] == [((m, m), 5), ((m, m), 4)]
-        assert shapes["eigh"] == []
+    assert shapes["eigh"] and all(max(s) <= 16 for s in shapes["eigh"])
     assert shapes["spectrum"] == []
     assert [s for s in shapes["svd"] if min(s) > 10] == []
 
